@@ -61,7 +61,6 @@ from .recurrence import (
     char_poly,
     conjecture_check,
     conjectured_weights,
-    minimal_char_poly,
     minimal_report,
     polynomiality_check,
     verify_certificate,

@@ -111,7 +111,7 @@ def weight_counts(outer: Partition, inner: Partition, n: int) -> np.ndarray:
         if ok:
             arr[()] = 1
         if int(arr[()]) != total:
-            raise RuntimeError("internal error: dense n=1 total mismatch")
+            raise RuntimeError("dense n=1 total mismatch")
         return arr
 
     if n == 2:
@@ -127,7 +127,7 @@ def weight_counts(outer: Partition, inner: Partition, n: int) -> np.ndarray:
         for t1 in range(D + 1):
             K[t1] = _count_box_sum_scalar(msize + t1 - base, spans)
         if int(K.sum()) != total:
-            raise RuntimeError("internal error: dense n=2 total mismatch")
+            raise RuntimeError("dense n=2 total mismatch")
         return K
 
     # n == 3: outer sum over sigma (shape after letters 1,2), inner box for rho
@@ -137,7 +137,7 @@ def weight_counts(outer: Partition, inner: Partition, n: int) -> np.ndarray:
     s3 = np.arange(m3, L3 + 1, dtype=np.int64)
     if len(s1) == 0 or len(s2) == 0 or len(s3) == 0:
         if total != 0:
-            raise RuntimeError("internal error: dense n=3 empty sigma box but nonzero count")
+            raise RuntimeError("dense n=3 empty sigma box but nonzero count")
         return K
     S1, S2, S3 = np.meshgrid(s1, s2, s3, indexing="ij")
     a1 = np.maximum(S2, m1)
@@ -152,7 +152,7 @@ def weight_counts(outer: Partition, inner: Partition, n: int) -> np.ndarray:
     keep = (La >= 0) & (Lb >= 0) & (Lc >= 0)
     if not keep.any():
         if total != 0:
-            raise RuntimeError("internal error: dense n=3 empty rho boxes but nonzero count")
+            raise RuntimeError("dense n=3 empty rho boxes but nonzero count")
         return K
     base = (a1 + a2 + a3).ravel()[keep]
     La, Lb, Lc = La[keep], Lb[keep], Lc[keep]
@@ -178,7 +178,7 @@ def weight_counts(outer: Partition, inner: Partition, n: int) -> np.ndarray:
         row = np.bincount(sig12, weights=cnt, minlength=nbins)
         K[t1, : nbins - t1] = np.rint(row[t1:nbins]).astype(np.int64)
     if int(K.sum()) != total:
-        raise RuntimeError("internal error: dense n=3 total mismatch")
+        raise RuntimeError("dense n=3 total mismatch")
     return K
 
 
@@ -208,13 +208,6 @@ def counts_to_multipoly(arr: np.ndarray, n: int, total_boxes: int) -> MultiPoly:
         t = tuple(int(x) for x in idx)
         last = total_boxes - sum(t)
         if last < 0:
-            raise RuntimeError("internal error: dense table exponent exceeds box count")
+            raise RuntimeError("dense table exponent exceeds box count")
         terms[t + (last,)] = int(arr[idx])
     return MultiPoly(n, terms)
-
-
-def multipoly_to_offsets(p: MultiPoly, n: int) -> list[tuple[tuple[int, ...], int]]:
-    """Terms of p as (leading n-1 exponents, coefficient) pairs for shift-adds."""
-    if p.nvars != n:
-        raise ValueError("nvars mismatch")
-    return [(e[: n - 1], c) for e, c in p.terms.items()]

@@ -58,9 +58,6 @@ class ComplexPoly:
             acc = acc * z + c
         return acc
 
-    def derivative(self) -> "ComplexPoly":
-        return ComplexPoly(tuple(j * c for j, c in enumerate(self.coeffs) if j >= 1))
-
     def coefficient_scale(self, radius: float) -> float:
         """Sum of |c_j| * radius^j, the natural backward-error scale."""
         return sum(abs(c) * radius**j for j, c in enumerate(self.coeffs))

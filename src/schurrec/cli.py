@@ -3,7 +3,7 @@
 Every run echoes its resolved configuration at the top of the output
 (a "config" key in JSON, a leading comment line otherwise).  Exit codes:
 0 success / SUPPORTED, 1 usage error, 2 mathematical refutation (with a
-certificate on stdout).
+certificate on stdout), 3 internal error (one line on stderr).
 """
 from __future__ import annotations
 
@@ -29,6 +29,7 @@ from .tableaux import SkewShape, Tableau, enumerate_tableaux, insert
 
 USAGE_ERROR = 1
 REFUTED = 2
+INTERNAL_ERROR = 3
 
 
 class _Parser(argparse.ArgumentParser):
@@ -364,6 +365,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (InvalidFamilyError, ValueError, json.JSONDecodeError) as exc:
         sys.stderr.write(f"schurrec {args.command}: error: {exc}\n")
         return USAGE_ERROR
+    except RuntimeError as exc:
+        sys.stderr.write(f"schurrec {args.command}: internal error: {exc}\n")
+        return INTERNAL_ERROR
 
 
 if __name__ == "__main__":

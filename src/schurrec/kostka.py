@@ -68,9 +68,9 @@ def stretch_positivity_check(shape: SkewShape, w: Sequence[int], k: int) -> Tabl
     witness = reduce(insert, [seed] * k)
     expected_shape = SkewShape(scale(k, shape.outer), scale(k, shape.inner))
     if witness.shape != expected_shape:
-        raise RuntimeError("internal error: witness shape is not the stretched shape")
+        raise RuntimeError("witness shape is not the stretched shape")
     if weight(witness) != tuple(k * x for x in wt):
-        raise RuntimeError("internal error: witness weight is not the stretched weight")
+        raise RuntimeError("witness weight is not the stretched weight")
     return witness
 
 

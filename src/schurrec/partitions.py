@@ -68,13 +68,6 @@ class Partition:
         return sum(self._parts)
 
 
-EMPTY = Partition()
-
-
-def _aslist(p: Sequence[int] | Partition) -> list[int]:
-    return list(p)
-
-
 def _get(p, i: int) -> int:
     seq = p.parts if isinstance(p, Partition) else tuple(p)
     return seq[i] if i < len(seq) else 0

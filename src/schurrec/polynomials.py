@@ -5,7 +5,6 @@ homogeneous, plus the Jacobi-Trudi determinant as an independent oracle.
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
 from typing import Mapping, Sequence
@@ -321,7 +320,3 @@ def monomial_symmetric(lam: Partition, n: int) -> MultiPoly:
 
 def eval_all_ones(p: MultiPoly) -> int:
     return sum(p.terms.values())
-
-
-def eval_rational(p: MultiPoly, point: Sequence[Fraction | int]) -> Fraction:
-    return Fraction(p.eval([Fraction(x) for x in point]))

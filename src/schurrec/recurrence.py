@@ -6,9 +6,10 @@ terms, extracts the minimal annihilator of product form by greedy root
 removal, and exposes the conjectured minimal root set driven by Kostka
 positivity and domination.
 
-Verification is exact throughout.  Sequence terms for shapes with at most
-3 rows and 3 letters run on dense int64 weight tables (with an a-priori
-coefficient bound guaranteeing no overflow); everything else falls back to
+Verification is exact throughout.  Residuals come from applying the linear
+factors of chi one at a time.  For shapes with at most 3 rows and 3 letters
+they run on dense weight tables, in int64 under an a-priori bound that rules
+out overflow and in Python integers above it; everything else falls back to
 sparse exact polynomials.
 """
 from __future__ import annotations
@@ -16,8 +17,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -56,39 +56,19 @@ class InvalidFamilyError(ValueError):
 class CharPoly:
     """Monic polynomial in the shift symbol t with MultiPoly coefficients.
 
-    coeffs[j] is the coefficient of t^j; the recurrence it encodes is
-    sum_j coeffs[j] * s_{k+j} = 0.  root_weights, when known, lists the
-    weight vectors w of the linear factors (t - x^w), with multiplicity.
+    root_weights lists the weight vectors w of the linear factors (t - x^w),
+    with multiplicity.  coeffs[j], their expansion, is the coefficient of t^j;
+    the recurrence it encodes is sum_j coeffs[j] * s_{k+j} = 0.
     """
 
-    __slots__ = ("nvars", "coeffs", "root_weights", "_plan")
+    __slots__ = ("nvars", "coeffs", "root_weights")
 
-    def __init__(
-        self,
-        nvars: int,
-        coeffs: Sequence[MultiPoly],
-        root_weights: Optional[Sequence[IntVector]] = None,
-    ):
+    def __init__(self, nvars: int, coeffs: Sequence[MultiPoly], root_weights: Sequence[IntVector]):
         self.nvars = nvars
         self.coeffs = tuple(coeffs)
         if not self.coeffs or self.coeffs[-1] != MultiPoly.one(nvars):
             raise ValueError("characteristic polynomial must be monic")
-        self.root_weights = tuple(tuple(w) for w in root_weights) if root_weights is not None else None
-        self._plan = None
-
-    def dense_plan(self) -> tuple:
-        """Cached per-coefficient term offsets, 1-norms and max offsets for
-        the dense residual accumulation."""
-        if self._plan is None:
-            offsets = [_dense.multipoly_to_offsets(c, self.nvars) for c in self.coeffs]
-            norms = [sum(abs(v) for v in c.terms.values()) for c in self.coeffs]
-            axes = self.nvars - 1
-            maxoff = [
-                tuple(max((o[a] for o, _ in offs), default=0) for a in range(axes))
-                for offs in offsets
-            ]
-            self._plan = (offsets, norms, maxoff)
-        return self._plan
+        self.root_weights = tuple(tuple(w) for w in root_weights)
 
     @classmethod
     def from_root_weights(cls, weights: Sequence[IntVector], nvars: int) -> "CharPoly":
@@ -100,7 +80,7 @@ class CharPoly:
                 new[j + 1] = new[j + 1] + c
                 new[j] = new[j] - mono * c
             coeffs = new
-        return cls(nvars, coeffs, root_weights=weights)
+        return cls(nvars, coeffs, weights)
 
     @property
     def degree(self) -> int:
@@ -108,7 +88,7 @@ class CharPoly:
 
     def remove_root(self, w: IntVector) -> "CharPoly":
         """Exact synthetic division by (t - x^w); requires w among root_weights."""
-        if self.root_weights is None or tuple(w) not in self.root_weights:
+        if tuple(w) not in self.root_weights:
             raise ValueError(f"{w} is not a recorded root")
         remaining = list(self.root_weights)
         remaining.remove(tuple(w))
@@ -265,7 +245,7 @@ def build_sequence(kappa: Partition, lam: Partition, mu: Partition, nu: Partitio
     eff_kappa = add(kappa, scale(shift, mu))
     eff_lam = add(lam, scale(shift, nu))
     if not contains(eff_kappa, eff_lam):
-        raise RuntimeError("internal error: index shift did not produce a valid base shape")
+        raise RuntimeError("index shift did not produce a valid base shape")
     if _dense.ssyt_count(mu, nu, n) == 0:
         # degree-0 recurrence (s_k = 0): valid only where mu/nu actually
         # sits inside, not one index earlier
@@ -286,69 +266,57 @@ class VerifyResult:
     residual: Optional[MultiPoly] = None
 
 
-def _residual_dense(seq: SchurSequence, chi: CharPoly, k: int) -> Optional[np.ndarray]:
-    """Residual sum_j c_j * s_{k+j} on dense int64 tables; None if unsupported."""
-    n = seq.n
-    d = chi.degree
-    tables = []
-    for j in range(d + 1):
-        tab = seq.term_table(k + j)
-        if tab is None:
-            return None
-        tables.append(tab)
-    offsets, norms, maxoff = chi.dense_plan()
-    # a-priori bound keeping every int64 accumulation exact
-    bound = sum(norms[j] * seq.count_at(k + j) for j in range(d + 1))
-    if bound >= (1 << 62):
-        return None
-    if n == 1:
-        total = 0
-        for j in range(d + 1):
-            val = int(tables[j][()])
-            for _, c in offsets[j]:
-                total += c * val
-        return np.array(total, dtype=np.int64)
-    axes = n - 1
-    shape = [0] * axes
-    for j in range(d + 1):
-        tshape = tables[j].shape
-        for axis in range(axes):
-            shape[axis] = max(shape[axis], maxoff[j][axis] + tshape[axis])
-    residual = np.zeros(tuple(shape), dtype=np.int64)
-    for j in range(d + 1):
-        tab = tables[j]
-        tshape = tab.shape
-        if axes == 1:
-            t0 = tshape[0]
-            for offs, c in offsets[j]:
-                residual[offs[0] : offs[0] + t0] += c * tab
-        else:
-            t0, t1 = tshape
-            for offs, c in offsets[j]:
-                residual[offs[0] : offs[0] + t0, offs[1] : offs[1] + t1] += c * tab
-    return residual
+# int64 stays exact while every intermediate of the factor chain stays below this
+_INT64_EXACT_LIMIT = 1 << 62
 
 
-def _residual_exact(seq: SchurSequence, chi: CharPoly, k: int) -> MultiPoly:
-    total = MultiPoly.zero(seq.n)
-    for j, c in enumerate(chi.coeffs):
-        total = total + c * seq.term(k + j)
-    return total
+def _residuals(seq: SchurSequence, weights: Sequence[IntVector], start: int, count: int) -> Iterator[MultiPoly]:
+    """Residuals of prod_w (E - x^w), E the index shift, on the sequence at
+    k = start ... start+count-1, in order.
+
+    One factor maps the terms U_k to U_{k+1} - x^w * U_k; applied in turn to
+    the terms at start ... start+count+d-1, the d factors leave the count
+    residuals.  Dense weight tables carry the chain when every term has one
+    and |w| = |mu| - |nu| for every factor, so that x^w shifts a table inside
+    the next; every intermediate l1 norm is at most 2^d times the largest
+    filling count, which decides between int64 and Python integers.  Sparse
+    polynomials carry it otherwise.
+    """
+    n, d = seq.n, len(weights)
+    if any(len(w) != n for w in weights):
+        raise ValueError(f"root weights must have length {n}")
+    window = range(start, start + count + d)
+    tables = [seq.term_table(k) for k in window]
+    step = seq.mu.weight - seq.nu.weight
+    if all(t is not None for t in tables) and all(sum(w) == step for w in weights):
+        bound = max((seq.count_at(k) for k in window), default=0) << d
+        dtype = np.int64 if bound < _INT64_EXACT_LIMIT else object
+        terms = [t.astype(dtype, copy=False) for t in tables]
+        for w in weights:
+            shifted = []
+            for lo, hi in zip(terms, terms[1:]):
+                out = hi.copy()
+                out[tuple(slice(o, o + s) for o, s in zip(w[: n - 1], lo.shape))] -= lo
+                shifted.append(out)
+            terms = shifted
+        for k, table in zip(window, terms):
+            yield _dense.counts_to_multipoly(table, n, seq.boxes_at(k + d))
+    else:
+        terms = [seq.term(k) for k in window]
+        for w in weights:
+            mono = MultiPoly.monomial(w)
+            terms = [hi - mono * lo for lo, hi in zip(terms, terms[1:])]
+        yield from terms
 
 
 def verify_certificate(seq: SchurSequence, chi: CharPoly, r: int, count: int) -> VerifyResult:
-    """Exact check of sum_j coeffs[j] * term(k+j) = 0 for k = r ... r+count-1."""
+    """Exact check of sum_j coeffs[j] * term(k+j) = 0 for k = r ... r+count-1;
+    a failure names the first failing index and its residual."""
     if count < 1:
         raise ValueError("count must be positive")
-    for k in range(r, r + count):
-        dense = _residual_dense(seq, chi, k)
-        if dense is not None:
-            if dense.any():
-                return VerifyResult(False, k, _residual_exact(seq, chi, k))
-        else:
-            residual = _residual_exact(seq, chi, k)
-            if not residual.is_zero():
-                return VerifyResult(False, k, residual)
+    for k, residual in enumerate(_residuals(seq, chi.root_weights, r, count), r):
+        if residual:
+            return VerifyResult(False, k, residual)
     return VerifyResult(True)
 
 
@@ -417,22 +385,6 @@ def _dedupe_canonical(weights: Sequence[IntVector]) -> list[IntVector]:
     return sorted(distinct, key=lambda w: (sum(w), w), reverse=True)
 
 
-@lru_cache(maxsize=4096)
-def _product_poly(weights: tuple, nvars: int) -> CharPoly:
-    return CharPoly.from_root_weights(list(weights), nvars)
-
-
-def _annihilates(seq: SchurSequence, cand: CharPoly, start: int, count: int) -> bool:
-    for k in range(start, start + count):
-        dense = _residual_dense(seq, cand, k)
-        if dense is not None:
-            if dense.any():
-                return False
-        elif not _residual_exact(seq, cand, k).is_zero():
-            return False
-    return True
-
-
 def minimal_report(seq: SchurSequence, chi: CharPoly, seed: int = 0) -> MinimalReport:
     """Least-degree monic divisor of chi of product form annihilating the
     sequence.
@@ -443,22 +395,16 @@ def minimal_report(seq: SchurSequence, chi: CharPoly, seed: int = 0) -> MinimalR
     Massey degree check on >= 3 integer specializations (collision-free by
     construction) cross-checks the result.
     """
-    if chi.root_weights is None:
-        raise ValueError("chi must carry its root weights")
     d = chi.degree
-    current = _dedupe_canonical(chi.root_weights)
-    cand = _product_poly(tuple(current), chi.nvars)
-    if not _annihilates(seq, cand, seq.r, d):
-        raise RuntimeError(
-            "internal error: the squarefree part of chi does not annihilate the sequence"
-        )
+    distinct = current = _dedupe_canonical(chi.root_weights)
+    if any(_residuals(seq, current, seq.r, d)):
+        raise RuntimeError("the squarefree part of chi does not annihilate the sequence")
     removed: list[IntVector] = []
     for w in list(current):
         trial = [u for u in current if u != w]
         if not trial:
             break
-        trial_poly = _product_poly(tuple(trial), chi.nvars)
-        if _annihilates(seq, trial_poly, seq.r, d):
+        if not any(_residuals(seq, trial, seq.r, d)):
             current = trial
             removed.append(w)
     minimal = CharPoly.from_root_weights(current, chi.nvars)
@@ -467,9 +413,8 @@ def minimal_report(seq: SchurSequence, chi: CharPoly, seed: int = 0) -> MinimalR
     bm_degrees: list[int] = []
     points: list[tuple[int, ...]] = []
     needed = 2 * len(current) + 4
-    distinct_all = _dedupe_canonical(chi.root_weights)
     for _ in range(3):
-        point = _draw_point(rng, seq.n, distinct_all)
+        point = _draw_point(rng, seq.n, distinct)
         values = [seq.eval_at(k, point) for k in range(seq.r, seq.r + needed)]
         bm = berlekamp_massey(values)
         bm_degrees.append(len(bm) - 1)
@@ -498,10 +443,6 @@ def _eval_monomial(point: tuple[int, ...], w: IntVector) -> int:
     for x, p in zip(point, w):
         v *= x**p
     return v
-
-
-def minimal_char_poly(seq: SchurSequence, chi: CharPoly, seed: int = 0) -> CharPoly:
-    return minimal_report(seq, chi, seed).char_poly
 
 
 # ---------------------------------------------------------------------------
@@ -637,6 +578,8 @@ def polynomiality_check(mu: Partition, nu: Partition, n: int, kmax: int) -> Poly
     """
     if not contains(mu, nu):
         raise ValueError("mu must contain nu")
+    if kmax < 0:
+        raise ValueError("kmax must be nonnegative")
     counts = [
         _dense.ssyt_count(scale(k, mu), scale(k, nu), n) for k in range(kmax + 1)
     ]

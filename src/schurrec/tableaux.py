@@ -261,7 +261,7 @@ def insert(t1: Tableau, t2: Tableau) -> Tableau:
         rows.append(sorted(r1 + r2))
     result = Tableau(shape, rows, t1.n)
     if not is_valid_ssyt(result):
-        raise RuntimeError(f"internal error: insertion produced an invalid tableau from {t1!r} and {t2!r}")
+        raise RuntimeError(f"insertion produced an invalid tableau from {t1!r} and {t2!r}")
     return result
 
 
@@ -344,7 +344,7 @@ def first_enclosing_index(kappa: Partition, lam: Partition, mu: Partition, nu: P
         inner = Partition([lam[i] + r0 * nu[i] for i in range(max(len(lam), len(nu)))])
         if contains(outer, inner) and sits_inside(target, SkewShape(outer, inner)):
             return r0
-    raise RuntimeError("internal error: no enclosing index within the bound kappa_1 + 1")
+    raise RuntimeError("no enclosing index within the bound kappa_1 + 1")
 
 
 def stabilization_index(kappa: Partition, lam: Partition, mu: Partition, nu: Partition) -> int:
@@ -371,7 +371,7 @@ def decompose(t: Tableau, small: SkewShape) -> tuple[Tableau, Tableau]:
                 chosen.append((j, cv))
                 break
         else:
-            raise RuntimeError("internal error: sits_inside held but no matching column found")
+            raise RuntimeError("sits_inside held but no matching column found")
 
     # assemble t1 by writing the chosen entries into small's own diagram
     rows1: list[list[int]] = [[] for _ in range(len(small.outer))]
@@ -380,7 +380,7 @@ def decompose(t: Tableau, small: SkewShape) -> tuple[Tableau, Tableau]:
             rows1[cv.first_row - 1 + offset].append(v)
     t1 = Tableau(small, rows1, t.n)
     if not is_valid_ssyt(t1):
-        raise RuntimeError("internal error: extracted columns do not form an SSYT")
+        raise RuntimeError("extracted columns do not form an SSYT")
 
     try:
         rest_outer = Partition(subtract(t.shape.outer, small.outer))
@@ -397,11 +397,11 @@ def decompose(t: Tableau, small: SkewShape) -> tuple[Tableau, Tableau]:
         remaining = Counter(t.rows[i] if i < len(t.rows) else ())
         remaining.subtract(rows1[i] if i < len(rows1) else ())
         if any(c < 0 for c in remaining.values()):
-            raise RuntimeError("internal error: row difference went negative")
+            raise RuntimeError("row difference went negative")
         rows2.append(sorted(remaining.elements()))
     t2 = Tableau(rest, rows2, t.n)
     if not is_valid_ssyt(t2):
-        raise RuntimeError("internal error: column deletion did not yield an SSYT")
+        raise RuntimeError("column deletion did not yield an SSYT")
     if insert(t1, t2) != t:
-        raise RuntimeError("internal error: decomposition does not multiply back")
+        raise RuntimeError("decomposition does not multiply back")
     return t1, t2

@@ -9,6 +9,9 @@ import sys
 
 import pytest
 
+from schurrec import cli
+from schurrec.asymptotics import RootConvergenceError
+
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 CASES = [
@@ -65,6 +68,11 @@ class TestExitCodes:
         result = run_cli(["verify", "--mu", "[1,1]", "--nu", "[1,1]", "--lambda", "[1]", "--n", "2"])
         assert result.returncode == 1  # no stretch factor: invalid family
 
+    def test_negative_kmax_is_a_usage_error(self):
+        result = run_cli(["polynomiality", "--mu", "[1]", "--n", "2", "--kmax", "-3"])
+        assert result.returncode == 1
+        assert result.stderr == "schurrec polynomiality: error: kmax must be nonnegative\n"
+
     def test_refutation_is_two(self):
         # verifying with a start index before the valid range refutes the
         # degree-0 recurrence of an empty-alphabet family
@@ -76,6 +84,19 @@ class TestExitCodes:
         assert payload["ok"] is False
         assert payload["refuted_at"] == 0
         assert payload["residual"]["terms"]
+
+    @pytest.mark.parametrize(
+        "error",
+        [RuntimeError("sits_inside held but no matching column found"), RootConvergenceError([(0, 1j, 0.5)])],
+        ids=["runtime", "root-convergence"],
+    )
+    def test_internal_error_is_three(self, monkeypatch, capsys, error):
+        def broken(args):
+            raise error
+
+        monkeypatch.setitem(cli._COMMANDS, "schur", broken)
+        assert cli.main(["schur", "--outer", "[1]", "--n", "2"]) == cli.INTERNAL_ERROR == 3
+        assert capsys.readouterr().err == f"schurrec schur: internal error: {error}\n"
 
 
 class TestConfigEcho:

@@ -1,8 +1,11 @@
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from schurrec.partitions import Partition
+from schurrec import _dense, recurrence
+from schurrec.partitions import Partition, contains, partitions_up_to
 from schurrec.polynomials import MultiPoly, complete_homogeneous, skew_schur
 from schurrec.recurrence import (
     CharPoly,
@@ -22,6 +25,15 @@ from schurrec.tableaux import SkewShape
 
 def P(*parts):
     return Partition(parts)
+
+
+def expanded_residual(seq, chi, k):
+    """sum_j coeffs[j] * term(k+j) over the expanded coefficients of chi: the
+    oracle for the factor-chain residuals."""
+    total = MultiPoly.zero(seq.n)
+    for j, c in enumerate(chi.coeffs):
+        total = total + c * seq.term(k + j)
+    return total
 
 
 class TestCharPoly:
@@ -144,13 +156,11 @@ class TestVerify:
     def test_dense_and_exact_paths_agree(self):
         seq = build_sequence(P(2), P(1), P(2, 1), P(1), 3)
         chi = char_poly(P(2, 1), P(1), 3)
-        from schurrec.recurrence import _residual_dense, _residual_exact
-
+        assert all(seq.term_table(k) is not None for k in range(seq.r, seq.r + 3 + chi.degree))
+        dense = list(recurrence._residuals(seq, chi.root_weights, seq.r, 3))
+        assert dense == [MultiPoly.zero(3)] * 3
         for k in range(seq.r, seq.r + 3):
-            dense = _residual_dense(seq, chi, k)
-            exact = _residual_exact(seq, chi, k)
-            assert dense is not None and not dense.any()
-            assert exact.is_zero()
+            assert expanded_residual(seq, chi, k).is_zero()
 
     def test_exact_fallback_for_tall_shapes(self):
         # length-4 partitions leave the dense engine; exact path must run
@@ -158,6 +168,74 @@ class TestVerify:
         chi = char_poly(P(1, 1, 1, 1), P(), 3)
         assert chi.degree == 0  # no fillings with 3 letters
         assert verify_recurrence(seq, chi, seq.r, 3)
+
+
+def chain_families(letters, bases, max_degree):
+    """Valid families (kappa, lam, mu, nu, n) with |mu| <= 3 over the given
+    letters and base shapes, whose chi has degree <= max_degree."""
+    out = []
+    for n in letters:
+        for mu in partitions_up_to(3, n):
+            for nu in partitions_up_to(mu.weight, n):
+                if not contains(mu, nu) or char_poly(mu, nu, n).degree > max_degree:
+                    continue
+                for kappa, lam in bases:
+                    try:
+                        build_sequence(kappa, lam, mu, nu, n)
+                    except InvalidFamilyError:
+                        continue
+                    out.append((kappa, lam, mu, nu, n))
+    return out
+
+
+SMALL_BASES = [(a, b) for a in (P(), P(1), P(2), P(1, 1)) for b in (P(), P(1), P(1, 1))]
+# n <= 3 with at most 3 rows: every term has a dense weight table
+DENSE_FAMILIES = chain_families((1, 2, 3), SMALL_BASES, 6)
+# four letters, or four-row base shapes: no term has a dense table
+SPARSE_FAMILIES = chain_families((4,), SMALL_BASES[:6], 4) + chain_families(
+    (3,), [(P(1, 1, 1, 1), P(1)), (P(2, 1, 1, 1), P(1, 1)), (P(2, 2, 1, 1), P(1))], 4
+)
+
+
+@st.composite
+def chain_case(draw, families):
+    """A family, a sub-multiset of its chi roots and a window of indices."""
+    kappa, lam, mu, nu, n = draw(st.sampled_from(families))
+    seq = build_sequence(kappa, lam, mu, nu, n)
+    roots = char_poly(mu, nu, n).root_weights
+    keep = draw(st.lists(st.booleans(), min_size=len(roots), max_size=len(roots)))
+    weights = [w for w, kept in zip(roots, keep) if kept]
+    start = draw(st.integers(0, seq.r + 2))
+    count = draw(st.integers(1, 3))
+    return seq, weights, start, count
+
+
+class TestFactorChain:
+    @pytest.mark.parametrize(
+        "families,limit,dtypes",
+        [
+            (DENSE_FAMILIES, recurrence._INT64_EXACT_LIMIT, {"int64"}),
+            (DENSE_FAMILIES, 0, {"object"}),  # the a-priori bound always fails
+            (SPARSE_FAMILIES, recurrence._INT64_EXACT_LIMIT, set()),
+        ],
+        ids=["int64", "object", "multipoly"],
+    )
+    @settings(deadline=None)
+    @given(data=st.data())
+    def test_matches_expanded_coefficients(self, families, limit, dtypes, data):
+        seq, weights, start, count = data.draw(chain_case(families))
+        chi = CharPoly.from_root_weights(weights, seq.n)
+        expected = [expanded_residual(seq, chi, k) for k in range(start, start + count)]
+        with mock.patch.object(recurrence, "_INT64_EXACT_LIMIT", limit), mock.patch.object(
+            _dense, "counts_to_multipoly", wraps=_dense.counts_to_multipoly
+        ) as spy:
+            assert list(recurrence._residuals(seq, weights, start, count)) == expected
+        assert {call.args[0].dtype.name for call in spy.call_args_list} == dtypes
+
+    def test_rejects_weights_of_the_wrong_length(self):
+        seq = build_sequence(P(), P(), P(1), P(), 2)
+        with pytest.raises(ValueError):
+            list(recurrence._residuals(seq, [(1, 0, 0)], 0, 2))
 
 
 class TestBerlekampMassey:
@@ -240,8 +318,6 @@ class TestMinimal:
                 assert perm in wset
 
     def test_annihilation_survives_five_extra_indices(self):
-        from schurrec.recurrence import CharPoly, _annihilates
-
         families = [
             (P(), P(), P(1), P(), 2),
             (P(), P(), P(2, 1), P(), 3),
@@ -254,8 +330,7 @@ class TestMinimal:
             seq = build_sequence(kappa, lam, mu, nu, n)
             chi = char_poly(mu, nu, n)
             rep = minimal_report(seq, chi)
-            minimal = CharPoly.from_root_weights(list(rep.weights), n)
-            assert _annihilates(seq, minimal, seq.r + chi.degree, 5)
+            assert verify_certificate(seq, rep.char_poly, seq.r + chi.degree, 5).ok
 
 
 class TestConjecturedWeights:
@@ -311,6 +386,10 @@ class TestPolynomiality:
         rep = polynomiality_check(P(2, 1), P(1), 2, 12)
         assert rep.degree == 2
         assert rep.counts[:4] == [1, 4, 9, 16]
+
+    def test_negative_kmax_rejected(self):
+        with pytest.raises(ValueError, match="kmax must be nonnegative"):
+            polynomiality_check(P(1), P(), 2, -3)
 
     def test_inconclusive_when_kmax_too_small(self):
         rep = polynomiality_check(P(2, 1), P(1), 3, 3)
