@@ -17,7 +17,6 @@ from .kostka import kostka, schur_in_m_basis
 from .partitions import Partition, format_partition, parse_partition
 from .polynomials import skew_schur
 from .recurrence import (
-    InvalidFamilyError,
     build_sequence,
     char_poly,
     conjecture_check,
@@ -46,125 +45,86 @@ def _partition(text: str) -> Partition:
         raise argparse.ArgumentTypeError(str(exc))
 
 
-def _add_family_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--kappa", type=_partition, default=Partition(), help="base outer partition, e.g. [2,1]")
-    p.add_argument("--lambda", type=_partition, default=Partition(), dest="lam", help="base inner partition")
-    p.add_argument("--mu", type=_partition, required=True, help="outer stretch partition")
-    p.add_argument("--nu", type=_partition, default=Partition(), help="inner stretch partition")
-    p.add_argument("--n", type=int, required=True, help="number of variables / alphabet bound")
+def _int_at_least(low: int, kind: str):
+    """An argparse type for integers >= low, so the parser names the option."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected {kind}, got {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"expected {kind}, got {value}")
+        return value
+
+    return parse
 
 
-def _add_output_args(p: argparse.ArgumentParser, default_format: str) -> None:
-    p.add_argument("--output", default=None, help="write to this path instead of stdout")
-    p.add_argument(
-        "--format",
-        choices=("json", "csv", "pretty"),
-        default=default_format,
-        help=f"output format (default {default_format})",
-    )
+_positive = _int_at_least(1, "a positive integer")
+_nonnegative = _int_at_least(0, "a nonnegative integer")
 
 
-def build_parser() -> _Parser:
-    parser = _Parser(prog="schurrec", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
+def _arg(*flags: str, **options) -> tuple:
+    return flags, options
 
-    p = sub.add_parser("tableaux", help="enumerate the fillings of a skew shape")
-    p.add_argument("--outer", type=_partition, required=True)
-    p.add_argument("--inner", type=_partition, default=Partition())
-    p.add_argument("--n", type=int, required=True)
-    _add_output_args(p, "json")
 
-    p = sub.add_parser("schur", help="skew Schur polynomial of a shape")
-    p.add_argument("--outer", type=_partition, required=True)
-    p.add_argument("--inner", type=_partition, default=Partition())
-    p.add_argument("--n", type=int, required=True)
-    _add_output_args(p, "pretty")
-
-    p = sub.add_parser("insert", help="row-insertion product of two tableaux (JSON)")
-    p.add_argument("--t1", required=True, help='tableau JSON, e.g. {"outer":[1],"inner":[],"n":2,"rows":[[1]]}')
-    p.add_argument("--t2", required=True)
-    _add_output_args(p, "json")
-
-    p = sub.add_parser("char-poly", help="characteristic polynomial of a stretch shape")
-    p.add_argument("--mu", type=_partition, required=True)
-    p.add_argument("--nu", type=_partition, default=Partition())
-    p.add_argument("--n", type=int, required=True)
-    _add_output_args(p, "json")
-
-    p = sub.add_parser("verify", help="verify the recurrence on a stretched family")
-    _add_family_args(p)
-    p.add_argument("--r-override", type=int, default=None, help="start index override")
-    p.add_argument("--count", type=int, default=None, help="number of indices (default deg+3)")
-    _add_output_args(p, "json")
-
-    p = sub.add_parser("minimal", help="minimal characteristic polynomial of a family")
-    _add_family_args(p)
-    p.add_argument("--count", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0)
-    _add_output_args(p, "json")
-
-    p = sub.add_parser("kostka", help="Kostka coefficient of a shape and weight")
-    p.add_argument("--outer", type=_partition, required=True)
-    p.add_argument("--inner", type=_partition, default=Partition())
-    p.add_argument("--weight", required=True, help="weight vector, e.g. [1,1,1]")
-    _add_output_args(p, "pretty")
-
-    p = sub.add_parser("m-basis", help="monomial-basis expansion of a skew Schur polynomial")
-    p.add_argument("--outer", type=_partition, required=True)
-    p.add_argument("--inner", type=_partition, default=Partition())
-    p.add_argument("--n", type=int, required=True)
-    _add_output_args(p, "json")
-
-    p = sub.add_parser("conjecture", help="minimal-recurrence conjecture check for a family")
-    _add_family_args(p)
-    p.add_argument("--count", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0)
-    _add_output_args(p, "json")
-
-    p = sub.add_parser("polynomiality", help="finite-difference polynomiality of filling counts")
-    p.add_argument("--mu", type=_partition, required=True)
-    p.add_argument("--nu", type=_partition, default=Partition())
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--kmax", type=int, required=True)
-    _add_output_args(p, "json")
-
-    p = sub.add_parser("roots", help="root clouds of circle specializations")
-    _add_family_args(p)
-    p.add_argument("--xi", default=None, help="comma-separated complex values for x2..xn, e.g. 1,1 or 1+0j")
-    p.add_argument("--xi-radius", type=float, default=None, help="use xi = (R,...,R)")
-    p.add_argument("--kmax", type=int, default=10)
-    _add_output_args(p, "csv")
-
-    return parser
+# Argument groups shared by several commands.  Each dest is echoed in the
+# config of every output, so a new dest would change every golden file.
+_SHAPE = (
+    _arg("--outer", type=_partition, required=True, help="outer partition, e.g. [2,1]"),
+    _arg("--inner", type=_partition, default=Partition(), help="inner partition"),
+)
+_N = (_arg("--n", type=_positive, required=True, help="number of variables / alphabet bound"),)
+_STRETCH = (
+    _arg("--mu", type=_partition, required=True, help="outer stretch partition"),
+    _arg("--nu", type=_partition, default=Partition(), help="inner stretch partition"),
+) + _N
+_FAMILY = (
+    _arg("--kappa", type=_partition, default=Partition(), help="base outer partition, e.g. [2,1]"),
+    _arg("--lambda", type=_partition, default=Partition(), dest="lam", help="base inner partition"),
+) + _STRETCH
+_COUNT = _arg("--count", type=_positive, default=None, help="number of indices (default set by the degree)")
+_SAMPLED = (_COUNT, _arg("--seed", type=int, default=0, help="seed of the random specializations"))
+_START = (_arg("--r-override", type=_nonnegative, default=None, help="start index override"),)
+_TABLEAU_PAIR = (
+    _arg("--t1", required=True, help='tableau JSON, e.g. {"outer":[1],"inner":[],"n":2,"rows":[[1]]}'),
+    _arg("--t2", required=True),
+)
+_WEIGHT = (_arg("--weight", required=True, help="weight vector, e.g. [1,1,1]"),)
+_XI = (
+    _arg("--xi", default=None, help="comma-separated complex values for x2..xn, e.g. 1,1 or 1+0j"),
+    _arg("--xi-radius", type=float, default=None, help="use xi = (R,...,R)"),
+)
 
 
 def _config_echo(args: argparse.Namespace) -> dict:
-    cfg = {}
+    cfg = {"command": args.command}
     for key, value in sorted(vars(args).items()):
-        if key == "output":
+        if key in ("command", "output"):
             continue
         if isinstance(value, Partition):
             value = format_partition(value)
         cfg["lambda" if key == "lam" else key] = value
-    cfg["command"] = args.command
-    return {"command": cfg.pop("command"), **cfg}
+    return cfg
 
 
-def _emit(args: argparse.Namespace, text: str) -> None:
+def _emit(args: argparse.Namespace, code: int, payload: dict, text: Optional[str]) -> int:
+    """Write one handler's result in the chosen format and return its exit code.
+
+    A text body continues the `# key=value` config line: it starts with a
+    newline, or with more ` key=value` fields for that line.
+    """
+    cfg = _config_echo(args)
+    if args.format == "json":
+        doc = json.dumps({"config": cfg, **payload}, indent=2) + "\n"
+    else:
+        doc = "# " + " ".join(f"{k}={v}" for k, v in cfg.items()) + text
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.write(doc)
     else:
-        sys.stdout.write(text)
-
-
-def _json_doc(args: argparse.Namespace, payload: dict) -> str:
-    return json.dumps({"config": _config_echo(args), **payload}, indent=2) + "\n"
-
-
-def _comment_line(args: argparse.Namespace) -> str:
-    cfg = _config_echo(args)
-    return "# " + " ".join(f"{k}={v}" for k, v in cfg.items()) + "\n"
+        sys.stdout.write(doc)
+    return code
 
 
 def _parse_weight(text: str) -> tuple[int, ...]:
@@ -176,52 +136,40 @@ def _parse_weight(text: str) -> tuple[int, ...]:
     return tuple(int(tok) for tok in s.split(","))
 
 
-def _cmd_tableaux(args) -> int:
+def _family(args) -> tuple:
+    return args.kappa, args.lam, args.mu, args.nu, args.n
+
+
+def _tableaux(args):
+    """enumerate the fillings of a skew shape"""
     shape = SkewShape(args.outer, args.inner)
     ts = enumerate_tableaux(shape, args.n)
-    if args.format == "pretty":
-        blocks = [_comment_line(args), f"{len(ts)} tableaux of shape {shape} with entries in 1..{args.n}\n"]
-        for t in ts:
-            blocks.append(t.to_ascii() + "\n---\n")
-        _emit(args, "".join(blocks))
-    else:
-        payload = {"count": len(ts), "tableaux": [json.loads(t.to_json()) for t in ts]}
-        _emit(args, _json_doc(args, payload))
-    return 0
+    payload = {"count": len(ts), "tableaux": [json.loads(t.to_json()) for t in ts]}
+    text = f"\n{len(ts)} tableaux of shape {shape} with entries in 1..{args.n}\n"
+    return 0, payload, text + "".join(t.to_ascii() + "\n---\n" for t in ts)
 
 
-def _cmd_schur(args) -> int:
-    shape = SkewShape(args.outer, args.inner)
-    poly = skew_schur(shape, args.n)
-    if args.format == "pretty":
-        _emit(args, _comment_line(args) + str(poly) + "\n")
-    else:
-        _emit(args, _json_doc(args, {"polynomial": poly.to_json_obj()}))
-    return 0
+def _schur(args):
+    """skew Schur polynomial of a shape"""
+    poly = skew_schur(SkewShape(args.outer, args.inner), args.n)
+    return 0, {"polynomial": poly.to_json_obj()}, f"\n{poly}\n"
 
 
-def _cmd_insert(args) -> int:
-    t1 = Tableau.from_json(args.t1)
-    t2 = Tableau.from_json(args.t2)
-    result = insert(t1, t2)
-    if args.format == "pretty":
-        _emit(args, _comment_line(args) + result.to_ascii() + "\n")
-    else:
-        _emit(args, _json_doc(args, {"tableau": json.loads(result.to_json())}))
-    return 0
+def _insert(args):
+    """row-insertion product of two tableaux (JSON)"""
+    result = insert(Tableau.from_json(args.t1), Tableau.from_json(args.t2))
+    return 0, {"tableau": json.loads(result.to_json())}, f"\n{result.to_ascii()}\n"
 
 
-def _cmd_char_poly(args) -> int:
+def _char_poly(args):
+    """characteristic polynomial of a stretch shape"""
     chi = char_poly(args.mu, args.nu, args.n)
-    if args.format == "pretty":
-        _emit(args, _comment_line(args) + str(chi) + "\n")
-    else:
-        _emit(args, _json_doc(args, {"char_poly": chi.to_json_obj()}))
-    return 0
+    return 0, {"char_poly": chi.to_json_obj()}, f"\n{chi}\n"
 
 
-def _cmd_verify(args) -> int:
-    seq = build_sequence(args.kappa, args.lam, args.mu, args.nu, args.n)
+def _verify(args):
+    """verify the recurrence on a stretched family"""
+    seq = build_sequence(*_family(args))
     chi = char_poly(args.mu, args.nu, args.n)
     start = seq.r if args.r_override is None else args.r_override
     count = chi.degree + 3 if args.count is None else args.count
@@ -236,12 +184,12 @@ def _cmd_verify(args) -> int:
     if not cert.ok:
         payload["refuted_at"] = cert.failed_k
         payload["residual"] = cert.residual.to_json_obj()
-    _emit(args, _json_doc(args, payload))
-    return 0 if cert.ok else REFUTED
+    return (0 if cert.ok else REFUTED), payload, None
 
 
-def _cmd_minimal(args) -> int:
-    seq = build_sequence(args.kappa, args.lam, args.mu, args.nu, args.n)
+def _minimal(args):
+    """minimal characteristic polynomial of a family"""
+    seq = build_sequence(*_family(args))
     chi = char_poly(args.mu, args.nu, args.n)
     rep = minimal_report(seq, chi, seed=args.seed)
     count = chi.degree + 3 if args.count is None else args.count
@@ -258,111 +206,98 @@ def _cmd_minimal(args) -> int:
         "specializations": [list(p) for p in rep.specializations],
         "seed": args.seed,
     }
-    _emit(args, _json_doc(args, payload))
-    return 0 if cert.ok else REFUTED
+    return (0 if cert.ok else REFUTED), payload, None
 
 
-def _cmd_kostka(args) -> int:
-    shape = SkewShape(args.outer, args.inner)
-    value = kostka(shape, _parse_weight(args.weight))
-    if args.format == "pretty":
-        _emit(args, _comment_line(args) + f"{value}\n")
-    else:
-        _emit(args, _json_doc(args, {"kostka": value}))
-    return 0
+def _kostka(args):
+    """Kostka coefficient of a shape and weight"""
+    value = kostka(SkewShape(args.outer, args.inner), _parse_weight(args.weight))
+    return 0, {"kostka": value}, f"\n{value}\n"
 
 
-def _cmd_m_basis(args) -> int:
-    shape = SkewShape(args.outer, args.inner)
-    coeffs = schur_in_m_basis(shape, args.n)
+def _m_basis(args):
+    """monomial-basis expansion of a skew Schur polynomial"""
+    coeffs = schur_in_m_basis(SkewShape(args.outer, args.inner), args.n)
     items = sorted(coeffs.items(), key=lambda kv: (sum(kv[0]), tuple(kv[0])), reverse=True)
     payload = {"coefficients": {format_partition(lam): k for lam, k in items}}
-    if args.format == "pretty":
-        body = "".join(f"{format_partition(lam)}: {k}\n" for lam, k in items)
-        _emit(args, _comment_line(args) + body)
-    else:
-        _emit(args, _json_doc(args, payload))
-    return 0
+    return 0, payload, "\n" + "".join(f"{format_partition(lam)}: {k}\n" for lam, k in items)
 
 
-def _cmd_conjecture(args) -> int:
-    report = conjecture_check(
-        args.kappa, args.lam, args.mu, args.nu, args.n, count=args.count, seed=args.seed
-    )
-    _emit(args, _json_doc(args, report.to_json_obj()))
-    return 0 if report.verdict == "SUPPORTED" else REFUTED
+def _conjecture(args):
+    """minimal-recurrence conjecture check for a family"""
+    report = conjecture_check(*_family(args), count=args.count, seed=args.seed)
+    return (0 if report.verdict == "SUPPORTED" else REFUTED), report.to_json_obj(), None
 
 
-def _cmd_polynomiality(args) -> int:
+def _polynomiality(args):
+    """finite-difference polynomiality of filling counts"""
     report = polynomiality_check(args.mu, args.nu, args.n, args.kmax)
     payload = report.to_json_obj()
     payload["family"] = {"mu": format_partition(args.mu), "nu": format_partition(args.nu), "n": args.n}
-    _emit(args, _json_doc(args, payload))
-    return 0 if report.verdict != "INCONCLUSIVE" else REFUTED
+    return (0 if report.verdict != "INCONCLUSIVE" else REFUTED), payload, None
 
 
-def _cmd_roots(args) -> int:
+def _roots(args):
+    """root clouds of circle specializations"""
     if (args.xi is None) == (args.xi_radius is None):
-        raise SystemExit(_usage_error("exactly one of --xi / --xi-radius is required"))
+        raise ValueError("exactly one of --xi / --xi-radius is required")
     if args.xi is not None:
         xi = [complex(tok) for tok in args.xi.split(",") if tok.strip()]
     else:
         xi = [complex(args.xi_radius, 0.0)] * (args.n - 1)
-    seq = build_sequence(args.kappa, args.lam, args.mu, args.nu, args.n)
-    result = limit_experiment(seq, xi, args.kmax)
-    if args.format == "json":
-        payload = {
-            "radius": result.radius,
-            "trend_ok": result.trend_ok,
-            "deviations": result.deviations,
-            "clouds": [
-                {
-                    "k": c.k,
-                    "deviation": c.deviation,
-                    "roots": [[z.real, z.imag] for z in c.roots],
-                }
-                for c in result.clouds
-            ],
-        }
-        _emit(args, _json_doc(args, payload))
-    else:
-        header = _comment_line(args).rstrip("\n")
-        header += f" radius={result.radius} trend_ok={result.trend_ok}\n"
-        _emit(args, header + clouds_to_csv(result.clouds))
-    return 0
+    result = limit_experiment(build_sequence(*_family(args)), xi, args.kmax)
+    payload = {
+        "radius": result.radius,
+        "trend_ok": result.trend_ok,
+        "deviations": result.deviations,
+        "clouds": [
+            {"k": c.k, "deviation": c.deviation, "roots": [[z.real, z.imag] for z in c.roots]}
+            for c in result.clouds
+        ],
+    }
+    text = f" radius={result.radius} trend_ok={result.trend_ok}\n" + clouds_to_csv(result.clouds)
+    return 0, payload, text
 
 
-def _usage_error(message: str) -> int:
-    sys.stderr.write(f"schurrec: error: {message}\n")
-    return USAGE_ERROR
-
-
-_COMMANDS = {
-    "tableaux": _cmd_tableaux,
-    "schur": _cmd_schur,
-    "insert": _cmd_insert,
-    "char-poly": _cmd_char_poly,
-    "verify": _cmd_verify,
-    "minimal": _cmd_minimal,
-    "kostka": _cmd_kostka,
-    "m-basis": _cmd_m_basis,
-    "conjecture": _cmd_conjecture,
-    "polynomiality": _cmd_polynomiality,
-    "roots": _cmd_roots,
+# name: (arguments, formats with the default first, handler).  A handler only
+# computes: it returns (exit code, JSON payload, text body or None for a
+# JSON-only command) for _emit to render, and its docstring is the help line.
+_TABLE = {
+    "tableaux": (_SHAPE + _N, ("json", "pretty"), _tableaux),
+    "schur": (_SHAPE + _N, ("pretty", "json"), _schur),
+    "insert": (_TABLEAU_PAIR, ("json", "pretty"), _insert),
+    "char-poly": (_STRETCH, ("json", "pretty"), _char_poly),
+    "verify": (_FAMILY + _START + (_COUNT,), ("json",), _verify),
+    "minimal": (_FAMILY + _SAMPLED, ("json",), _minimal),
+    "kostka": (_SHAPE + _WEIGHT, ("pretty", "json"), _kostka),
+    "m-basis": (_SHAPE + _N, ("json", "pretty"), _m_basis),
+    "conjecture": (_FAMILY + _SAMPLED, ("json",), _conjecture),
+    "polynomiality": (_STRETCH + (_arg("--kmax", type=int, required=True),), ("json",), _polynomiality),
+    "roots": (_FAMILY + _XI + (_arg("--kmax", type=int, default=10),), ("csv", "json"), _roots),
 }
+_COMMANDS = {name: entry[-1] for name, entry in _TABLE.items()}
+
+
+def build_parser() -> _Parser:
+    parser = _Parser(prog="schurrec", description=__doc__)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (arguments, formats, handler) in _TABLE.items():
+        p = sub.add_parser(name, help=handler.__doc__)
+        for flags, options in arguments:
+            p.add_argument(*flags, **options)
+        p.add_argument("--output", default=None, help="write to this path instead of stdout")
+        p.add_argument("--format", choices=formats, default=formats[0], help=f"output format (default {formats[0]})")
+    return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else USAGE_ERROR
     try:
-        return _COMMANDS[args.command](args)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else USAGE_ERROR
-    except (InvalidFamilyError, ValueError, json.JSONDecodeError) as exc:
+        return _emit(args, *_COMMANDS[args.command](args))
+    except ValueError as exc:  # includes InvalidFamilyError and JSONDecodeError
         sys.stderr.write(f"schurrec {args.command}: error: {exc}\n")
         return USAGE_ERROR
     except RuntimeError as exc:

@@ -7,6 +7,7 @@ from __future__ import annotations
 import json
 from functools import lru_cache
 from itertools import permutations
+from types import MappingProxyType
 from typing import Mapping, Sequence
 
 from .partitions import Partition
@@ -141,8 +142,9 @@ class MultiPoly:
 
     # -- queries -----------------------------------------------------------
     @property
-    def terms(self) -> dict[Exponent, int]:
-        return dict(self._terms)
+    def terms(self) -> Mapping[Exponent, int]:
+        """A read-only view of the exponent -> coefficient map."""
+        return MappingProxyType(self._terms)
 
     def num_terms(self) -> int:
         return len(self._terms)

@@ -124,7 +124,7 @@ class CharPoly:
             "nvars": self.nvars,
             "degree": self.degree,
             "coeffs": [c.to_json_obj() for c in self.coeffs],
-            "root_weights": [list(w) for w in self.root_weights] if self.root_weights else None,
+            "root_weights": [list(w) for w in self.root_weights],
         }
 
 

@@ -156,9 +156,27 @@ class Tableau:
 
     @classmethod
     def from_json(cls, text: str) -> "Tableau":
+        """Parse a tableau from outside input; raises ValueError unless it is an SSYT."""
         data = json.loads(text)
-        shape = SkewShape(Partition(data["outer"]), Partition(data.get("inner", [])))
-        return cls(shape, data["rows"], data["n"])
+        if not isinstance(data, dict):
+            raise ValueError(f"a tableau must be a JSON object, got {text!r}")
+        inner, rows = data.get("inner", []), data.get("rows")
+        well_typed = {
+            "outer": _is_int_list(data.get("outer")),
+            "inner": _is_int_list(inner),
+            "n": type(data.get("n")) is int,
+            "rows": isinstance(rows, list) and all(_is_int_list(row) for row in rows),
+        }
+        bad = [key for key, ok in well_typed.items() if not ok]
+        if bad:
+            raise ValueError(
+                f"tableau JSON has missing or mistyped {', '.join(bad)}: "
+                "outer, inner and each row are integer lists, n is an integer"
+            )
+        tableau = cls(SkewShape(Partition(data["outer"]), Partition(inner)), rows, data["n"])
+        if not is_valid_ssyt(tableau):
+            raise ValueError(f"not a semistandard tableau: {text}")
+        return tableau
 
     def to_ascii(self) -> str:
         lines = []
@@ -166,6 +184,10 @@ class Tableau:
             cells = [SKEW_CHAR] * self.shape.inner[i] + [str(v) for v in self.rows[i]]
             lines.append(" ".join(cells))
         return "\n".join(lines) if lines else "(empty)"
+
+
+def _is_int_list(value) -> bool:
+    return isinstance(value, list) and all(type(v) is int for v in value)
 
 
 def empty_tableau(n: int) -> Tableau:

@@ -35,6 +35,60 @@ CASES = [
     ("conjecture.json", ["conjecture", "--mu", "[2,1]", "--nu", "[]", "--n", "3", "--seed", "3"]),
     ("polynomiality.json", ["polynomiality", "--mu", "[2,1]", "--nu", "[1]", "--n", "2", "--kmax", "10"]),
     ("roots.csv", ["roots", "--mu", "[2,1]", "--nu", "[]", "--n", "3", "--xi-radius", "1", "--kmax", "4"]),
+    # the other format of commands that render two
+    (
+        "insert.txt",
+        [
+            "insert",
+            "--t1", '{"outer":[1],"inner":[],"n":2,"rows":[[2]]}',
+            "--t2", '{"outer":[2],"inner":[1],"n":2,"rows":[[1]]}',
+            "--format", "pretty",
+        ],
+    ),
+    ("char_poly.txt", ["char-poly", "--mu", "[2,1]", "--nu", "[]", "--n", "2", "--format", "pretty"]),
+    ("kostka.json", ["kostka", "--outer", "[2,1]", "--weight", "[1,1,1]", "--format", "json"]),
+    ("m_basis.txt", ["m-basis", "--outer", "[2,1]", "--n", "3", "--format", "pretty"]),
+    (
+        "roots.json",
+        ["roots", "--mu", "[2,1]", "--nu", "[]", "--n", "3", "--xi-radius", "1", "--kmax", "4", "--format", "json"],
+    ),
+]
+
+# The formats each command renders; any other --format is a usage error.
+FORMATS = {
+    "tableaux": {"json", "pretty"},
+    "schur": {"json", "pretty"},
+    "insert": {"json", "pretty"},
+    "char-poly": {"json", "pretty"},
+    "kostka": {"json", "pretty"},
+    "m-basis": {"json", "pretty"},
+    "verify": {"json"},
+    "minimal": {"json"},
+    "conjecture": {"json"},
+    "polynomiality": {"json"},
+    "roots": {"csv", "json"},
+}
+
+T_GOOD = '{"outer":[1],"n":2,"rows":[[1]]}'
+
+# (argv, text the one stderr error line must contain)
+BAD_INVOCATIONS = [
+    (["tableaux", "--outer", "[2]", "--n", "0"], "argument --n"),
+    (["m-basis", "--outer", "[2]", "--n", "0"], "argument --n"),
+    (["polynomiality", "--mu", "[1]", "--n", "0", "--kmax", "3"], "argument --n"),
+    (["schur", "--outer", "[1]", "--n", "-1"], "argument --n"),
+    (["verify", "--mu", "[1]", "--n", "0"], "argument --n"),
+    (["conjecture", "--mu", "[1]", "--n", "2", "--count", "-2"], "argument --count"),
+    (["verify", "--mu", "[1]", "--n", "2", "--count", "0"], "argument --count"),
+    (["minimal", "--mu", "[1]", "--n", "2", "--count", "0"], "argument --count"),
+    (["verify", "--mu", "[1]", "--n", "2", "--r-override", "-1"], "argument --r-override"),
+    (["insert", "--t1", "{}", "--t2", T_GOOD], "missing or mistyped outer, n, rows"),
+    (["insert", "--t1", "[1]", "--t2", T_GOOD], "must be a JSON object"),
+    (["insert", "--t1", '{"outer":[1],"n":"2","rows":[[1]]}', "--t2", T_GOOD], "missing or mistyped n"),
+    (["insert", "--t1", '{"outer":[1],"n":2,"rows":[[3]]}', "--t2", T_GOOD], "not a semistandard tableau"),
+    (["tableaux", "--outer", "[1]", "--n", "2", "--format", "csv"], "argument --format"),
+    (["verify", "--mu", "[1]", "--n", "2", "--format", "csv"], "argument --format"),
+    (["roots", "--mu", "[1]", "--n", "2", "--xi-radius", "1", "--format", "pretty"], "argument --format"),
 ]
 
 
@@ -97,6 +151,29 @@ class TestExitCodes:
         monkeypatch.setitem(cli._COMMANDS, "schur", broken)
         assert cli.main(["schur", "--outer", "[1]", "--n", "2"]) == cli.INTERNAL_ERROR == 3
         assert capsys.readouterr().err == f"schurrec schur: internal error: {error}\n"
+
+
+@pytest.mark.parametrize("argv,message", BAD_INVOCATIONS, ids=[f"{a[0]}: {m}" for a, m in BAD_INVOCATIONS])
+def test_bad_invocation_is_one_error_line(capsys, argv, message):
+    assert cli.main(argv) == cli.USAGE_ERROR
+    captured = capsys.readouterr()
+    errors = [line for line in captured.err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and message in errors[0], captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", sorted(FORMATS))
+def test_format_choices(command):
+    parser = cli.build_parser()
+    accepted = set()
+    for fmt in ("json", "csv", "pretty"):
+        try:
+            parser.parse_args([command, "--format", fmt, "--help"])
+        except SystemExit as exc:
+            if exc.code == 0:
+                accepted.add(fmt)
+    assert accepted == FORMATS[command]
 
 
 class TestConfigEcho:

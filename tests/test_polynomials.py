@@ -71,6 +71,13 @@ class TestArithmetic:
         assert (a * b).eval(point) == a.eval(point) * b.eval(point)
         assert (a + b).eval(point) == a.eval(point) + b.eval(point)
 
+    def test_terms_is_a_read_only_view(self):
+        p = MultiPoly(2, {(1, 0): 3})
+        assert p.terms == {(1, 0): 3}
+        with pytest.raises(TypeError):
+            p.terms[(0, 1)] = 1
+        assert p == MultiPoly(2, {(1, 0): 3})
+
     def test_canonical_term_order(self):
         p = MultiPoly(2, {(0, 0): 1, (2, 0): 1, (1, 1): 1, (0, 1): 1})
         exps = [e for e, _ in p.sorted_terms()]

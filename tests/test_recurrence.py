@@ -53,6 +53,11 @@ class TestCharPoly:
         assert chi.degree == 1
         assert chi.coeffs[0] == -MultiPoly.one(2)
 
+    def test_degree_zero_has_empty_root_list(self):
+        chi = char_poly(P(1, 1, 1), P(), 2)  # no fillings: three rows, two letters
+        assert chi.degree == 0
+        assert chi.to_json_obj()["root_weights"] == []
+
     def test_degree_is_tableau_count(self):
         from schurrec.tableaux import enumerate_tableaux
 
