@@ -1,14 +1,14 @@
-"""Dense weight-multiplicity tables for skew shapes with at most 3 rows and
-at most 3 letters, plus exact integer evaluation through the Jacobi-Trudi
-determinant.
+"""Dense weight-multiplicity tables for skew shapes in at most 4 letters
+with any number of rows, plus exact integer evaluation through the
+Jacobi-Trudi determinant.
 
 The table for a shape with box count D and n letters is an (n-1)-dimensional
 int64 array K with K[t_1, ..., t_{n-1}] = number of SSYTs of weight
 (t_1, ..., t_{n-1}, D - sum t_i).  Fillings are counted through chains of
-horizontal strips; for each intermediate shape the strip condition is a
-coordinatewise box, so the counts reduce to lattice-point counts of boxes
-sliced by coordinate sum.  All float64 intermediates are integers below
-2**53, guarded by an exact total count computed up front.
+horizontal strips (the branching rule, Macdonald I.5); split at the middle
+shape, the two halves range over coordinatewise boxes, so the counts reduce
+to lattice-point counts of boxes sliced by coordinate sum.  The arithmetic
+is int64 only, guarded by the exact total count computed up front.
 """
 from __future__ import annotations
 
@@ -17,7 +17,9 @@ import numpy as np
 from .partitions import Partition
 from .polynomials import MultiPoly
 
-_FLOAT_EXACT_LIMIT = 1 << 52
+# every table entry and intermediate is at most the filling count
+_INT64_LIMIT = 1 << 63
+_CHUNK_CELLS = 1 << 13
 
 
 class UnsupportedShape(Exception):
@@ -92,109 +94,93 @@ def ssyt_count(outer: Partition, inner: Partition, n: int) -> int:
     return schur_int_eval(outer, inner, (1,) * n)
 
 
+def _shifted(p: np.ndarray, s: int) -> np.ndarray:
+    """q[..., i] = p[..., i + s] over the rows of p: 0 below the last row and
+    unbounded above the first."""
+    edge = np.full(p.shape[:-1] + (abs(s),), np.iinfo(p.dtype).max if s < 0 else 0, dtype=p.dtype)
+    parts = (p[..., s:], edge) if s >= 0 else (edge, p[..., :s])
+    return np.concatenate(parts, axis=-1)[..., : p.shape[-1]]
+
+
+def _partitions_between(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Every partition rho with lo <= rho <= hi coordinatewise, one per row,
+    built a row at a time so that only partitions are ever listed."""
+    rhos = np.full((1, 1), hi[0], dtype=np.int64)  # sentinel first column
+    for a, b in zip(lo, hi):
+        sizes = np.maximum(np.minimum(rhos[:, -1], b) - a + 1, 0)
+        parent = np.repeat(np.arange(len(rhos)), sizes)
+        value = a + np.arange(len(parent)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+        rhos = np.column_stack((rhos[parent], value))
+    return rhos[:, 1:]
+
+
+def _shift_rows(x: np.ndarray, by: np.ndarray) -> np.ndarray:
+    """y[j, s] = x[j, s - by[j]], and 0 where s < by[j]; by >= 0."""
+    rows, width = x.shape
+    padded = np.zeros((rows, 2 * width), dtype=x.dtype)
+    padded[:, width:] = x
+    starts = np.arange(rows) * 2 * width + width - np.minimum(by, width)
+    return padded.ravel().take(starts[:, None] + np.arange(width))
+
+
+def _box_sums(lo: np.ndarray, hi: np.ndarray, width: int) -> np.ndarray:
+    """counts[j, s] = #{u : lo[j] <= u <= hi[j] coordinatewise, sum u = s} for
+    s < width, given 0 <= lo <= hi.  One prefix sum per coordinate that is
+    not fixed; every intermediate counts the points of a sub-box, so none
+    exceeds the row's final total."""
+    counts = np.zeros((len(lo), width), dtype=np.int64)
+    counts[:, 0] = 1
+    for span in (hi - lo).T:
+        if span.any():
+            cum = np.cumsum(counts, axis=1)
+            counts = cum - _shift_rows(cum, span + 1)
+    return _shift_rows(counts, lo.sum(axis=1))
+
+
 def weight_counts(outer: Partition, inner: Partition, n: int) -> np.ndarray:
-    """Dense weight table; raises UnsupportedShape outside rows <= 3, n <= 3."""
-    if n > 3 or len(outer) > 3:
-        raise UnsupportedShape(f"dense engine is limited to 3 rows / 3 letters, got {outer} with n={n}")
+    """Dense weight table for n <= 4 letters and any number of rows; raises
+    UnsupportedShape for other n or a filling count at the int64 limit.
+
+    A filling is a chain inner = rho0 c rho1 c ... c rho4 = outer of
+    horizontal strips, the first 4 - n of them empty.  The chain is split at
+    rho2: once rho2 is fixed, rho1 and rho3 range over independent boxes,
+    whose lattice points are counted by coordinate sum (A and B), and
+    K[t1, c - t1, t3] sums A[t1] * B[t3] over the rho2 with |rho2/inner| = c.
+    Every intermediate counts a subset of the fillings, so it stays below
+    the exact total, which is checked against the table.
+    """
+    if not 1 <= n <= 4:
+        raise UnsupportedShape(f"dense engine is limited to 1..4 letters, got n={n}")
     total = ssyt_count(outer, inner, n)
-    if total >= _FLOAT_EXACT_LIMIT:
-        raise UnsupportedShape(f"{total} fillings exceed the exact float64 range")
-    L1, L2, L3 = _padded(outer, 3)
-    m1, m2, m3 = _padded(inner, 3)
-    D = (L1 + L2 + L3) - (m1 + m2 + m3)
-    msize = m1 + m2 + m3
-
-    if n == 1:
-        # one horizontal strip: inner -> outer directly
-        ok = m1 <= L1 and m2 <= L2 and m3 <= L3 and L2 <= m1 and L3 <= m2
-        arr = np.zeros((), dtype=np.int64)
-        if ok:
-            arr[()] = 1
-        if int(arr[()]) != total:
-            raise RuntimeError("dense n=1 total mismatch")
-        return arr
-
-    if n == 2:
-        # single intermediate shape rho, counted per size
-        a1, b1 = max(m1, L2), L1
-        a2, b2 = max(m2, L3), min(m1, L2)
-        a3, b3 = m3, min(m2, L3)
-        K = np.zeros(D + 1, dtype=np.int64)
-        if b1 < a1 or b2 < a2 or b3 < a3:
-            return K
-        base = a1 + a2 + a3
-        spans = (b1 - a1, b2 - a2, b3 - a3)
-        for t1 in range(D + 1):
-            K[t1] = _count_box_sum_scalar(msize + t1 - base, spans)
-        if int(K.sum()) != total:
-            raise RuntimeError("dense n=2 total mismatch")
-        return K
-
-    # n == 3: outer sum over sigma (shape after letters 1,2), inner box for rho
-    K = np.zeros((D + 1, D + 1), dtype=np.int64)
-    s1 = np.arange(max(L2, m1), L1 + 1, dtype=np.int64)
-    s2 = np.arange(max(L3, m2), L2 + 1, dtype=np.int64)
-    s3 = np.arange(m3, L3 + 1, dtype=np.int64)
-    if len(s1) == 0 or len(s2) == 0 or len(s3) == 0:
-        if total != 0:
-            raise RuntimeError("dense n=3 empty sigma box but nonzero count")
-        return K
-    S1, S2, S3 = np.meshgrid(s1, s2, s3, indexing="ij")
-    a1 = np.maximum(S2, m1)
-    b1 = S1
-    a2 = np.maximum(S3, m2)
-    b2 = np.minimum(S2, m1)
-    a3 = np.full_like(S1, m3)
-    b3 = np.minimum(S3, m2)
-    La = (b1 - a1).ravel()
-    Lb = (b2 - a2).ravel()
-    Lc = (b3 - a3).ravel()
-    keep = (La >= 0) & (Lb >= 0) & (Lc >= 0)
-    if not keep.any():
-        if total != 0:
-            raise RuntimeError("dense n=3 empty rho boxes but nonzero count")
-        return K
-    base = (a1 + a2 + a3).ravel()[keep]
-    La, Lb, Lc = La[keep], Lb[keep], Lc[keep]
-    sig12 = (S1 + S2 + S3).ravel()[keep] - msize  # t1 + t2 for each sigma
-    # inclusion-exclusion corner offsets for the box [0,La]x[0,Lb]x[0,Lc]
-    corner_offsets = []
-    for mask in range(8):
-        shift = np.zeros_like(La)
-        sign = 1
-        for bit, Lx in enumerate((La, Lb, Lc)):
-            if mask >> bit & 1:
-                shift = shift + Lx + 1
-                sign = -sign
-        corner_offsets.append((sign, (base + shift).astype(np.float64)))
-    nbins = D + 1
-    for t1 in range(nbins):
-        s_target = float(msize + t1)
-        cnt = np.zeros(La.shape, dtype=np.float64)
-        for sign, off in corner_offsets:
-            mm = s_target - off
-            np.maximum(mm, -1.0, out=mm)
-            cnt += sign * ((mm + 2.0) * (mm + 1.0) * 0.5)
-        row = np.bincount(sig12, weights=cnt, minlength=nbins)
-        K[t1, : nbins - t1] = np.rint(row[t1:nbins]).astype(np.int64)
+    if total >= _INT64_LIMIT:
+        raise UnsupportedShape(f"{total} fillings reach the int64 limit")
+    rows = max(len(outer), 1)
+    lam = np.array(_padded(outer, rows), dtype=np.int64)
+    mu = np.array(_padded(inner, rows), dtype=np.int64)
+    D = int(lam.sum() - mu.sum())
+    used = [j > 4 - n for j in (1, 2, 3)]  # letter 4 is always used
+    rho2 = _partitions_between(
+        np.maximum(mu, _shifted(lam, 2)), np.minimum(lam, _shifted(mu, -used[0] - used[1]))
+    )
+    lo1, hi1 = np.maximum(mu, _shifted(rho2, 1)), np.minimum(rho2, _shifted(mu, -used[0]))
+    lo3, hi3 = np.maximum(_shifted(lam, 1), rho2), np.minimum(lam, _shifted(rho2, -used[2]))
+    keep = (lo1 <= hi1).all(axis=1) & (lo3 <= hi3).all(axis=1)
+    size = rho2.sum(axis=1) - mu.sum()
+    order = np.flatnonzero(keep)[np.argsort(size[keep])]
+    widths = [D + 1 if u else 1 for u in used]
+    K = np.zeros(widths, dtype=np.int64)
+    step = max(1, _CHUNK_CELLS // (D + 1))  # bounds the memory of A and B
+    for at in range(0, len(order), step):
+        part = order[at : at + step]
+        A = _box_sums(lo1[part] - mu, hi1[part] - mu, widths[0])
+        B = _box_sums(lo3[part] - rho2[part], hi3[part] - rho2[part], widths[2])
+        for c in set(size[part].tolist()):  # np.unique would import numpy.ma
+            block = size[part] == c
+            t1 = np.arange(min(c, widths[0] - 1) + 1)
+            K[t1, c - t1] += (A[block].T @ B[block])[t1]
     if int(K.sum()) != total:
-        raise RuntimeError("dense n=3 total mismatch")
-    return K
-
-
-def _count_box_sum_scalar(m: int, spans: tuple[int, int, int]) -> int:
-    """#{u in prod [0, spans_j] : sum u = m} by inclusion-exclusion."""
-    total = 0
-    for mask in range(8):
-        mm = m
-        sign = 1
-        for bit in range(3):
-            if mask >> bit & 1:
-                mm -= spans[bit] + 1
-                sign = -sign
-        if mm >= 0:
-            total += sign * (mm + 2) * (mm + 1) // 2
-    return total
+        raise RuntimeError("dense table total mismatch")
+    return K.reshape((D + 1,) * (n - 1))
 
 
 def counts_to_multipoly(arr: np.ndarray, n: int, total_boxes: int) -> MultiPoly:

@@ -259,6 +259,8 @@ def limit_experiment(seq: SchurSequence, xi: Sequence[complex], kmax: int) -> Ex
     if kmax < 1:
         raise ValueError("kmax must be at least 1")
     xs = [complex(v) for v in xi]
+    if not all(cmath.isfinite(v) for v in xs):
+        raise ValueError("xi must be finite")
     radius = abs(xs[0]) if xs else 1.0
     clouds = []
     for k in range(1, kmax + 1):

@@ -120,8 +120,11 @@ def _emit(args: argparse.Namespace, code: int, payload: dict, text: Optional[str
     else:
         doc = "# " + " ".join(f"{k}={v}" for k, v in cfg.items()) + text
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(doc)
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(doc)
+        except OSError as exc:
+            raise ValueError(f"cannot write --output: {exc}") from exc
     else:
         sys.stdout.write(doc)
     return code

@@ -7,10 +7,10 @@ removal, and exposes the conjectured minimal root set driven by Kostka
 positivity and domination.
 
 Verification is exact throughout.  Residuals come from applying the linear
-factors of chi one at a time.  For shapes with at most 3 rows and 3 letters
+factors of chi one at a time.  For n <= 4 letters and any number of rows
 they run on dense weight tables, in int64 under an a-priori bound that rules
-out overflow and in Python integers above it; everything else falls back to
-sparse exact polynomials.
+out overflow and in Python integers above it; n >= 5 falls back to sparse
+exact polynomials.
 """
 from __future__ import annotations
 
@@ -291,14 +291,12 @@ def _residuals(seq: SchurSequence, weights: Sequence[IntVector], start: int, cou
     if all(t is not None for t in tables) and all(sum(w) == step for w in weights):
         bound = max((seq.count_at(k) for k in window), default=0) << d
         dtype = np.int64 if bound < _INT64_EXACT_LIMIT else object
-        terms = [t.astype(dtype, copy=False) for t in tables]
+        terms = [t.astype(dtype) for t in tables]  # copies: the chain runs in place
         for w in weights:
-            shifted = []
-            for lo, hi in zip(terms, terms[1:]):
-                out = hi.copy()
-                out[tuple(slice(o, o + s) for o, s in zip(w[: n - 1], lo.shape))] -= lo
-                shifted.append(out)
-            terms = shifted
+            # from the top down, the buffer of U_{k+1} becomes the new U_k
+            for lo, hi in zip(terms[-2::-1], terms[:0:-1]):
+                hi[tuple(slice(o, o + s) for o, s in zip(w[: n - 1], lo.shape))] -= lo
+            del terms[0]
         for k, table in zip(window, terms):
             yield _dense.counts_to_multipoly(table, n, seq.boxes_at(k + d))
     else:

@@ -130,6 +130,11 @@ class TestLimitExperiment:
         with pytest.raises(ValueError):
             limit_experiment(seq, [1.0], 3)
 
+    @pytest.mark.parametrize("xi", [float("nan"), float("inf"), complex(1.0, float("-inf"))])
+    def test_non_finite_xi_rejected(self, xi):
+        with pytest.raises(ValueError, match="xi must be finite"):
+            limit_experiment(h_sequence(), [xi], 3)
+
     def test_origin_cluster_excluded_from_deviation(self):
         cloud = RootCloud.from_roots(1, [0j, 0.01 + 0j, 1.0 + 0j], 1.0)
         assert cloud.deviation == 0.0

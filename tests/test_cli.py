@@ -89,6 +89,10 @@ BAD_INVOCATIONS = [
     (["tableaux", "--outer", "[1]", "--n", "2", "--format", "csv"], "argument --format"),
     (["verify", "--mu", "[1]", "--n", "2", "--format", "csv"], "argument --format"),
     (["roots", "--mu", "[1]", "--n", "2", "--xi-radius", "1", "--format", "pretty"], "argument --format"),
+    (["schur", "--outer", "[1]", "--n", "2", "--output", "/nonexistent/dir/x.txt"], "cannot write --output"),
+    (["roots", "--mu", "[1]", "--n", "2", "--xi-radius", "nan", "--kmax", "2"], "xi must be finite"),
+    (["roots", "--mu", "[1]", "--n", "2", "--xi-radius", "inf", "--kmax", "2"], "xi must be finite"),
+    (["roots", "--mu", "[1]", "--n", "3", "--xi", "1,nan", "--kmax", "2"], "xi must be finite"),
 ]
 
 

@@ -1,8 +1,12 @@
 """The dense weight-table engine must agree exactly with tableau enumeration
 and the Jacobi-Trudi oracle; it backs sequence terms in the big batteries."""
+import random
+from unittest import mock
+
 import numpy as np
 import pytest
 
+from schurrec import _dense
 from schurrec._dense import (
     UnsupportedShape,
     counts_to_multipoly,
@@ -12,6 +16,7 @@ from schurrec._dense import (
 )
 from schurrec.partitions import Partition, contains, partitions_up_to
 from schurrec.polynomials import skew_schur, skew_schur_jacobi_trudi
+from schurrec.recurrence import build_sequence
 from schurrec.tableaux import SkewShape, enumerate_tableaux
 
 
@@ -29,10 +34,11 @@ def shape_battery(max_outer=6, max_len=3):
 
 
 class TestWeightCounts:
-    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_matches_enumeration_exhaustively(self, n):
-        for outer, inner in shape_battery():
+        for outer, inner in shape_battery(max_outer=7, max_len=5):
             table = weight_counts(outer, inner, n)
+            assert table.dtype == np.int64
             poly = counts_to_multipoly(table, n, outer.weight - inner.weight)
             assert poly == skew_schur(SkewShape(outer, inner), n)
 
@@ -42,11 +48,31 @@ class TestWeightCounts:
         poly = counts_to_multipoly(table, 3, outer.weight - inner.weight)
         assert poly == skew_schur_jacobi_trudi(SkewShape(outer, inner), 3)
 
+    @pytest.mark.parametrize(
+        "outer,inner",
+        [(P(29, 14), P()), (P(12, 9, 5, 2), P(3, 1)), (P(9, 7, 6, 4, 2, 1), P(5, 2, 1)), (P(40), P(7))],
+    )
+    def test_large_four_letter_shapes_at_integer_points(self, outer, inner):
+        poly = counts_to_multipoly(weight_counts(outer, inner, 4), 4, outer.weight - inner.weight)
+        rng = random.Random(f"{outer}/{inner}")
+        for _ in range(5):
+            point = tuple(rng.randrange(-9, 10) for _ in range(4))
+            assert poly.eval(point) == schur_int_eval(outer, inner, point)
+
     def test_unsupported_combinations(self):
         with pytest.raises(UnsupportedShape):
-            weight_counts(P(1, 1, 1, 1), P(), 3)
-        with pytest.raises(UnsupportedShape):
-            weight_counts(P(2), P(), 4)
+            weight_counts(P(2), P(), 5)
+        table = weight_counts(P(1, 1, 1, 1), P(), 3)
+        assert table.shape == (5, 5) and not table.any()
+
+    def test_int64_guard_refuses_and_terms_stay_exact(self):
+        seq = build_sequence(P(), P(), P(2, 1), P(), 4)
+        expected = skew_schur(seq.shape_at(3), 4)
+        with mock.patch.object(_dense, "_INT64_LIMIT", seq.count_at(3)):
+            with pytest.raises(UnsupportedShape):
+                weight_counts(seq.outer_at(3), seq.inner_at(3), 4)
+            assert seq.term_table(3) is None
+            assert seq.term(3) == expected
 
     def test_empty_shape(self):
         table = weight_counts(P(), P(), 3)

@@ -168,19 +168,19 @@ class TestVerify:
             assert expanded_residual(seq, chi, k).is_zero()
 
     def test_exact_fallback_for_tall_shapes(self):
-        # length-4 partitions leave the dense engine; exact path must run
+        # length-4 partitions with 3 letters: the dense tables are all zero
         seq = build_sequence(P(), P(), P(1, 1, 1, 1), P(), 3)
         chi = char_poly(P(1, 1, 1, 1), P(), 3)
         assert chi.degree == 0  # no fillings with 3 letters
         assert verify_recurrence(seq, chi, seq.r, 3)
 
 
-def chain_families(letters, bases, max_degree):
-    """Valid families (kappa, lam, mu, nu, n) with |mu| <= 3 over the given
-    letters and base shapes, whose chi has degree <= max_degree."""
+def chain_families(letters, bases, max_degree, max_mu=3):
+    """Valid families (kappa, lam, mu, nu, n) with |mu| <= max_mu over the
+    given letters and base shapes, whose chi has degree <= max_degree."""
     out = []
     for n in letters:
-        for mu in partitions_up_to(3, n):
+        for mu in partitions_up_to(max_mu, n):
             for nu in partitions_up_to(mu.weight, n):
                 if not contains(mu, nu) or char_poly(mu, nu, n).degree > max_degree:
                     continue
@@ -194,12 +194,14 @@ def chain_families(letters, bases, max_degree):
 
 
 SMALL_BASES = [(a, b) for a in (P(), P(1), P(2), P(1, 1)) for b in (P(), P(1), P(1, 1))]
-# n <= 3 with at most 3 rows: every term has a dense weight table
+# n <= 3 with at most 3 rows
 DENSE_FAMILIES = chain_families((1, 2, 3), SMALL_BASES, 6)
-# four letters, or four-row base shapes: no term has a dense table
-SPARSE_FAMILIES = chain_families((4,), SMALL_BASES[:6], 4) + chain_families(
+# four letters, or four-row base shapes: still dense tables, any number of rows
+WIDE_FAMILIES = chain_families((4,), SMALL_BASES[:6], 4) + chain_families(
     (3,), [(P(1, 1, 1, 1), P(1)), (P(2, 1, 1, 1), P(1, 1)), (P(2, 2, 1, 1), P(1))], 4
 )
+# five letters: the dense engine refuses, so no term has a table
+SPARSE_FAMILIES = chain_families((5,), SMALL_BASES[:6], 5, max_mu=2)
 
 
 @st.composite
@@ -220,10 +222,11 @@ class TestFactorChain:
         "families,limit,dtypes",
         [
             (DENSE_FAMILIES, recurrence._INT64_EXACT_LIMIT, {"int64"}),
+            (WIDE_FAMILIES, recurrence._INT64_EXACT_LIMIT, {"int64"}),
             (DENSE_FAMILIES, 0, {"object"}),  # the a-priori bound always fails
             (SPARSE_FAMILIES, recurrence._INT64_EXACT_LIMIT, set()),
         ],
-        ids=["int64", "object", "multipoly"],
+        ids=["int64", "int64-wide", "object", "multipoly"],
     )
     @settings(deadline=None)
     @given(data=st.data())
