@@ -172,7 +172,10 @@ def weight_counts(outer: Partition, inner: Partition, n: int) -> np.ndarray:
     step = max(1, _CHUNK_CELLS // (D + 1))  # bounds the memory of A and B
     for at in range(0, len(order), step):
         part = order[at : at + step]
-        A = _box_sums(lo1[part] - mu, hi1[part] - mu, widths[0])
+        if used[0]:
+            A = _box_sums(lo1[part] - mu, hi1[part] - mu, widths[0])
+        else:  # rho1 = inner: one point per kept rho2
+            A = np.ones((len(part), 1), dtype=np.int64)
         B = _box_sums(lo3[part] - rho2[part], hi3[part] - rho2[part], widths[2])
         for c in set(size[part].tolist()):  # np.unique would import numpy.ma
             block = size[part] == c
@@ -183,17 +186,23 @@ def weight_counts(outer: Partition, inner: Partition, n: int) -> np.ndarray:
     return K.reshape((D + 1,) * (n - 1))
 
 
-def counts_to_multipoly(arr: np.ndarray, n: int, total_boxes: int) -> MultiPoly:
-    """Rebuild the sparse polynomial from a dense weight table."""
-    terms = {}
+def table_terms(arr: np.ndarray, n: int, total_boxes: int) -> list[tuple[tuple[int, ...], int]]:
+    """The nonzero cells of a dense weight table as (exponent vector,
+    coefficient) pairs in C order, the exponent of the last letter being
+    total_boxes less the others."""
     if n == 1:
-        if int(arr[()]) != 0:
-            terms[(total_boxes,)] = int(arr[()])
-        return MultiPoly(1, terms)
-    for idx in zip(*np.nonzero(arr)):
-        t = tuple(int(x) for x in idx)
+        coef = int(arr[()])
+        return [((total_boxes,), coef)] if coef else []
+    cells = np.nonzero(arr)
+    out = []
+    for t, coef in zip(zip(*(c.tolist() for c in cells)), arr[cells].tolist()):
         last = total_boxes - sum(t)
         if last < 0:
             raise RuntimeError("dense table exponent exceeds box count")
-        terms[t + (last,)] = int(arr[idx])
-    return MultiPoly(n, terms)
+        out.append((t + (last,), coef))
+    return out
+
+
+def counts_to_multipoly(arr: np.ndarray, n: int, total_boxes: int) -> MultiPoly:
+    """Rebuild the sparse polynomial from a dense weight table."""
+    return MultiPoly(n, dict(table_terms(arr, n, total_boxes)))

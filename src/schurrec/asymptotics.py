@@ -23,12 +23,14 @@ DEGREE_CAP = 5_000
 
 
 class RootConvergenceError(RuntimeError):
-    """Raised when the iteration cap is hit with unconverged roots."""
+    """Raised when roots fail the residual check after the sweep stopped."""
 
-    def __init__(self, bad_roots: list[tuple[int, complex, float]]):
+    def __init__(self, bad_roots: list[tuple[int, complex, float]], sweeps: int, stop: str):
         self.bad_roots = bad_roots
+        self.sweeps = sweeps
+        self.stop = stop
         detail = "; ".join(f"root {i}: z={z:.6g}, residual={r:.3g}" for i, z, r in bad_roots)
-        super().__init__(f"unconverged roots after {MAX_ITERATIONS} iterations: {detail}")
+        super().__init__(f"unconverged roots after {sweeps} sweeps ({stop}): {detail}")
 
 
 class DegenerateSpecialization(ValueError):
@@ -86,8 +88,11 @@ class RootCloud:
 def specialize(seq: SchurSequence, k: int, xi: Sequence[complex]) -> ComplexPoly:
     """P_k(z): substitute x_2..x_n -> xi and collect powers of x_1.
 
-    The collection runs over the exact integer terms first; each coefficient
-    is evaluated in complex arithmetic once at the end.
+    The collection runs over the exact integer terms, read off the dense
+    weight table when there is one; each term is evaluated in complex
+    arithmetic once.  A top coefficient is trimmed only when it cancels to
+    COEFF_TRIM relative to the magnitudes summed into it, so any radius
+    keeps the true degree.
     """
     xs = [complex(v) for v in xi]
     if len(xs) != seq.n - 1:
@@ -96,8 +101,8 @@ def specialize(seq: SchurSequence, k: int, xi: Sequence[complex]) -> ComplexPoly
         moduli = [abs(v) for v in xs]
         if max(moduli) - min(moduli) > 1e-12:
             raise ValueError("all xi must lie on a common circle |xi| = R")
-    term = seq.term(k)
     by_power: dict[int, complex] = {}
+    magnitude: dict[int, float] = {}
     powers: dict[tuple[int, int], complex] = {}
 
     def xi_power(i: int, p: int) -> complex:
@@ -107,33 +112,45 @@ def specialize(seq: SchurSequence, k: int, xi: Sequence[complex]) -> ComplexPoly
             powers[(i, p)] = got
         return got
 
-    for exps, coef in term.terms.items():
+    for exps, coef in seq.term_items(k):
         value = complex(coef)
         for i, p in enumerate(exps[1:]):
             if p:
                 value *= xi_power(i, p)
         by_power[exps[0]] = by_power.get(exps[0], 0j) + value
+        magnitude[exps[0]] = magnitude.get(exps[0], 0.0) + abs(value)
     if not by_power:
         raise DegenerateSpecialization(f"term {k} is the zero polynomial")
     top = max(by_power)
-    coeffs = [by_power.get(j, 0j) for j in range(top + 1)]
-    poly = ComplexPoly.from_coefficients(coeffs)
-    if poly.degree < 0:
+    while top >= 0 and abs(by_power.get(top, 0j)) <= COEFF_TRIM * magnitude.get(top, 0.0):
+        top -= 1
+    if top < 0:
         raise DegenerateSpecialization(f"specialized term {k} vanished identically")
-    return poly
+    return ComplexPoly(tuple(by_power.get(j, 0j) for j in range(top + 1)))
 
 
-def _aberth(coeffs: list[complex]) -> list[complex]:
-    """Simultaneous root iteration with Cauchy-bound initialization."""
+def _aberth(coeffs: list[complex]) -> tuple[list[complex], int, str]:
+    """Simultaneous Aberth-Ehrlich root iteration (Bini 1996).
+
+    The roots start evenly spaced on the circle whose radius is their
+    geometric mean |c_0/c_d|^(1/d), so coeffs[0] must be nonzero.  A root
+    whose own step falls below 1e-14 * (1 + |z_i|) is frozen: it keeps
+    repelling the others but is no longer updated.  The sweep stops when
+    every root is frozen or the largest step falls below 1e-14 times
+    (1 + the start radius), when the largest step has not improved for 64
+    sweeps, or after MAX_ITERATIONS sweeps.  Returns the roots, the number
+    of sweeps run and why the sweep stopped.
+    """
     d = len(coeffs) - 1
     lead = coeffs[-1]
     monic = [c / lead for c in coeffs]
-    cauchy = 1.0 + max(abs(c) for c in monic[:-1])
+    start = abs(monic[0]) ** (1.0 / d)
     z = [
-        cauchy * cmath.exp(2j * cmath.pi * (j / d) + 1j * cmath.pi / (2 * d))
+        start * cmath.exp(2j * cmath.pi * (j / d) + 1j * cmath.pi / (2 * d))
         for j in range(d)
     ]
     deriv = [j * monic[j] for j in range(1, d + 1)]
+    tol = 1e-14 * (1.0 + start)
 
     def horner(cs: list[complex], x: complex) -> complex:
         acc = 0j
@@ -141,11 +158,17 @@ def _aberth(coeffs: list[complex]) -> list[complex]:
             acc = acc * x + c
         return acc
 
+    active = list(range(d))
     best_step = float("inf")
     since_best = 0
-    for _ in range(MAX_ITERATIONS):
+    sweeps = 0
+    while active:
+        if sweeps == MAX_ITERATIONS:
+            return z, sweeps, f"cap of {MAX_ITERATIONS} sweeps"
+        sweeps += 1
         max_step = 0.0
-        for i in range(d):
+        unfrozen = []
+        for i in active:
             zi = z[i]
             p = horner(monic, zi)
             if p == 0:
@@ -165,8 +188,12 @@ def _aberth(coeffs: list[complex]) -> list[complex]:
             denom = 1.0 - newton * repulsion
             step = newton / denom if denom != 0 else newton
             z[i] = zi - step
-            max_step = max(max_step, abs(step))
-        if max_step < 1e-14 * (1.0 + cauchy):
+            size = abs(step)
+            max_step = max(max_step, size)
+            if size >= 1e-14 * (1.0 + abs(z[i])):
+                unfrozen.append(i)
+        active = unfrozen
+        if max_step < tol:
             break
         if max_step < best_step * 0.999:
             best_step = max_step
@@ -174,8 +201,8 @@ def _aberth(coeffs: list[complex]) -> list[complex]:
         else:
             since_best += 1
             if since_best > 64:
-                break
-    return z
+                return z, sweeps, "stalled"
+    return z, sweeps, "steps converged"
 
 
 def _conjugate_closure(roots: list[complex]) -> list[complex]:
@@ -221,8 +248,9 @@ def find_roots(p: ComplexPoly) -> list[complex]:
         zeros_at_origin += 1
         coeffs.pop(0)
     roots: list[complex] = [0j] * zeros_at_origin
+    sweeps, stop = 0, "no sweep needed"
     if len(coeffs) >= 2:
-        found = _aberth(coeffs)
+        found, sweeps, stop = _aberth(coeffs)
         if p.is_real():
             found = _conjugate_closure(found)
         roots.extend(found)
@@ -233,7 +261,7 @@ def find_roots(p: ComplexPoly) -> list[complex]:
         if residual >= RESIDUAL_TOL:
             bad.append((i, z, residual))
     if bad:
-        raise RootConvergenceError(bad)
+        raise RootConvergenceError(bad, sweeps, stop)
     return sorted(roots, key=lambda z: (round(z.real, 12), round(z.imag, 12)))
 
 

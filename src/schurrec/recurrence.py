@@ -17,7 +17,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -204,6 +204,17 @@ class SchurSequence:
             else:
                 self._terms[k] = skew_schur(self.shape_at(k), self.n)
         return self._terms[k]
+
+    def term_items(self, k: int) -> Iterable[tuple[tuple[int, ...], int]]:
+        """The (exponent vector, coefficient) pairs of term k in the order
+        term(k).terms lists them, read off the dense table when there is one
+        so that no MultiPoly is built."""
+        if k < 0:
+            raise ValueError("sequence index must be nonnegative")
+        table = self.term_table(k)
+        if table is None:
+            return self.term(k).terms.items()
+        return _dense.table_terms(table, self.n, self.boxes_at(k))
 
     def count_at(self, k: int) -> int:
         """Number of SSYTs at index k (all-ones evaluation), exact."""

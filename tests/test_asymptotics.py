@@ -1,18 +1,22 @@
 import cmath
 import math
+import random
 
+import numpy as np
 import pytest
 
+from schurrec import asymptotics
 from schurrec.asymptotics import (
     ComplexPoly,
     DegenerateSpecialization,
     RootCloud,
+    RootConvergenceError,
     clouds_to_csv,
     find_roots,
     limit_experiment,
     specialize,
 )
-from schurrec.partitions import Partition
+from schurrec.partitions import Partition, contains, partitions_up_to
 from schurrec.recurrence import build_sequence
 
 
@@ -22,6 +26,35 @@ def P(*parts):
 
 def h_sequence(n=2):
     return build_sequence(P(), P(), P(1), P(), n)
+
+
+def random_phases(radius, count, rng):
+    return [radius * cmath.exp(1j * rng.uniform(0.0, 2 * math.pi)) for _ in range(count)]
+
+
+def multipoly_coefficients(seq, k, xs):
+    """Reference collection over the MultiPoly seq.term(k), term by term in
+    its own order, with the same complex arithmetic as specialize."""
+    by_power = {}
+    for exps, coef in seq.term(k).terms.items():
+        value = complex(coef)
+        for x, p in zip(xs, exps[1:]):
+            if p:
+                value *= x**p
+        by_power[exps[0]] = by_power.get(exps[0], 0j) + value
+    return tuple(by_power.get(j, 0j) for j in range(max(by_power) + 1))
+
+
+def oracle_distance(p):
+    """Largest |z - w| / (1 + |z|) over the roots z of find_roots, each
+    greedily matched to its nearest unused root w of np.roots."""
+    others = list(np.roots(p.coeffs[::-1]))
+    assert len(others) == p.degree
+    worst = 0.0
+    for z in find_roots(p):
+        j = min(range(len(others)), key=lambda i: abs(others[i] - z))
+        worst = max(worst, abs(others.pop(j) - z) / (1.0 + abs(z)))
+    return worst
 
 
 class TestSpecialize:
@@ -70,6 +103,38 @@ class TestSpecialize:
                 p = specialize(seq, k, xi)
                 assert p.degree == seq.term(k).degree_in(0)
 
+    @pytest.mark.parametrize("radius", [1e-3, 1e3])
+    def test_degree_kept_at_extreme_radii(self, radius):
+        # a top coefficient such as xi^5 of P_5 = xi^5 z^5 is small, not cancelled
+        for mu, n in (((1, 1), 2), ((2,), 2), ((2, 1), 3), ((1, 1, 1), 3)):
+            seq = build_sequence(P(), P(), P(*mu), P(), n)
+            for k in range(1, 6):
+                p = specialize(seq, k, [radius] * (n - 1))
+                assert p.degree == seq.term(k).degree_in(0)
+
+    def test_cancelled_top_coefficient_trimmed(self):
+        # e_2(z, 1, -1): the z-coefficient x_2 + x_3 cancels to exactly zero
+        seq = build_sequence(P(), P(), P(1, 1), P(), 3)
+        assert specialize(seq, 1, [1.0, -1.0]).coeffs == (-1 + 0j,)
+
+    @pytest.mark.parametrize(
+        "kappa,lam,mu,nu,n",
+        [
+            ((), (), (2,), (), 1),
+            ((), (), (2, 1), (1,), 2),
+            ((), (), (2, 1), (), 3),
+            ((2, 2, 1, 1), (1, 1), (1,), (), 3),
+            ((), (), (2, 1), (), 4),
+            ((2, 2, 1, 1), (1, 1), (1,), (), 4),
+            ((), (), (1,), (), 5),  # the dense engine refuses n = 5
+        ],
+    )
+    def test_table_path_equals_multipoly_path(self, kappa, lam, mu, nu, n):
+        seq = build_sequence(P(*kappa), P(*lam), P(*mu), P(*nu), n)
+        xs = random_phases(1.0, n - 1, random.Random(n))
+        for k in range(1, 5):
+            assert specialize(seq, k, xs).coeffs == multipoly_coefficients(seq, k, xs)
+
 
 class TestFindRoots:
     def test_quadratic_roots_of_unity(self):
@@ -99,6 +164,22 @@ class TestFindRoots:
         with pytest.raises(ValueError):
             find_roots(ComplexPoly.from_coefficients([7]))
 
+    def test_error_reports_sweeps_at_cap(self, monkeypatch):
+        monkeypatch.setattr(asymptotics, "MAX_ITERATIONS", 2)
+        with pytest.raises(RootConvergenceError, match=r"after 2 sweeps \(cap of 2 sweeps\)") as info:
+            find_roots(ComplexPoly.from_coefficients([3, -2, 0, 5, 1, 7, -1, 2]))
+        assert info.value.sweeps == 2
+
+    def test_error_reports_sweeps_run(self, monkeypatch):
+        # every root fails a residual bound of 0, after the sweep stopped by itself
+        monkeypatch.setattr(asymptotics, "RESIDUAL_TOL", 0.0)
+        with pytest.raises(RootConvergenceError) as info:
+            find_roots(ComplexPoly.from_coefficients([3, -2, 0, 5, 1]))
+        err = info.value
+        assert 0 < err.sweeps < asymptotics.MAX_ITERATIONS
+        assert err.stop in ("steps converged", "stalled")
+        assert f"after {err.sweeps} sweeps ({err.stop})" in str(err)
+
     def test_root_count_matches_degree(self):
         seq = build_sequence(P(), P(), P(2, 1), P(), 3)
         for k in (1, 2, 3, 4):
@@ -112,6 +193,52 @@ class TestStaircase:
         for k in range(1, 6):
             roots = find_roots(specialize(seq, k, [1.0, 1.0]))
             assert max(abs(abs(z) - 1.0) for z in roots) < 1e-6
+
+
+class TestOracle:
+    """find_roots against np.roots, as multisets; tolerances fixed from the
+    float64 error of simple roots and of double roots."""
+
+    def test_random_phase_families(self):
+        rng = random.Random(11)
+        worst = 0.0
+        for n in (2, 3):
+            for mu in partitions_up_to(3, n):
+                for nu in partitions_up_to(mu.weight, n):
+                    # (2k, k)/(k) falls apart into two rows: P_k = h_k(z, xi)^2
+                    if mu == nu or not contains(mu, nu) or (mu, nu) == (P(2, 1), P(1)):
+                        continue
+                    seq = build_sequence(P(), P(), mu, nu, n)
+                    xs = random_phases(1.0, n - 1, rng)
+                    for k in range(1, 6):
+                        p = specialize(seq, k, xs)
+                        if p.degree >= 1:
+                            worst = max(worst, oracle_distance(p))
+        assert worst < 1e-12
+
+    @pytest.mark.parametrize("mu,nu,n", [((2, 1), (), 3), ((2, 1), (1,), 2), ((2, 1), (1,), 3)])
+    def test_double_root_families(self, mu, nu, n):
+        seq = build_sequence(P(), P(), P(*mu), P(*nu), n)
+        for k in range(1, 7):
+            assert oracle_distance(specialize(seq, k, [1.0] * (n - 1))) < 1e-6
+
+
+class TestAnyRadius:
+    RADII = [10.0**e for e in range(-4, 5)]
+
+    @pytest.mark.parametrize("radius", RADII)
+    @pytest.mark.parametrize("mu,n", [((2,), 2), ((2, 1), 3)])
+    def test_clouds_on_circle(self, mu, n, radius):
+        seq = build_sequence(P(), P(), P(*mu), P(), n)
+        xs = random_phases(radius, n - 1, random.Random(7))
+        for cloud in limit_experiment(seq, xs, 8).clouds:
+            assert cloud.deviation <= 1e-9 * radius
+
+    @pytest.mark.parametrize("radius", RADII)
+    def test_h_family_real_xi(self, radius):
+        seq = build_sequence(P(), P(), P(2), P(), 2)
+        for cloud in limit_experiment(seq, [radius], 8).clouds:
+            assert cloud.deviation <= 1e-9 * radius
 
 
 class TestLimitExperiment:

@@ -126,6 +126,18 @@ class TestExitCodes:
         result = run_cli(["verify", "--mu", "[1,1]", "--nu", "[1,1]", "--lambda", "[1]", "--n", "2"])
         assert result.returncode == 1  # no stretch factor: invalid family
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["--mu", "[2]", "--n", "2", "--xi-radius", "10", "--kmax", "8"],
+            ["--mu", "[1,1]", "--n", "2", "--xi-radius", "1e-3", "--kmax", "5"],
+        ],
+        ids=["radius-10", "radius-1e-3"],
+    )
+    def test_roots_at_any_radius_is_zero(self, args):
+        result = run_cli(["roots", *args])
+        assert result.returncode == 0, result.stderr
+
     def test_negative_kmax_is_a_usage_error(self):
         result = run_cli(["polynomiality", "--mu", "[1]", "--n", "2", "--kmax", "-3"])
         assert result.returncode == 1
@@ -145,7 +157,10 @@ class TestExitCodes:
 
     @pytest.mark.parametrize(
         "error",
-        [RuntimeError("sits_inside held but no matching column found"), RootConvergenceError([(0, 1j, 0.5)])],
+        [
+            RuntimeError("sits_inside held but no matching column found"),
+            RootConvergenceError([(0, 1j, 0.5)], 200, "stalled"),
+        ],
         ids=["runtime", "root-convergence"],
     )
     def test_internal_error_is_three(self, monkeypatch, capsys, error):

@@ -74,6 +74,16 @@ class TestWeightCounts:
             assert seq.term_table(3) is None
             assert seq.term(3) == expected
 
+    def test_int64_guard_serves_every_count_below_the_limit(self):
+        # every intermediate is at most the filling count, so the engine
+        # serves every count below 2^63; a real shape near 2^60 fillings is
+        # out of reach (30 disjoint boxes at n = 4 list 2^30 middle shapes)
+        assert _dense._INT64_LIMIT == 1 << 63
+        outer, inner = P(5, 3, 2, 1), P(2, 1)
+        total = ssyt_count(outer, inner, 4)
+        with mock.patch.object(_dense, "_INT64_LIMIT", total + 1):
+            assert int(weight_counts(outer, inner, 4).sum()) == total
+
     def test_empty_shape(self):
         table = weight_counts(P(), P(), 3)
         assert table.shape == (1, 1) and int(table[0, 0]) == 1
