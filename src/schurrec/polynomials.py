@@ -247,12 +247,11 @@ def weight_monomial(t: Tableau) -> MultiPoly:
 
 def skew_schur(shape: SkewShape, n: int) -> MultiPoly:
     """Generating polynomial of all SSYTs of the shape with entries in 1..n."""
-    total = MultiPoly.zero(n)
     terms: dict[Exponent, int] = {}
     for t in iter_tableaux(shape, n):
         w = weight(t)
         terms[w] = terms.get(w, 0) + 1
-    return MultiPoly(n, terms) if terms else total
+    return MultiPoly(n, terms)
 
 
 @lru_cache(maxsize=None)

@@ -2,9 +2,10 @@
 
 Builds the characteristic polynomial chi(t) as the product of (t - x^w) over
 all tableaux of the ground shape, verifies the recurrence exactly on sequence
-terms, extracts the minimal annihilator of product form by greedy root
-removal, and exposes the conjectured minimal root set driven by Kostka
-positivity and domination.
+terms, extracts the minimal annihilator of product form, and exposes the
+conjectured minimal root set driven by Kostka positivity and domination.
+Berlekamp-Massey on integer specializations names the roots of the minimal
+annihilator, and one exact factor chain certifies them.
 
 Verification is exact throughout.  Residuals come from applying the linear
 factors of chi one at a time.  For n <= 4 letters and any number of rows
@@ -54,49 +55,45 @@ class InvalidFamilyError(ValueError):
 
 
 class CharPoly:
-    """Monic polynomial in the shift symbol t with MultiPoly coefficients.
+    """Monic polynomial prod_w (t - x^w) in the shift symbol t.
 
-    root_weights lists the weight vectors w of the linear factors (t - x^w),
-    with multiplicity.  coeffs[j], their expansion, is the coefficient of t^j;
-    the recurrence it encodes is sum_j coeffs[j] * s_{k+j} = 0.
+    root_weights lists the weight vectors w of the linear factors, with
+    multiplicity.  coeffs[j], their expansion into MultiPoly coefficients, is
+    the coefficient of t^j; it is built on first use, since the recurrence
+    checks apply the factors one at a time.  The recurrence it encodes is
+    sum_j coeffs[j] * s_{k+j} = 0.
     """
 
-    __slots__ = ("nvars", "coeffs", "root_weights")
+    __slots__ = ("nvars", "root_weights", "_coeffs")
 
-    def __init__(self, nvars: int, coeffs: Sequence[MultiPoly], root_weights: Sequence[IntVector]):
+    def __init__(self, root_weights: Sequence[IntVector], nvars: int):
         self.nvars = nvars
-        self.coeffs = tuple(coeffs)
-        if not self.coeffs or self.coeffs[-1] != MultiPoly.one(nvars):
-            raise ValueError("characteristic polynomial must be monic")
         self.root_weights = tuple(tuple(w) for w in root_weights)
+        self._coeffs: Optional[tuple[MultiPoly, ...]] = None
 
     @classmethod
     def from_root_weights(cls, weights: Sequence[IntVector], nvars: int) -> "CharPoly":
-        coeffs = [MultiPoly.one(nvars)]
-        for w in weights:
-            mono = MultiPoly.monomial(w)
-            new = [MultiPoly.zero(nvars) for _ in range(len(coeffs) + 1)]
-            for j, c in enumerate(coeffs):
-                new[j + 1] = new[j + 1] + c
-                new[j] = new[j] - mono * c
-            coeffs = new
-        return cls(nvars, coeffs, weights)
+        """The same as CharPoly(weights, nvars)."""
+        return cls(weights, nvars)
+
+    @property
+    def coeffs(self) -> tuple[MultiPoly, ...]:
+        if self._coeffs is None:
+            zero, coeffs = [MultiPoly.zero(self.nvars)], [MultiPoly.one(self.nvars)]
+            for w in self.root_weights:  # times (t - x^w); t shifts the coefficients up
+                mono = MultiPoly.monomial(w)
+                coeffs = [up - mono * c for up, c in zip(zero + coeffs, coeffs + zero)]
+            self._coeffs = tuple(coeffs)
+        return self._coeffs
 
     @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def remove_root(self, w: IntVector) -> "CharPoly":
-        """Exact synthetic division by (t - x^w); requires w among root_weights."""
-        if tuple(w) not in self.root_weights:
-            raise ValueError(f"{w} is not a recorded root")
-        remaining = list(self.root_weights)
-        remaining.remove(tuple(w))
-        return CharPoly.from_root_weights(remaining, self.nvars)
+        return len(self.root_weights)
 
     def __eq__(self, other: object) -> bool:
+        # Z[x][t] factors uniquely, so the root multisets decide equality
         if isinstance(other, CharPoly):
-            return self.nvars == other.nvars and self.coeffs == other.coeffs
+            return self.nvars == other.nvars and sorted(self.root_weights) == sorted(other.root_weights)
         return NotImplemented
 
     def __str__(self) -> str:
@@ -132,8 +129,7 @@ def char_poly(mu: Partition, nu: Partition, n: int) -> CharPoly:
     """chi(t): the product of (t - x^w(T)) over all tableaux of mu/nu."""
     if not contains(mu, nu):
         raise ValueError("mu must contain nu")
-    weights = [weight(t) for t in enumerate_tableaux(SkewShape(mu, nu), n)]
-    return CharPoly.from_root_weights(weights, n)
+    return CharPoly([weight(t) for t in enumerate_tableaux(SkewShape(mu, nu), n)], n)
 
 
 # ---------------------------------------------------------------------------
@@ -398,42 +394,49 @@ def minimal_report(seq: SchurSequence, chi: CharPoly, seed: int = 0) -> MinimalR
     """Least-degree monic divisor of chi of product form annihilating the
     sequence.
 
-    Exact annihilation at deg(chi) consecutive indices from seq.r suffices:
-    the residual sequence itself satisfies the chi recurrence, so that many
-    consecutive zeros force it to vanish for all k >= seq.r.  A Berlekamp-
-    Massey degree check on >= 3 integer specializations (collision-free by
-    construction) cross-checks the result.
+    Once the squarefree part of chi annihilates from seq.r, the terms are
+    s_k = sum_w c_w x^(w k) over the distinct roots w, and the answer is the
+    product of (t - x^w) over T = {w : c_w != 0}.  At each of three integer
+    points p at which the root monomials take distinct values, Berlekamp-
+    Massey on s_k(p) returns the product over {w : c_w(p) != 0}; its zeros
+    among the p^w name those roots, and their union S over the points is a
+    subset of T.  One exact factor chain then certifies that the product over
+    S annihilates: deg(chi) consecutive zero residuals from seq.r suffice,
+    since the residual sequence itself satisfies the chi recurrence.  A
+    product that annihilates has every root of T, so S = T.  A point at which
+    some c_w(p) vanishes is reported as a collision.
     """
-    d = chi.degree
-    distinct = current = _dedupe_canonical(chi.root_weights)
-    if any(_residuals(seq, current, seq.r, d)):
-        raise RuntimeError("the squarefree part of chi does not annihilate the sequence")
-    removed: list[IntVector] = []
-    for w in list(current):
-        trial = [u for u in current if u != w]
-        if not trial:
-            break
-        if not any(_residuals(seq, trial, seq.r, d)):
-            current = trial
-            removed.append(w)
-    minimal = CharPoly.from_root_weights(current, chi.nvars)
-
+    distinct = _dedupe_canonical(chi.root_weights)
     rng = random.Random(seed)
+    window = range(seq.r, seq.r + 2 * len(distinct) + 4)
     bm_degrees: list[int] = []
     points: list[tuple[int, ...]] = []
-    needed = 2 * len(current) + 4
+    found: set[IntVector] = set()
     for _ in range(3):
         point = _draw_point(rng, seq.n, distinct)
-        values = [seq.eval_at(k, point) for k in range(seq.r, seq.r + needed)]
-        bm = berlekamp_massey(values)
+        bm = berlekamp_massey([seq.eval_at(k, point) for k in window])
+        found.update(w for w in distinct if _value(bm, _eval_monomial(point, w)) == 0)
         bm_degrees.append(len(bm) - 1)
         points.append(point)
-    if any(deg != len(current) for deg in bm_degrees):
+    weights = [w for w in distinct if w in found]
+    if any(_residuals(seq, weights, seq.r, chi.degree)):
+        if any(_residuals(seq, distinct, seq.r, chi.degree)):
+            raise RuntimeError("the squarefree part of chi does not annihilate the sequence")
+        raise RuntimeError(
+            f"the {len(weights)} roots named at degrees {bm_degrees} do not annihilate "
+            f"the sequence (collision suspected; rerun with a different seed)"
+        )
+    if any(deg != len(weights) for deg in bm_degrees):
         raise RuntimeError(
             f"specialized minimal degrees {bm_degrees} disagree with symbolic degree "
-            f"{len(current)} (collision suspected; rerun with a different seed)"
+            f"{len(weights)} (collision suspected; rerun with a different seed)"
         )
-    return MinimalReport(minimal, current, removed, bm_degrees, points, seed)
+    removed = [w for w in distinct if w not in found]
+    return MinimalReport(CharPoly(weights, chi.nvars), weights, removed, bm_degrees, points, seed)
+
+
+def _value(coeffs: Sequence[Fraction], z: int) -> Fraction:
+    return sum(c * z**j for j, c in enumerate(coeffs))
 
 
 def _draw_point(rng: random.Random, n: int, monomials: Sequence[IntVector]) -> tuple[int, ...]:
@@ -542,7 +545,7 @@ def conjecture_check(
     cnt = chi.degree if count is None else count
     cnt = max(cnt, 1)
     conj = conjectured_weights(mu, nu, n)
-    conj_poly = CharPoly.from_root_weights(conj, n)
+    conj_poly = CharPoly(conj, n)
     cert = verify_certificate(seq, conj_poly, seq.r, cnt)
     if not cert.ok:
         return ConjectureReport(

@@ -42,10 +42,6 @@ class SkewShape:
         return f"{self.outer}/{self.inner}"
 
     @property
-    def num_rows(self) -> int:
-        return len(self.outer)
-
-    @property
     def num_boxes(self) -> int:
         return self.outer.weight - self.inner.weight
 

@@ -155,6 +155,21 @@ class TestExitCodes:
         assert payload["refuted_at"] == 0
         assert payload["residual"]["terms"]
 
+    def test_all_zero_family_minimal_is_zero(self):
+        # three rows over two letters: every term is zero, so no root is needed
+        result = run_cli(["minimal", "--kappa", "[1,1,1]", "--mu", "[1]", "--n", "2"])
+        assert result.returncode == 0, result.stderr
+        payload = json.loads(result.stdout)
+        assert payload["minimal_degree"] == 0 and payload["W"] == []
+        assert payload["removed"] == [[1, 0], [0, 1]]
+
+    def test_all_zero_family_refutes_minimality(self):
+        result = run_cli(["conjecture", "--kappa", "[1,1,1]", "--mu", "[1]", "--n", "2"])
+        assert result.returncode == 2, result.stderr
+        payload = json.loads(result.stdout)
+        assert payload["conjecture"] == "REFUTED-MINIMALITY"
+        assert payload["minimal_degree"] == 0 and payload["minimal_W"] == []
+
     @pytest.mark.parametrize(
         "error",
         [

@@ -94,9 +94,23 @@ class TestCharPoly:
 
     def test_remove_root(self):
         chi = char_poly(P(1), P(), 2)
-        reduced = chi.remove_root((1, 0))
+        remaining = list(chi.root_weights)
+        remaining.remove((1, 0))
+        reduced = CharPoly.from_root_weights(remaining, 2)
         assert reduced.degree == 1
         assert reduced.coeffs[0] == MultiPoly(2, {(0, 1): -1})
+
+    def test_coefficients_expand_once_on_first_use(self):
+        chi = char_poly(P(2, 1), P(), 3)
+        assert chi.degree == 8 and chi._coeffs is None
+        assert chi.coeffs is chi.coeffs and len(chi.coeffs) == 9
+        assert chi.coeffs[8] == MultiPoly.one(3)
+
+    def test_equality_ignores_root_order(self):
+        chi = char_poly(P(2, 1), P(1), 3)
+        shuffled = CharPoly.from_root_weights(chi.root_weights[::-1], 3)
+        assert shuffled == chi and shuffled.coeffs == chi.coeffs
+        assert CharPoly.from_root_weights(chi.root_weights[1:], 3) != chi
 
 
 class TestBuildSequence:
@@ -341,6 +355,124 @@ class TestMinimal:
             assert verify_certificate(seq, rep.char_poly, seq.r + chi.degree, 5).ok
 
 
+def greedy_minimal(seq, chi):
+    """Greedy root removal, the oracle for minimal_report: each distinct root
+    of chi, in canonical order, is dropped when the remaining product still
+    annihilates deg(chi) consecutive terms from seq.r, checked on the
+    expanded coefficients.  Returns (weights, removed)."""
+
+    def annihilates(weights):
+        poly = CharPoly.from_root_weights(weights, seq.n)
+        return all(expanded_residual(seq, poly, k).is_zero() for k in range(seq.r, seq.r + chi.degree))
+
+    current = recurrence._dedupe_canonical(chi.root_weights)
+    assert annihilates(current)
+    removed = []
+    for w in list(current):
+        trial = [u for u in current if u != w]
+        if annihilates(trial):
+            current = trial
+            removed.append(w)
+    return current, removed
+
+
+H_FAMILY = (P(), P(), P(1), P(), 2)  # roots (1, 0) and (0, 1), both needed
+# three rows over two letters: every term is zero, so even the last root goes
+ZERO_FAMILY = (P(1, 1, 1), P(), P(1), P(), 2)
+
+
+def dropping_bm(weight, calls):
+    """berlekamp_massey with the factor (t - p^weight) divided out of its
+    answer at the given call numbers, p the point drawn just before."""
+    points = []
+    draw, bm = recurrence._draw_point, recurrence.berlekamp_massey
+
+    def drawn(*args):
+        points.append(draw(*args))
+        return points[-1]
+
+    def dropped(values):
+        coeffs = bm(values)
+        if len(points) - 1 in calls:
+            z, quotient = recurrence._eval_monomial(points[-1], weight), [coeffs[-1]]
+            for c in coeffs[-2:0:-1]:  # synthetic division by (t - z)
+                quotient.append(c + z * quotient[-1])
+            coeffs = quotient[::-1]
+        return coeffs
+
+    return mock.patch.multiple(recurrence, _draw_point=drawn, berlekamp_massey=dropped)
+
+
+class TestMinimalAgainstGreedy:
+    @pytest.mark.parametrize(
+        "families,limit",
+        [
+            (DENSE_FAMILIES, recurrence._INT64_EXACT_LIMIT),
+            (WIDE_FAMILIES, recurrence._INT64_EXACT_LIMIT),
+            (DENSE_FAMILIES, 0),  # the certificate runs on Python integers
+            (SPARSE_FAMILIES, recurrence._INT64_EXACT_LIMIT),
+        ],
+        ids=["int64", "int64-wide", "object", "multipoly"],
+    )
+    @settings(deadline=None, max_examples=40)
+    @given(data=st.data())
+    def test_matches_greedy(self, families, limit, data):
+        kappa, lam, mu, nu, n = data.draw(st.sampled_from(families))
+        seq = build_sequence(kappa, lam, mu, nu, n)
+        chi = char_poly(mu, nu, n)
+        with mock.patch.object(recurrence, "_INT64_EXACT_LIMIT", limit):
+            rep = minimal_report(seq, chi, seed=data.draw(st.integers(0, 3)))
+        assert (rep.weights, rep.removed) == greedy_minimal(seq, chi)
+        assert rep.char_poly.root_weights == tuple(rep.weights)
+
+    def test_one_certificate_on_success(self):
+        seq = build_sequence(P(), P(), P(2, 1), P(), 3)
+        chi = char_poly(P(2, 1), P(), 3)
+        with mock.patch.object(recurrence, "_residuals", wraps=recurrence._residuals) as spy:
+            rep = minimal_report(seq, chi)
+        assert rep.removed == [(1, 1, 1)]
+        assert spy.call_count == 1
+        assert chi._coeffs is None  # the engine never expands chi
+
+    def test_all_zero_family_drops_every_root(self):
+        seq = build_sequence(*ZERO_FAMILY)
+        chi = char_poly(P(1), P(), 2)
+        rep = minimal_report(seq, chi)
+        assert rep.char_poly.degree == 0 and rep.weights == []
+        assert rep.removed == [(1, 0), (0, 1)]
+        assert rep.bm_degrees == [0, 0, 0]
+        assert (rep.weights, rep.removed) == greedy_minimal(seq, chi)
+
+    @pytest.mark.parametrize("call", [0, 1, 2])
+    def test_root_missed_at_one_point_is_a_degree_disagreement(self, call):
+        # the other two points still name the root, so the certificate passes
+        seq, chi = build_sequence(*H_FAMILY), char_poly(P(1), P(), 2)
+        degrees = [1 if i == call else 2 for i in range(3)]
+        with dropping_bm((1, 0), {call}), pytest.raises(
+            RuntimeError,
+            match=rf"specialized minimal degrees \[{', '.join(map(str, degrees))}\] disagree with symbolic degree 2",
+        ):
+            minimal_report(seq, chi)
+
+    def test_root_missed_at_every_point_fails_the_certificate(self):
+        seq, chi = build_sequence(*H_FAMILY), char_poly(P(1), P(), 2)
+        with mock.patch.object(recurrence, "_residuals", wraps=recurrence._residuals) as spy:
+            with dropping_bm((1, 0), {0, 1, 2}), pytest.raises(
+                RuntimeError, match=r"the 1 roots named at degrees \[1, 1, 1\] do not annihilate"
+            ):
+                minimal_report(seq, chi)
+        # the certificate on the named root, then the squarefree check
+        assert [list(call.args[1]) for call in spy.call_args_list] == [[(0, 1)], [(1, 0), (0, 1)]]
+
+    def test_squarefree_failure_keeps_its_message(self):
+        # the recurrence of this family holds from r = 1 only
+        seq = build_sequence(P(2, 2), P(), P(4), P(3), 2)
+        assert seq.r == 1
+        seq.r = 0
+        with pytest.raises(RuntimeError, match="squarefree part of chi does not annihilate"):
+            minimal_report(seq, char_poly(P(4), P(3), 2))
+
+
 class TestConjecturedWeights:
     def test_examples(self):
         assert set(conjectured_weights(P(1), P(), 2)) == {(1, 0), (0, 1)}
@@ -370,6 +502,12 @@ class TestConjectureCheck:
         report = conjecture_check(P(), P(), mu, nu, n)
         assert report.verdict == "SUPPORTED"
         assert report.annihilates and report.minimal_matches
+
+    def test_all_zero_family_refutes_minimality(self):
+        report = conjecture_check(*ZERO_FAMILY)
+        assert report.verdict == "REFUTED-MINIMALITY"
+        assert report.annihilates and report.minimal_matches is False
+        assert report.minimal_weights == [] and report.minimal_degree == 0
 
     def test_report_payload(self):
         report = conjecture_check(P(), P(), P(1), P(), 2)
