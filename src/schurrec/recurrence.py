@@ -36,7 +36,6 @@ from .partitions import (
     subtract,
 )
 from .polynomials import MultiPoly, skew_schur
-from .kostka import kostka
 from .tableaux import (
     SkewShape,
     enumerate_tableaux,
@@ -108,10 +107,7 @@ class CharPoly:
             else:
                 body = str(c)
                 wrapped = body if c.num_terms() == 1 and not body.startswith("-") else f"({body})"
-                if wrapped.startswith("-") and c.num_terms() == 1:
-                    parts.append(f"- {wrapped[1:]}" + (f"*{tpow}" if tpow else ""))
-                else:
-                    parts.append(f"+ {wrapped}" + (f"*{tpow}" if tpow else ""))
+                parts.append(f"+ {wrapped}" + (f"*{tpow}" if tpow else ""))
         return " ".join(parts) if parts else "1"
 
     __repr__ = __str__
@@ -350,20 +346,15 @@ def berlekamp_massey(values: Sequence) -> list[Fraction]:
         if delta == 0:
             m += 1
             continue
+        T = C[:]
+        coef = delta / b
+        while len(C) < len(B) + m:
+            C.append(Fraction(0))
+        for j, bj in enumerate(B):
+            C[j + m] -= coef * bj
         if 2 * L <= i:
-            T = C[:]
-            coef = delta / b
-            while len(C) < len(B) + m:
-                C.append(Fraction(0))
-            for j, bj in enumerate(B):
-                C[j + m] -= coef * bj
             L, B, b, m = i + 1 - L, T, delta, 1
         else:
-            coef = delta / b
-            while len(C) < len(B) + m:
-                C.append(Fraction(0))
-            for j, bj in enumerate(B):
-                C[j + m] -= coef * bj
             m += 1
     # a_{k+L} + C[1] a_{k+L-1} + ... + C[L] a_k = 0
     coeffs = [C[L - j] if L - j < len(C) else Fraction(0) for j in range(L)]
@@ -462,33 +453,14 @@ def _eval_monomial(point: tuple[int, ...], w: IntVector) -> int:
 
 
 def conjectured_weights(mu: Partition, nu: Partition, n: int) -> list[IntVector]:
-    """Weight vectors w with positive Kostka coefficient for mu/nu whose
-    decreasing rearrangement dominates that of mu - nu."""
+    """Weight vectors w with positive Kostka coefficient for mu/nu (the
+    support of its skew Schur polynomial) whose decreasing rearrangement
+    dominates that of mu - nu."""
     if not contains(mu, nu):
         raise ValueError("mu must contain nu")
-    shape = SkewShape(mu, nu)
-    boxes = shape.num_boxes
-    target = sort_decreasing(tuple(x for x in subtract(mu, nu)))
-    kostka_cache: dict[IntVector, int] = {}
-    out = []
-    for w in _compositions(boxes, n):
-        sw = sort_decreasing(w)
-        if sw not in kostka_cache:
-            kostka_cache[sw] = kostka(shape, sw)
-        if kostka_cache[sw] == 0:
-            continue
-        if dominates(sw, target):
-            out.append(w)
-    return sorted(out, key=lambda w: (sum(w), w), reverse=True)
-
-
-def _compositions(total: int, length: int):
-    if length == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, length - 1):
-            yield (first,) + rest
+    target = sort_decreasing(subtract(mu, nu))
+    support = skew_schur(SkewShape(mu, nu), n).terms
+    return _dedupe_canonical([w for w in support if dominates(sort_decreasing(w), target)])
 
 
 @dataclass

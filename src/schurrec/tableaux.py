@@ -2,7 +2,9 @@
 
 The product `insert` concatenates two tableaux row by row and re-sorts each
 row, with skew boxes kept to the left of ordinary boxes.  It is commutative,
-associative and cancellative on SSYTs, and adds shapes and weights.
+associative and cancellative on SSYTs, and adds shapes and weights.  Every
+tableau is the product of its one-column factors, read off the shape's
+column runs, so `decompose` splits a tableau by grouping its columns.
 """
 from __future__ import annotations
 
@@ -11,7 +13,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
-from .partitions import Partition, add, contains, subtract
+from .partitions import Partition, add, contains, scale
 
 SKEW_CHAR = "■"  # filled square, marks skew boxes in diagrams
 
@@ -53,21 +55,23 @@ class SkewShape:
         """Column bounds of the ordinary boxes of row i (0-based): (inner_i, outer_i]."""
         return self.inner[i], self.outer[i]
 
-    def column_interval(self, j: int) -> Optional[tuple[int, int]]:
-        """Rows (1-based, inclusive) occupied by column j (1-based), or None."""
-        rows = [i + 1 for i in range(len(self.outer)) if self.inner[i] < j <= self.outer[i]]
-        if not rows:
-            return None
-        return rows[0], rows[-1]
+    def column_runs(self) -> list[tuple[int, int]]:
+        """(inner'_j + 1, outer'_j) for each column j = 1..outer_1: the rows
+        (1-based, inclusive) of its ordinary boxes.  A column holding h skew
+        boxes only is the empty run (h+1, h)."""
+        outer, inner = self.outer.parts, self.inner.parts
+        return [
+            (sum(x > j for x in inner) + 1, sum(x > j for x in outer))
+            for j in range(self.outer[0])
+        ]
 
     def column_intervals(self) -> list[tuple[int, int, int]]:
         """(column index, first row, last row) for every nonempty column."""
-        out = []
-        for j in range(1, self.outer[0] + 1 if self.outer else 1):
-            iv = self.column_interval(j)
-            if iv is not None:
-                out.append((j, iv[0], iv[1]))
-        return out
+        return [
+            (j, first, last)
+            for j, (first, last) in enumerate(self.column_runs(), 1)
+            if first <= last
+        ]
 
     def cells(self) -> list[tuple[int, int]]:
         """Ordinary boxes as 0-based (row, col) pairs, row-major."""
@@ -302,49 +306,25 @@ def column_tableau(cv: ColumnView, n: int) -> Tableau:
 
 
 def column_factors(t: Tableau) -> list[Tableau]:
-    """Single-column tableaux whose insertion product is exactly t.
-
-    Columns holding only skew boxes contribute box-free factors of shape
-    (1^h)/(1^h); without them the product would only recover t up to its
-    fully-skew columns.
-    """
-    factors = []
-    inner, outer = t.shape.inner, t.shape.outer
-    width = outer[0] if len(outer) else 0
-    for j in range(1, width + 1):
-        iv = t.shape.column_interval(j)
-        if iv is None:
-            h = sum(1 for i in range(len(inner)) if inner[i] >= j)
-            shape = SkewShape(Partition([1] * h), Partition([1] * h))
-            factors.append(Tableau(shape, [[] for _ in range(h)], t.n))
-        else:
-            entries = tuple(t.entry(i - 1, j - 1) for i in range(iv[0], iv[1] + 1))
-            factors.append(column_tableau(ColumnView(j, iv[0], iv[1], entries), t.n))
-    return factors
-
-
-def _column_signatures(shape: SkewShape) -> Counter:
-    """Multiset of column signatures (first_row, last_row) of the ordinary
-    boxes; a column holding only skew boxes down to row h is recorded as the
-    empty run (h+1, h)."""
-    sig: Counter = Counter()
-    outer, inner = shape.outer, shape.inner
-    width = outer[0] if len(outer) else 0
-    for j in range(1, width + 1):
-        rows = [i + 1 for i in range(len(outer)) if inner[i] < j <= outer[i]]
-        if rows:
-            sig[(rows[0], rows[-1])] += 1
-        else:
-            h = sum(1 for i in range(len(inner)) if inner[i] >= j)
-            sig[(h + 1, h)] += 1
-    return sig
+    """One single-column tableau per column of t, left to right, whose
+    insertion product is exactly t.  A column holding h skew boxes only
+    gives the box-free factor (1^h)/(1^h)."""
+    return [
+        column_tableau(
+            ColumnView(j, first, last, tuple(t.entry(i - 1, j - 1) for i in range(first, last + 1))),
+            t.n,
+        )
+        for j, (first, last) in enumerate(t.shape.column_runs(), 1)
+    ]
 
 
 def sits_inside(small: SkewShape, big: SkewShape) -> bool:
-    """Multiset containment of column signatures (skew-only columns count)."""
-    small_cols = _column_signatures(small)
-    big_cols = _column_signatures(big)
-    return all(big_cols[sig] >= c for sig, c in small_cols.items())
+    """Multiset containment of column runs, skew-only columns included.
+
+    A skew shape is the sum of its one-column shapes, so then big - small is
+    a skew shape too, and every tableau of big is the product of column
+    factors with small's runs and the rest (see decompose)."""
+    return not Counter(small.column_runs()) - Counter(big.column_runs())
 
 
 def first_enclosing_index(kappa: Partition, lam: Partition, mu: Partition, nu: Partition) -> int:
@@ -355,12 +335,10 @@ def first_enclosing_index(kappa: Partition, lam: Partition, mu: Partition, nu: P
     """
     if not contains(kappa, lam):
         raise ValueError("kappa/lam is not a valid skew shape")
-    target = SkewShape(mu, nu)
-    bound = kappa[0] + 1 if len(kappa) else 1
-    for r0 in range(bound + 1):
-        outer = Partition([kappa[i] + r0 * mu[i] for i in range(max(len(kappa), len(mu)))])
-        inner = Partition([lam[i] + r0 * nu[i] for i in range(max(len(lam), len(nu)))])
-        if contains(outer, inner) and sits_inside(target, SkewShape(outer, inner)):
+    runs = Counter(SkewShape(mu, nu).column_runs())
+    for r0 in range(kappa[0] + 2):
+        outer, inner = add(kappa, scale(r0, mu)), add(lam, scale(r0, nu))
+        if contains(outer, inner) and not runs - Counter(SkewShape(outer, inner).column_runs()):
             return r0
     raise RuntimeError("no enclosing index within the bound kappa_1 + 1")
 
@@ -375,51 +353,21 @@ def stabilization_index(kappa: Partition, lam: Partition, mu: Partition, nu: Par
 
 
 def decompose(t: Tableau, small: SkewShape) -> tuple[Tableau, Tableau]:
-    """Split t = t1 * t2 with t1 of the given shape, choosing the leftmost
-    matching columns for t1."""
+    """Split t = t1 * t2 with t1 of the given shape.
+
+    t is the product of its column factors.  t1 is the product of the
+    leftmost columns of t whose runs are small's, and t2 the product of the
+    other columns; insert validates each product."""
     if not sits_inside(small, t.shape):
         raise ValueError(f"{small} does not sit inside {t.shape}")
-    tcols = columns(t)
-    used = [False] * len(tcols)
-    chosen: list[tuple[int, ColumnView]] = []  # (small column index, source column)
-    for j, first, last in small.column_intervals():
-        for idx, cv in enumerate(tcols):
-            if not used[idx] and (cv.first_row, cv.last_row) == (first, last):
-                used[idx] = True
-                chosen.append((j, cv))
-                break
+    wanted = Counter(small.column_runs())
+    t1 = t2 = empty_tableau(t.n)
+    for run, factor in zip(t.shape.column_runs(), column_factors(t)):
+        if wanted[run]:
+            wanted[run] -= 1
+            t1 = insert(t1, factor)
         else:
-            raise RuntimeError("sits_inside held but no matching column found")
-
-    # assemble t1 by writing the chosen entries into small's own diagram
-    rows1: list[list[int]] = [[] for _ in range(len(small.outer))]
-    for j, cv in sorted(chosen, key=lambda p: p[0]):
-        for offset, v in enumerate(cv.entries):
-            rows1[cv.first_row - 1 + offset].append(v)
-    t1 = Tableau(small, rows1, t.n)
-    if not is_valid_ssyt(t1):
-        raise RuntimeError("extracted columns do not form an SSYT")
-
-    try:
-        rest_outer = Partition(subtract(t.shape.outer, small.outer))
-        rest_inner = Partition(subtract(t.shape.inner, small.inner))
-        rest = SkewShape(rest_outer, rest_inner)
-    except ValueError as exc:
-        # sits_inside only tracks ordinary-box columns, so the complementary
-        # shape can still be malformed; that is a precondition failure here
-        raise ValueError(
-            f"{small} admits no complementary shape inside {t.shape}: {exc}"
-        ) from exc
-    rows2 = []
-    for i in range(len(rest_outer)):
-        remaining = Counter(t.rows[i] if i < len(t.rows) else ())
-        remaining.subtract(rows1[i] if i < len(rows1) else ())
-        if any(c < 0 for c in remaining.values()):
-            raise RuntimeError("row difference went negative")
-        rows2.append(sorted(remaining.elements()))
-    t2 = Tableau(rest, rows2, t.n)
-    if not is_valid_ssyt(t2):
-        raise RuntimeError("column deletion did not yield an SSYT")
+            t2 = insert(t2, factor)
     if insert(t1, t2) != t:
         raise RuntimeError("decomposition does not multiply back")
     return t1, t2

@@ -173,7 +173,7 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "error",
         [
-            RuntimeError("sits_inside held but no matching column found"),
+            RuntimeError("decomposition does not multiply back"),
             RootConvergenceError([(0, 1j, 0.5)], 200, "stalled"),
         ],
         ids=["runtime", "root-convergence"],

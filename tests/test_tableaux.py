@@ -51,6 +51,13 @@ class TestShapes:
         with pytest.raises(ValueError):
             SkewShape(P(2), P(3))
 
+    def test_shape_is_sum_of_its_column_runs(self):
+        for shape in small_shapes(6, max_len=4):
+            outer, inner = P(), P()
+            for first, last in shape.column_runs():
+                outer, inner = outer + P(*[1] * last), inner + P(*[1] * (first - 1))
+            assert SkewShape(outer, inner) == shape
+
     def test_column_intervals_are_contiguous_runs(self):
         for shape in small_shapes(5):
             for j, first, last in shape.column_intervals():
@@ -202,10 +209,7 @@ class TestMonoid:
             assert rebuilt == t
             # shapes without fully-skew columns rebuild from the entry-bearing
             # columns alone
-            if all(
-                t.shape.column_interval(j) is not None
-                for j in range(1, (t.shape.outer[0] if len(t.shape.outer) else 0) + 1)
-            ):
+            if all(first <= last for first, last in t.shape.column_runs()):
                 cols = [column_tableau(cv, t.n) for cv in columns(t)]
                 assert reduce(insert, cols, empty_tableau(t.n)) == t
 
@@ -298,33 +302,22 @@ class TestDecompose:
     def test_round_trip_exhaustive(self):
         from schurrec.partitions import subtract
 
-        def complement_ok(small, big):
-            try:
-                SkewShape(
-                    Partition(subtract(big.outer, small.outer)),
-                    Partition(subtract(big.inner, small.inner)),
-                )
-                return True
-            except ValueError:
-                return False
-
         shapes = small_shapes(4, max_len=3)
         for big in shapes:
             tableaux = enumerate_tableaux(big, 3)
             for small in shapes:
                 if not sits_inside(small, big):
                     continue
-                if complement_ok(small, big):
-                    for t in tableaux:
-                        t1, t2 = decompose(t, small)
-                        assert t1.shape == small
-                        assert insert(t1, t2) == t
-                else:
-                    # sits_inside ignores fully-skew columns, so the leftover
-                    # shape may be malformed; decompose must refuse
-                    for t in tableaux[:1]:
-                        with pytest.raises(ValueError):
-                            decompose(t, small)
+                # the complement of contained column runs is a skew shape
+                rest = SkewShape(
+                    Partition(subtract(big.outer, small.outer)),
+                    Partition(subtract(big.inner, small.inner)),
+                )
+                assert rest.num_boxes == big.num_boxes - small.num_boxes
+                for t in tableaux:
+                    t1, t2 = decompose(t, small)
+                    assert t1.shape == small
+                    assert insert(t1, t2) == t
 
     def test_precondition_violation(self):
         t = Tableau(SkewShape(P(1)), [[1]], 2)
