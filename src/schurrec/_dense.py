@@ -31,24 +31,13 @@ def _padded(p: Partition, length: int) -> tuple[int, ...]:
 
 
 def _h_int_table(point: tuple[int, ...], upto: int) -> list[int]:
-    """h_m evaluated at an integer point, for m = 0..upto, via the
-    constant-coefficient recurrence with elementary symmetric values."""
-    n = len(point)
-    es = [1]
+    """h_m evaluated at an integer point, for m = 0..upto, one variable at a
+    time: h_m(x_1..x_j) = h_m(x_1..x_{j-1}) + x_j * h_{m-1}(x_1..x_j), the
+    recurrence polynomials.complete_homogeneous uses."""
+    table = [1] + [0] * upto
     for x in point:
-        new = es + [0]
-        for i in range(len(es) - 1, -1, -1):
-            new[i + 1] += es[i] * x
-        es = new
-    table = [0] * (upto + 1)
-    if upto >= 0:
-        table[0] = 1
-    for m in range(1, upto + 1):
-        acc = 0
-        for i in range(1, min(n, m) + 1):
-            term = es[i] * table[m - i]
-            acc += term if i % 2 == 1 else -term
-        table[m] = acc
+        for m in range(1, upto + 1):
+            table[m] += x * table[m - 1]
     return table
 
 
@@ -186,23 +175,18 @@ def weight_counts(outer: Partition, inner: Partition, n: int) -> np.ndarray:
     return K.reshape((D + 1,) * (n - 1))
 
 
-def table_terms(arr: np.ndarray, n: int, total_boxes: int) -> list[tuple[tuple[int, ...], int]]:
-    """The nonzero cells of a dense weight table as (exponent vector,
-    coefficient) pairs in C order, the exponent of the last letter being
-    total_boxes less the others."""
+def counts_to_multipoly(arr: np.ndarray, n: int, total_boxes: int) -> MultiPoly:
+    """The sparse polynomial of a dense weight table: its nonzero cells in C
+    order, the exponent of the last letter being total_boxes less the others.
+    The terms are clean by construction, so they are not validated again."""
     if n == 1:
         coef = int(arr[()])
-        return [((total_boxes,), coef)] if coef else []
+        return MultiPoly._trusted(1, {(total_boxes,): coef} if coef else {})
     cells = np.nonzero(arr)
-    out = []
+    terms = {}
     for t, coef in zip(zip(*(c.tolist() for c in cells)), arr[cells].tolist()):
         last = total_boxes - sum(t)
         if last < 0:
             raise RuntimeError("dense table exponent exceeds box count")
-        out.append((t + (last,), coef))
-    return out
-
-
-def counts_to_multipoly(arr: np.ndarray, n: int, total_boxes: int) -> MultiPoly:
-    """Rebuild the sparse polynomial from a dense weight table."""
-    return MultiPoly(n, dict(table_terms(arr, n, total_boxes)))
+        terms[t + (last,)] = coef
+    return MultiPoly._trusted(n, terms)

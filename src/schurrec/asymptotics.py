@@ -39,16 +39,11 @@ class DegenerateSpecialization(ValueError):
 
 @dataclass(frozen=True)
 class ComplexPoly:
-    """Dense complex polynomial; coeffs[j] multiplies z^j."""
+    """Dense complex polynomial; coeffs[j] multiplies z^j.  The coefficients
+    are taken as given: specialize is where a cancelled top coefficient is
+    trimmed."""
 
     coeffs: tuple[complex, ...]
-
-    @staticmethod
-    def from_coefficients(values: Sequence[complex]) -> "ComplexPoly":
-        cs = [complex(v) for v in values]
-        while cs and abs(cs[-1]) <= COEFF_TRIM:
-            cs.pop()
-        return ComplexPoly(tuple(cs))
 
     @property
     def degree(self) -> int:
@@ -88,18 +83,19 @@ class RootCloud:
 def specialize(seq: SchurSequence, k: int, xi: Sequence[complex]) -> ComplexPoly:
     """P_k(z): substitute x_2..x_n -> xi and collect powers of x_1.
 
-    The collection runs over the exact integer terms, read off the dense
-    weight table when there is one; each term is evaluated in complex
-    arithmetic once.  A top coefficient is trimmed only when it cancels to
-    COEFF_TRIM relative to the magnitudes summed into it, so any radius
-    keeps the true degree.
+    The collection runs over the exact integer terms of seq.term(k), in
+    the order its MultiPoly lists them; each term is evaluated in complex
+    arithmetic once.  The xi must share one modulus R up to a relative
+    1e-12, so any R is accepted.  A top coefficient is trimmed only when it
+    cancels to COEFF_TRIM relative to the magnitudes summed into it, so any
+    radius keeps the true degree.
     """
     xs = [complex(v) for v in xi]
     if len(xs) != seq.n - 1:
         raise ValueError(f"xi must have length n-1 = {seq.n - 1}")
     if xs:
         moduli = [abs(v) for v in xs]
-        if max(moduli) - min(moduli) > 1e-12:
+        if max(moduli) - min(moduli) > 1e-12 * max(moduli):
             raise ValueError("all xi must lie on a common circle |xi| = R")
     by_power: dict[int, complex] = {}
     magnitude: dict[int, float] = {}
@@ -112,7 +108,7 @@ def specialize(seq: SchurSequence, k: int, xi: Sequence[complex]) -> ComplexPoly
             powers[(i, p)] = got
         return got
 
-    for exps, coef in seq.term_items(k):
+    for exps, coef in seq.term(k).terms.items():
         value = complex(coef)
         for i, p in enumerate(exps[1:]):
             if p:
@@ -143,20 +139,14 @@ def _aberth(coeffs: list[complex]) -> tuple[list[complex], int, str]:
     """
     d = len(coeffs) - 1
     lead = coeffs[-1]
-    monic = [c / lead for c in coeffs]
-    start = abs(monic[0]) ** (1.0 / d)
+    monic = ComplexPoly(tuple(c / lead for c in coeffs))
+    start = abs(monic.coeffs[0]) ** (1.0 / d)
     z = [
         start * cmath.exp(2j * cmath.pi * (j / d) + 1j * cmath.pi / (2 * d))
         for j in range(d)
     ]
-    deriv = [j * monic[j] for j in range(1, d + 1)]
+    deriv = ComplexPoly(tuple(j * monic.coeffs[j] for j in range(1, d + 1)))
     tol = 1e-14 * (1.0 + start)
-
-    def horner(cs: list[complex], x: complex) -> complex:
-        acc = 0j
-        for c in reversed(cs):
-            acc = acc * x + c
-        return acc
 
     active = list(range(d))
     best_step = float("inf")
@@ -170,10 +160,10 @@ def _aberth(coeffs: list[complex]) -> tuple[list[complex], int, str]:
         unfrozen = []
         for i in active:
             zi = z[i]
-            p = horner(monic, zi)
+            p = monic(zi)
             if p == 0:
                 continue
-            dp = horner(deriv, zi)
+            dp = deriv(zi)
             if dp == 0:
                 newton = p / (dp + 1e-300)
             else:

@@ -5,7 +5,7 @@ from __future__ import annotations
 from functools import reduce
 from typing import Sequence
 
-from .partitions import Partition, scale
+from .partitions import Partition, partitions_up_to, scale
 from .polynomials import MultiPoly, monomial_symmetric
 from .tableaux import SkewShape, Tableau, insert, iter_tableaux, weight
 
@@ -33,7 +33,9 @@ def schur_in_m_basis(shape: SkewShape, n: int) -> dict[Partition, int]:
     """Positive coefficients K with skew_schur = sum K_w * m_w, keyed by partition."""
     boxes = shape.num_boxes
     out: dict[Partition, int] = {}
-    for lam in _partitions_of(boxes, n):
+    for lam in partitions_up_to(boxes, n):
+        if lam.weight != boxes:
+            continue
         k = kostka(shape, tuple(lam[i] for i in range(n)))
         if k:
             out[lam] = k
@@ -72,21 +74,3 @@ def stretch_positivity_check(shape: SkewShape, w: Sequence[int], k: int) -> Tabl
     if weight(witness) != tuple(k * x for x in wt):
         raise RuntimeError("witness weight is not the stretched weight")
     return witness
-
-
-def _partitions_of(total: int, max_length: int) -> list[Partition]:
-    out: list[Partition] = []
-
-    def rec(prefix: list[int], remaining: int, cap: int) -> None:
-        if remaining == 0:
-            out.append(Partition(prefix))
-            return
-        if len(prefix) == max_length:
-            return
-        for p in range(min(cap, remaining), 0, -1):
-            prefix.append(p)
-            rec(prefix, remaining - p, p)
-            prefix.pop()
-
-    rec([], total, total if total else 1)
-    return out

@@ -51,15 +51,18 @@ class MultiPoly:
         return cls(nvars, {(0,) * nvars: 1})
 
     @classmethod
-    def monomial(cls, exponents: Sequence[int], coef: int = 1) -> "MultiPoly":
+    def monomial(cls, exponents: Sequence[int]) -> "MultiPoly":
         e = tuple(int(x) for x in exponents)
-        return cls(len(e), {e: coef})
+        return cls(len(e), {e: 1})
 
     @classmethod
-    def variable(cls, index: int, nvars: int) -> "MultiPoly":
-        e = [0] * nvars
-        e[index] = 1
-        return cls(nvars, {tuple(e): 1})
+    def _trusted(cls, nvars: int, terms: dict[Exponent, int]) -> "MultiPoly":
+        """Wrap terms that are already clean (int exponent tuples of length
+        nvars, nonzero int coefficients) without checking or copying them."""
+        out = cls.__new__(cls)
+        out.nvars = nvars
+        out._terms = terms
+        return out
 
     # -- ring operations ---------------------------------------------------
     def _check(self, other: "MultiPoly") -> None:
@@ -75,16 +78,10 @@ class MultiPoly:
                 terms[e] = v
             else:
                 terms.pop(e, None)
-        out = MultiPoly.__new__(MultiPoly)
-        out.nvars = self.nvars
-        out._terms = terms
-        return out
+        return MultiPoly._trusted(self.nvars, terms)
 
     def __neg__(self) -> "MultiPoly":
-        out = MultiPoly.__new__(MultiPoly)
-        out.nvars = self.nvars
-        out._terms = {e: -c for e, c in self._terms.items()}
-        return out
+        return MultiPoly._trusted(self.nvars, {e: -c for e, c in self._terms.items()})
 
     def __sub__(self, other: "MultiPoly") -> "MultiPoly":
         return self + (-other)
@@ -93,10 +90,7 @@ class MultiPoly:
         if isinstance(other, int):
             if other == 0:
                 return MultiPoly.zero(self.nvars)
-            out = MultiPoly.__new__(MultiPoly)
-            out.nvars = self.nvars
-            out._terms = {e: c * other for e, c in self._terms.items()}
-            return out
+            return MultiPoly._trusted(self.nvars, {e: c * other for e, c in self._terms.items()})
         self._check(other)
         terms: dict[Exponent, int] = {}
         small, big = self._terms, other._terms
@@ -110,24 +104,9 @@ class MultiPoly:
                     terms[e] = v
                 else:
                     del terms[e]
-        out = MultiPoly.__new__(MultiPoly)
-        out.nvars = self.nvars
-        out._terms = terms
-        return out
+        return MultiPoly._trusted(self.nvars, terms)
 
     __rmul__ = __mul__
-
-    def __pow__(self, k: int) -> "MultiPoly":
-        if k < 0:
-            raise ValueError("negative power")
-        result = MultiPoly.one(self.nvars)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, MultiPoly):
@@ -266,7 +245,7 @@ def complete_homogeneous(m: int, n: int) -> MultiPoly:
     # peel the last variable: h_m(x_1..x_n) = h_m(x_1..x_{n-1}) + x_n*h_{m-1}(x_1..x_n)
     smaller = complete_homogeneous(m, n - 1)
     lifted = MultiPoly(n, {e + (0,): c for e, c in smaller.terms.items()})
-    xn = MultiPoly.variable(n - 1, n)
+    xn = MultiPoly.monomial((0,) * (n - 1) + (1,))
     return lifted + xn * complete_homogeneous(m - 1, n)
 
 

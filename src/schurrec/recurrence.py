@@ -162,7 +162,6 @@ class SchurSequence:
         self.requested = requested if requested is not None else (kappa, lam)
         self._terms: dict[int, MultiPoly] = {}
         self._tables: dict[int, Optional[np.ndarray]] = {}
-        self._counts: dict[int, int] = {}
 
     def outer_at(self, k: int) -> Partition:
         return add(self.kappa, scale(k, self.mu))
@@ -196,23 +195,6 @@ class SchurSequence:
             else:
                 self._terms[k] = skew_schur(self.shape_at(k), self.n)
         return self._terms[k]
-
-    def term_items(self, k: int) -> Iterable[tuple[tuple[int, ...], int]]:
-        """The (exponent vector, coefficient) pairs of term k in the order
-        term(k).terms lists them, read off the dense table when there is one
-        so that no MultiPoly is built."""
-        if k < 0:
-            raise ValueError("sequence index must be nonnegative")
-        table = self.term_table(k)
-        if table is None:
-            return self.term(k).terms.items()
-        return _dense.table_terms(table, self.n, self.boxes_at(k))
-
-    def count_at(self, k: int) -> int:
-        """Number of SSYTs at index k (all-ones evaluation), exact."""
-        if k not in self._counts:
-            self._counts[k] = _dense.ssyt_count(self.outer_at(k), self.inner_at(k), self.n)
-        return self._counts[k]
 
     def eval_at(self, k: int, point: tuple[int, ...]) -> int:
         """Exact integer evaluation of term k at an integer point."""
@@ -282,8 +264,8 @@ def _residuals(seq: SchurSequence, weights: Sequence[IntVector], start: int, cou
     residuals.  Dense weight tables carry the chain when every term has one
     and |w| = |mu| - |nu| for every factor, so that x^w shifts a table inside
     the next; every intermediate l1 norm is at most 2^d times the largest
-    filling count, which decides between int64 and Python integers.  Sparse
-    polynomials carry it otherwise.
+    filling count, read off as the largest table total, which decides
+    between int64 and Python integers.  Sparse polynomials carry it otherwise.
     """
     n, d = seq.n, len(weights)
     if any(len(w) != n for w in weights):
@@ -292,7 +274,7 @@ def _residuals(seq: SchurSequence, weights: Sequence[IntVector], start: int, cou
     tables = [seq.term_table(k) for k in window]
     step = seq.mu.weight - seq.nu.weight
     if all(t is not None for t in tables) and all(sum(w) == step for w in weights):
-        bound = max((seq.count_at(k) for k in window), default=0) << d
+        bound = max((int(t.sum()) for t in tables), default=0) << d
         dtype = np.int64 if bound < _INT64_EXACT_LIMIT else object
         terms = [t.astype(dtype) for t in tables]  # copies: the chain runs in place
         for w in weights:
@@ -452,15 +434,18 @@ def _eval_monomial(point: tuple[int, ...], w: IntVector) -> int:
 # the conjectured minimal root set
 
 
+def _dominating(weights: Iterable[IntVector], mu: Partition, nu: Partition) -> list[IntVector]:
+    """The distinct weights whose decreasing rearrangement dominates that of
+    mu - nu, in canonical order."""
+    target = sort_decreasing(subtract(mu, nu))
+    return _dedupe_canonical([w for w in weights if dominates(sort_decreasing(w), target)])
+
+
 def conjectured_weights(mu: Partition, nu: Partition, n: int) -> list[IntVector]:
     """Weight vectors w with positive Kostka coefficient for mu/nu (the
-    support of its skew Schur polynomial) whose decreasing rearrangement
-    dominates that of mu - nu."""
-    if not contains(mu, nu):
-        raise ValueError("mu must contain nu")
-    target = sort_decreasing(subtract(mu, nu))
-    support = skew_schur(SkewShape(mu, nu), n).terms
-    return _dedupe_canonical([w for w in support if dominates(sort_decreasing(w), target)])
+    support of its skew Schur polynomial, which is the set of chi's roots)
+    whose decreasing rearrangement dominates that of mu - nu."""
+    return _dominating(char_poly(mu, nu, n).root_weights, mu, nu)
 
 
 @dataclass
@@ -516,7 +501,7 @@ def conjecture_check(
     chi = char_poly(mu, nu, n)
     cnt = chi.degree if count is None else count
     cnt = max(cnt, 1)
-    conj = conjectured_weights(mu, nu, n)
+    conj = _dominating(chi.root_weights, mu, nu)
     conj_poly = CharPoly(conj, n)
     cert = verify_certificate(seq, conj_poly, seq.r, cnt)
     if not cert.ok:
@@ -567,7 +552,7 @@ def polynomiality_check(mu: Partition, nu: Partition, n: int, kmax: int) -> Poly
     counts = [
         _dense.ssyt_count(scale(k, mu), scale(k, nu), n) for k in range(kmax + 1)
     ]
-    diffs = [c for c in counts]
+    diffs = counts
     newton = [counts[0]]
     order = 0
     while len(diffs) >= 2 and any(diffs):
@@ -579,5 +564,6 @@ def polynomiality_check(mu: Partition, nu: Partition, n: int, kmax: int) -> Poly
     # all differences of this order vanish; need at least 2 witnesses
     if len(diffs) < 2:
         return PolynomialityReport(counts, None, None, "INCONCLUSIVE", None)
-    degree = order - 1 if order > 0 else 0
-    return PolynomialityReport(counts, degree, order, f"POLYNOMIAL(degree={degree})", newton[:-1] or [counts[0]])
+    # counts[0] = 1 (the empty shape), so a vanishing order is at least 1
+    degree = order - 1
+    return PolynomialityReport(counts, degree, order, f"POLYNOMIAL(degree={degree})", newton[:-1])

@@ -32,6 +32,11 @@ def random_phases(radius, count, rng):
     return [radius * cmath.exp(1j * rng.uniform(0.0, 2 * math.pi)) for _ in range(count)]
 
 
+def cpoly(values):
+    """A ComplexPoly with the given coefficients, constant term first."""
+    return ComplexPoly(tuple(complex(v) for v in values))
+
+
 def multipoly_coefficients(seq, k, xs):
     """Reference collection over the MultiPoly seq.term(k), term by term in
     its own order, with the same complex arithmetic as specialize."""
@@ -80,6 +85,17 @@ class TestSpecialize:
         seq = build_sequence(P(), P(), P(2, 1), P(), 3)
         with pytest.raises(ValueError):
             specialize(seq, 1, [1.0, 2.0])
+
+    @pytest.mark.parametrize("radius", [1e-4, 1.0, 1e4, 1e5, 1e6])
+    def test_common_circle_is_relative(self, radius):
+        # random phases on one circle differ in modulus by rounding, which at
+        # large radii exceeds any absolute tolerance
+        seq = build_sequence(P(), P(), P(2, 1), P(), 3)
+        rng = random.Random(radius)
+        for _ in range(100):
+            assert specialize(seq, 2, random_phases(radius, 2, rng)).degree == 4
+        with pytest.raises(ValueError, match="common circle"):
+            specialize(seq, 2, [radius, radius * (1 + 1e-9)])
 
     def test_xi_length_checked(self):
         with pytest.raises(ValueError):
@@ -138,7 +154,7 @@ class TestSpecialize:
 
 class TestFindRoots:
     def test_quadratic_roots_of_unity(self):
-        roots = find_roots(ComplexPoly.from_coefficients([1, 1, 1]))
+        roots = find_roots(cpoly([1, 1, 1]))
         expected = sorted(
             [cmath.exp(2j * cmath.pi / 3), cmath.exp(-2j * cmath.pi / 3)],
             key=lambda z: (z.real, z.imag),
@@ -146,15 +162,15 @@ class TestFindRoots:
         assert all(abs(a - b) < 1e-9 for a, b in zip(roots, expected))
 
     def test_pure_power(self):
-        assert find_roots(ComplexPoly.from_coefficients([0, 0, 0, 1])) == [0j, 0j, 0j]
+        assert find_roots(cpoly([0, 0, 0, 1])) == [0j, 0j, 0j]
 
     def test_residuals_small(self):
-        p = ComplexPoly.from_coefficients([3, -2, 0, 5, 1])
+        p = cpoly([3, -2, 0, 5, 1])
         for z in find_roots(p):
             assert abs(p(z)) / p.coefficient_scale(abs(z)) < 1e-8
 
     def test_conjugate_closure_for_real_inputs(self):
-        p = ComplexPoly.from_coefficients([2, 0, 1, 1])
+        p = cpoly([2, 0, 1, 1])
         roots = find_roots(p)
         multiset = sorted((round(z.real, 9), round(z.imag, 9)) for z in roots)
         conjugated = sorted((round(z.real, 9), round(-z.imag, 9)) for z in roots)
@@ -162,19 +178,19 @@ class TestFindRoots:
 
     def test_constant_rejected(self):
         with pytest.raises(ValueError):
-            find_roots(ComplexPoly.from_coefficients([7]))
+            find_roots(cpoly([7]))
 
     def test_error_reports_sweeps_at_cap(self, monkeypatch):
         monkeypatch.setattr(asymptotics, "MAX_ITERATIONS", 2)
         with pytest.raises(RootConvergenceError, match=r"after 2 sweeps \(cap of 2 sweeps\)") as info:
-            find_roots(ComplexPoly.from_coefficients([3, -2, 0, 5, 1, 7, -1, 2]))
+            find_roots(cpoly([3, -2, 0, 5, 1, 7, -1, 2]))
         assert info.value.sweeps == 2
 
     def test_error_reports_sweeps_run(self, monkeypatch):
         # every root fails a residual bound of 0, after the sweep stopped by itself
         monkeypatch.setattr(asymptotics, "RESIDUAL_TOL", 0.0)
         with pytest.raises(RootConvergenceError) as info:
-            find_roots(ComplexPoly.from_coefficients([3, -2, 0, 5, 1]))
+            find_roots(cpoly([3, -2, 0, 5, 1]))
         err = info.value
         assert 0 < err.sweeps < asymptotics.MAX_ITERATIONS
         assert err.stop in ("steps converged", "stalled")

@@ -138,6 +138,12 @@ class TestExitCodes:
         result = run_cli(["roots", *args])
         assert result.returncode == 0, result.stderr
 
+    def test_roots_accept_xi_equal_in_modulus_up_to_rounding(self):
+        # |xi_1| = 10000 - 1.8e-12, one ulp below |xi_2|
+        xi = "9925.46151641322+1218.6934340514747j,10000"
+        result = run_cli(["roots", "--mu", "[2,1]", "--n", "3", "--xi", xi, "--kmax", "3"])
+        assert result.returncode == 0, result.stderr
+
     def test_negative_kmax_is_a_usage_error(self):
         result = run_cli(["polynomiality", "--mu", "[1]", "--n", "2", "--kmax", "-3"])
         assert result.returncode == 1

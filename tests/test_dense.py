@@ -15,7 +15,7 @@ from schurrec._dense import (
     weight_counts,
 )
 from schurrec.partitions import Partition, contains, partitions_up_to
-from schurrec.polynomials import skew_schur, skew_schur_jacobi_trudi
+from schurrec.polynomials import complete_homogeneous, skew_schur, skew_schur_jacobi_trudi
 from schurrec.recurrence import build_sequence
 from schurrec.tableaux import SkewShape, enumerate_tableaux
 
@@ -68,7 +68,7 @@ class TestWeightCounts:
     def test_int64_guard_refuses_and_terms_stay_exact(self):
         seq = build_sequence(P(), P(), P(2, 1), P(), 4)
         expected = skew_schur(seq.shape_at(3), 4)
-        with mock.patch.object(_dense, "_INT64_LIMIT", seq.count_at(3)):
+        with mock.patch.object(_dense, "_INT64_LIMIT", _dense.ssyt_count(seq.outer_at(3), seq.inner_at(3), 4)):
             with pytest.raises(UnsupportedShape):
                 weight_counts(seq.outer_at(3), seq.inner_at(3), 4)
             assert seq.term_table(3) is None
@@ -90,6 +90,16 @@ class TestWeightCounts:
 
 
 class TestIntegerEvaluation:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_h_table_matches_complete_homogeneous(self, n):
+        rng = random.Random(n)
+        points = [(0,) * n, (1,) * n, (-1,) * n] + [
+            tuple(rng.randrange(-7, 8) for _ in range(n)) for _ in range(20)
+        ]
+        for point in points:
+            table = _dense._h_int_table(point, 9)
+            assert table == [complete_homogeneous(m, n).eval(point) for m in range(10)]
+
     def test_counts(self):
         assert ssyt_count(P(2, 1), P(), 3) == 8
         assert ssyt_count(P(1), P(), 2) == 2

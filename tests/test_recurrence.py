@@ -4,7 +4,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from schurrec import _dense, recurrence
+from schurrec import _dense, polynomials, recurrence, tableaux
 from schurrec.partitions import Partition, contains, partitions_up_to
 from schurrec.polynomials import MultiPoly, complete_homogeneous, skew_schur
 from schurrec.recurrence import (
@@ -141,7 +141,7 @@ class TestBuildSequence:
         seq = build_sequence(P(), P(), P(2, 1), P(), 3)
         for k in range(3):
             poly = seq.term(k)
-            assert seq.count_at(k) == sum(poly.terms.values())
+            assert _dense.ssyt_count(seq.outer_at(k), seq.inner_at(k), 3) == sum(poly.terms.values())
             assert seq.eval_at(k, (2, 3, 5)) == poly.eval((2, 3, 5))
 
 
@@ -253,6 +253,22 @@ class TestFactorChain:
         ) as spy:
             assert list(recurrence._residuals(seq, weights, start, count)) == expected
         assert {call.args[0].dtype.name for call in spy.call_args_list} == dtypes
+
+    def test_int64_exactly_below_the_bound(self):
+        # the bound is 2^d times the largest filling count in the window, the
+        # largest table total: at that limit the chain runs in object, one
+        # above it in int64
+        seq = build_sequence(P(1), P(), P(2, 1), P(1), 3)
+        weights = char_poly(P(2, 1), P(1), 3).root_weights
+        start, count, d = seq.r, 2, len(weights)
+        window = range(start, start + count + d)
+        bound = max(_dense.ssyt_count(seq.outer_at(k), seq.inner_at(k), 3) for k in window) << d
+        for limit, dtype in ((bound, "object"), (bound + 1, "int64")):
+            with mock.patch.object(recurrence, "_INT64_EXACT_LIMIT", limit), mock.patch.object(
+                _dense, "counts_to_multipoly", wraps=_dense.counts_to_multipoly
+            ) as spy:
+                assert not any(recurrence._residuals(seq, weights, start, count))
+            assert {call.args[0].dtype.name for call in spy.call_args_list} == {dtype}
 
     def test_rejects_weights_of_the_wrong_length(self):
         seq = build_sequence(P(), P(), P(1), P(), 2)
@@ -508,6 +524,20 @@ class TestConjectureCheck:
         assert report.verdict == "REFUTED-MINIMALITY"
         assert report.annihilates and report.minimal_matches is False
         assert report.minimal_weights == [] and report.minimal_degree == 0
+
+    def test_enumerates_the_tableaux_of_mu_nu_once(self, monkeypatch):
+        shapes = []
+        real = tableaux.iter_tableaux
+
+        def spy(shape, n, *args, **kwargs):
+            shapes.append(shape)
+            return real(shape, n, *args, **kwargs)
+
+        for module in (tableaux, polynomials):
+            monkeypatch.setattr(module, "iter_tableaux", spy)
+        report = conjecture_check(P(1), P(), P(2, 1), P(1), 3)
+        assert report.verdict == "SUPPORTED"
+        assert shapes.count(SkewShape(P(2, 1), P(1))) == 1
 
     def test_report_payload(self):
         report = conjecture_check(P(), P(), P(1), P(), 2)
