@@ -33,9 +33,7 @@ def schur_in_m_basis(shape: SkewShape, n: int) -> dict[Partition, int]:
     """Positive coefficients K with skew_schur = sum K_w * m_w, keyed by partition."""
     boxes = shape.num_boxes
     out: dict[Partition, int] = {}
-    for lam in partitions_up_to(boxes, n):
-        if lam.weight != boxes:
-            continue
+    for lam in partitions_up_to(boxes, n, exact=True):
         k = kostka(shape, tuple(lam[i] for i in range(n)))
         if k:
             out[lam] = k

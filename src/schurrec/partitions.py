@@ -169,16 +169,23 @@ def format_partition(p: Partition) -> str:
     return "[" + ",".join(str(x) for x in p.parts) + "]"
 
 
-def partitions_up_to(max_weight: int, max_length: int, max_part: Optional[int] = None) -> list[Partition]:
-    """All partitions with weight <= max_weight, length <= max_length, parts <= max_part."""
+def partitions_up_to(
+    max_weight: int, max_length: int, max_part: Optional[int] = None, *, exact: bool = False
+) -> list[Partition]:
+    """All partitions with weight <= max_weight (== max_weight when exact),
+    length <= max_length, parts <= max_part; exact lists the same
+    partitions in the same order as filtering by weight would."""
     cap = max_weight if max_part is None else max_part
     out: list[Partition] = []
 
     def rec(prefix: list[int], remaining: int, top: int) -> None:
-        out.append(Partition(prefix))
+        if not exact or remaining == 0:
+            out.append(Partition(prefix))
         if len(prefix) == max_length:
             return
         for p in range(min(top, remaining), 0, -1):
+            if exact and p * (max_length - len(prefix)) < remaining:
+                break  # parts of at most p no longer reach max_weight
             prefix.append(p)
             rec(prefix, remaining - p, p)
             prefix.pop()

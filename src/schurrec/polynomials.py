@@ -131,9 +131,6 @@ class MultiPoly:
     def is_zero(self) -> bool:
         return not self._terms
 
-    def total_degree(self) -> int:
-        return max((sum(e) for e in self._terms), default=0)
-
     def degree_in(self, var: int) -> int:
         return max((e[var] for e in self._terms), default=0)
 
@@ -156,19 +153,6 @@ class MultiPoly:
                     v = v * x**p
             total = total + v
         return total
-
-    def swap_variables(self, i: int, j: int) -> "MultiPoly":
-        terms: dict[Exponent, int] = {}
-        for e, c in self._terms.items():
-            le = list(e)
-            le[i], le[j] = le[j], le[i]
-            terms[tuple(le)] = c
-        return MultiPoly(self.nvars, terms)
-
-    def is_symmetric(self) -> bool:
-        return all(
-            self.swap_variables(i, i + 1) == self for i in range(self.nvars - 1)
-        )
 
     # -- serialization -----------------------------------------------------
     def to_json_obj(self) -> dict:

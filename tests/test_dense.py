@@ -5,6 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from schurrec import _dense
 from schurrec._dense import (
@@ -87,6 +88,125 @@ class TestWeightCounts:
     def test_empty_shape(self):
         table = weight_counts(P(), P(), 3)
         assert table.shape == (1, 1) and int(table[0, 0]) == 1
+
+
+def rows_shape(rows):
+    """outer, inner of the skew shape whose rows, bottom row first, are
+    (length, link) pairs; link says how a row meets the row below it:
+    "apart" (a column between), "touch" (at a corner) or "share" (one
+    common column).  A row sharing with a wider row below is widened."""
+    outer, inner = [], []
+    lo = hi = 0
+    for length, link in rows:
+        start = {"apart": hi + 1, "touch": hi, "share": max(lo, hi - 1)}[link]
+        lo, hi = start, max(start + length, hi)
+        inner.insert(0, lo)
+        outer.insert(0, hi)
+    return Partition(outer), Partition(inner)
+
+
+def unsplit_table(outer, inner, n):
+    rows = max(len(outer), 1)
+    return _dense._chain_counts(_dense._padded(outer, rows), _dense._padded(inner, rows), n)
+
+
+@st.composite
+def stretched_isolated_st(draw):
+    """A small shape stretched by k, the k keeping every row at most 80
+    boxes and the chain engine's middle shapes on the unsplit shape few."""
+    rows = draw(st.lists(st.tuples(st.integers(0, 4), st.sampled_from(["apart", "touch", "share"])), min_size=1, max_size=5))
+    outer, inner = rows_shape(rows)
+    lengths = [outer[r] - inner[r] for r in range(len(outer))]
+
+    def cost(k):
+        return np.prod([k * length + 1 for length in lengths])
+
+    kmax = max([k for k in range(1, 21) if k * max(lengths, default=0) <= 80 and cost(k) <= 20000], default=1)
+    k = draw(st.integers(1, kmax))
+    return Partition([k * p for p in outer]), Partition([k * p for p in inner])
+
+
+class TestIsolatedRows:
+    """Rows sharing no column with a neighbour are h_m factors; the tables
+    built that way must equal the chain engine's on the whole shape."""
+
+    @given(stretched_isolated_st(), st.integers(1, 4), st.tuples(*[st.integers(-3, 3)] * 4))
+    @settings(deadline=None, max_examples=60)
+    def test_stretched_shapes_match_chain_engine_and_jacobi_trudi(self, shape, n, point):
+        outer, inner = shape
+        table = weight_counts(outer, inner, n)
+        expected = unsplit_table(outer, inner, n)
+        assert table.dtype == np.int64 and table.shape == expected.shape
+        assert np.array_equal(table, expected)
+        poly = counts_to_multipoly(table, n, outer.weight - inner.weight)
+        assert poly.eval(point[:n]) == schur_int_eval(outer, inner, point[:n])
+
+    @pytest.mark.parametrize(
+        "outer,inner,isolated",
+        [
+            (P(40, 20, 10), P(20, 10), [True, True, True]),  # empty rest
+            (P(30, 12, 12, 12, 6, 2), P(12, 12, 12, 5, 1), [True, True, True, False, False, False]),  # first, empty rows
+            (P(20, 18, 9, 5, 5, 3), P(15, 9, 5, 5, 2), [False, False, True, True, False, False]),  # middle, empty row
+            (P(20, 18, 9, 9), P(15, 9, 9), [False, False, True, True]),  # empty row, then last
+        ],
+    )
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_isolated_first_middle_and_last_rows(self, outer, inner, isolated, n):
+        rows = len(outer)
+        assert _dense._isolated_rows(_dense._padded(outer, rows), _dense._padded(inner, rows)) == isolated
+        table = weight_counts(outer, inner, n)
+        assert np.array_equal(table, unsplit_table(outer, inner, n))
+
+    @pytest.mark.parametrize(
+        "outer,inner,isolated",
+        [
+            (P(6, 4, 2), P(4, 2), [True, True, True]),  # every row touches the next at a corner
+            (P(6, 4, 2), P(4, 1), [True, False, False]),  # rows 1 and 2 share column 1
+            (P(6, 4, 2), P(3, 2), [False, False, True]),  # rows 0 and 1 share column 3
+            (P(6, 4, 2), P(3, 1), [False, False, False]),
+        ],
+    )
+    def test_column_boundary(self, outer, inner, isolated):
+        assert _dense._isolated_rows(_dense._padded(outer, 3), _dense._padded(inner, 3)) == isolated
+        for n in (2, 3, 4):
+            table = weight_counts(outer, inner, n)
+            assert np.array_equal(table, unsplit_table(outer, inner, n))
+            poly = counts_to_multipoly(table, n, outer.weight - inner.weight)
+            assert poly == skew_schur(SkewShape(outer, inner), n)
+
+    def test_int64_guard_serves_every_count_below_the_limit(self):
+        # the filter's intermediates are at most the table's total, so the
+        # limit just above the filling count is enough, for a rest too
+        for outer, inner in [(P(9, 5, 2), P(5, 2)), (P(9, 5, 4, 2), P(5, 3, 1))]:
+            total = ssyt_count(outer, inner, 4)
+            with mock.patch.object(_dense, "_INT64_LIMIT", total + 1):
+                assert int(weight_counts(outer, inner, 4).sum()) == total
+            with mock.patch.object(_dense, "_INT64_LIMIT", total):
+                with pytest.raises(UnsupportedShape):
+                    weight_counts(outer, inner, 4)
+
+    def test_all_isolated_shape_lists_no_middle_shape(self):
+        spy = mock.Mock(wraps=_dense._partitions_between)
+        with mock.patch.object(_dense, "_partitions_between", spy):
+            weight_counts(P(120, 40, 1), P(40, 2), 3)
+            weight_counts(P(16, 8, 8, 3), P(8, 8, 3), 4)
+            assert spy.call_count == 0
+            weight_counts(P(16, 8, 8, 3), P(8, 7, 3), 4)
+            assert spy.call_count == 1
+
+    @pytest.mark.parametrize("d", [0, 1, 2, 3])
+    def test_simplex_filter_matches_direct_sum(self, d):
+        rng = np.random.default_rng(d)
+        for width in range(1, 7):
+            inside = sum(np.ogrid[(slice(width),) * d], 0) < width
+            for m in range(width + 2):
+                x = rng.integers(0, 50, (width,) * d) * inside
+                expected = np.zeros_like(x)
+                for t in zip(*np.nonzero(inside)) if d else [()]:
+                    for u in np.ndindex(*(m + 1,) * d):
+                        if sum(u) <= m and all(a >= b for a, b in zip(t, u)):
+                            expected[t] += x[tuple(a - b for a, b in zip(t, u))]
+                assert np.array_equal(_dense._simplex_filter(x, m, d) * inside, expected)
 
 
 class TestIntegerEvaluation:

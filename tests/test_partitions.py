@@ -76,6 +76,18 @@ class TestContains:
                     assert contains(a, c)
 
 
+class TestPartitionsUpTo:
+    @pytest.mark.parametrize("max_weight,max_length,max_part", [(0, 3, None), (6, 6, None), (7, 3, None), (12, 4, None), (9, 3, 4), (5, 2, 1)])
+    def test_exact_lists_the_weight_in_the_same_order(self, max_weight, max_length, max_part):
+        every = partitions_up_to(max_weight, max_length, max_part)
+        exact = partitions_up_to(max_weight, max_length, max_part, exact=True)
+        assert exact == [p for p in every if p.weight == max_weight]
+
+    def test_exact_lists_only_that_weight(self):
+        assert len(partitions_up_to(12, 4)) == 155
+        assert len(partitions_up_to(12, 4, exact=True)) == 34
+
+
 class TestDominates:
     def test_examples(self):
         assert dominates((2, 1, 1), (1, 1, 1, 1))

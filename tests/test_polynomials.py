@@ -28,6 +28,19 @@ def P(*parts):
     return Partition(parts)
 
 
+def total_degree(p: MultiPoly) -> int:
+    """The largest exponent sum of p's terms (0 for the zero polynomial)."""
+    return max((sum(e) for e in p.terms), default=0)
+
+
+def is_symmetric(p: MultiPoly) -> bool:
+    """Whether every swap of adjacent variables leaves p unchanged."""
+    def swapped(i):
+        return {e[:i] + (e[i + 1], e[i]) + e[i + 2 :]: c for e, c in p.terms.items()}
+
+    return all(swapped(i) == p.terms for i in range(p.nvars - 1))
+
+
 def poly_st(nvars=2):
     term = st.tuples(
         st.tuples(*[st.integers(min_value=0, max_value=4)] * nvars),
@@ -116,7 +129,7 @@ class TestWeightMonomial:
                     shapes.append(SkewShape(outer, inner))
         ts = [t for s in shapes for t in enumerate_tableaux(s, 2)]
         for a in ts:
-            assert weight_monomial(a).total_degree() == a.shape.num_boxes
+            assert total_degree(weight_monomial(a)) == a.shape.num_boxes
             for b in ts:
                 assert weight_monomial(insert(a, b)) == weight_monomial(a) * weight_monomial(b)
 
@@ -140,7 +153,7 @@ class TestSkewSchur:
             (P(2, 2), P(), 2),
             (P(4, 2, 1), P(2, 1), 3),
         ]:
-            assert skew_schur(SkewShape(outer, inner), n).is_symmetric()
+            assert is_symmetric(skew_schur(SkewShape(outer, inner), n))
 
     def test_count_matches_enumeration(self):
         for outer, inner, n in [(P(2, 1), P(), 3), (P(3, 2), P(1), 2)]:
