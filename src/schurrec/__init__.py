@@ -1,5 +1,14 @@
 """Exact recurrences, minimal annihilators and root asymptotics for
-stretched skew Schur polynomial sequences."""
+stretched skew Schur polynomial sequences.
+
+The tableau side (partitions, tableaux, polynomials, kostka) needs no
+arrays and is imported here.  The engine names, those of `recurrence` and
+`asymptotics` and the two modules themselves, load their module on first
+access, so `import schurrec` and the table-free commands of `schurrec.cli`
+do not import numpy.  `recurrence` itself imports `_dense`, and with it
+numpy, at its top: whoever imports the engine pays numpy there, before
+its first computation, not inside one.
+"""
 
 from .partitions import (
     IntVector,
@@ -48,36 +57,36 @@ from .kostka import (
     schur_in_m_basis,
     stretch_positivity_check,
 )
-from .recurrence import (
-    CharPoly,
-    ConjectureReport,
-    InvalidFamilyError,
-    MinimalReport,
-    PolynomialityReport,
-    SchurSequence,
-    VerifyResult,
-    berlekamp_massey,
-    build_sequence,
-    char_poly,
-    conjecture_check,
-    conjectured_weights,
-    minimal_report,
-    polynomiality_check,
-    verify_certificate,
-    verify_recurrence,
-)
-from .asymptotics import (
-    ComplexPoly,
-    DegenerateSpecialization,
-    ExperimentResult,
-    RootCloud,
-    RootConvergenceError,
-    clouds_to_csv,
-    find_roots,
-    limit_experiment,
-    specialize,
-)
+# The names __getattr__ serves, by the engine module that defines them.
+_LAZY = {
+    "recurrence": (
+        "CharPoly", "ConjectureReport", "InvalidFamilyError", "MinimalReport", "PolynomialityReport",
+        "SchurSequence", "VerifyResult", "berlekamp_massey", "build_sequence", "char_poly",
+        "conjecture_check", "conjectured_weights", "minimal_report", "polynomiality_check",
+        "verify_certificate", "verify_recurrence",
+    ),
+    "asymptotics": (
+        "ComplexPoly", "DegenerateSpecialization", "ExperimentResult", "RootCloud", "RootConvergenceError",
+        "clouds_to_csv", "find_roots", "limit_experiment", "specialize",
+    ),
+}
+_HOME = {name: module for module, names in _LAZY.items() for name in (module, *names)}
+
+
+def __getattr__(name: str):
+    home = _HOME.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    module = import_module(f".{home}", __name__)
+    return module if name == home else getattr(module, name)
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_HOME))
+
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = sorted({name for name in globals() if not name.startswith("_")} | set(_HOME))

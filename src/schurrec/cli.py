@@ -4,6 +4,10 @@ Every run echoes its resolved configuration at the top of the output
 (a "config" key in JSON, a leading comment line otherwise).  Exit codes:
 0 success / SUPPORTED, 1 usage error, 2 mathematical refutation (with a
 certificate on stdout), 3 internal error (one line on stderr).
+
+The handlers that build weight tables import the engine (`recurrence`,
+`asymptotics` and with them numpy) when they run, so the tableau commands
+start without it.
 """
 from __future__ import annotations
 
@@ -12,18 +16,9 @@ import json
 import sys
 from typing import Optional, Sequence
 
-from .asymptotics import clouds_to_csv, limit_experiment
 from .kostka import kostka, schur_in_m_basis
 from .partitions import Partition, format_partition, parse_partition
 from .polynomials import skew_schur
-from .recurrence import (
-    build_sequence,
-    char_poly,
-    conjecture_check,
-    minimal_report,
-    polynomiality_check,
-    verify_certificate,
-)
 from .tableaux import SkewShape, Tableau, enumerate_tableaux, insert
 
 USAGE_ERROR = 1
@@ -130,13 +125,24 @@ def _emit(args: argparse.Namespace, code: int, payload: dict, text: Optional[str
     return code
 
 
+def _entries(option: str, text: str, tokens: list[str], convert, kind: str) -> list:
+    """Convert the tokens of an option's raw string, which the config echo
+    keeps; a bad token is a usage error naming the option."""
+    values = []
+    for tok in tokens:
+        try:
+            values.append(convert(tok))
+        except ValueError:
+            raise ValueError(f"argument {option}: expected {kind}, got {tok!r} in {text!r}") from None
+    return values
+
+
 def _parse_weight(text: str) -> tuple[int, ...]:
     s = text.strip()
     if s.startswith("[") and s.endswith("]"):
         s = s[1:-1]
-    if not s.strip():
-        return ()
-    return tuple(int(tok) for tok in s.split(","))
+    tokens = s.split(",") if s.strip() else []
+    return tuple(_entries("--weight", text, tokens, int, "an integer"))
 
 
 def _family(args) -> tuple:
@@ -166,12 +172,16 @@ def _insert(args):
 
 def _char_poly(args):
     """characteristic polynomial of a stretch shape"""
+    from .recurrence import char_poly
+
     chi = char_poly(args.mu, args.nu, args.n)
     return 0, {"char_poly": chi.to_json_obj()}, f"\n{chi}\n"
 
 
 def _verify(args):
     """verify the recurrence on a stretched family"""
+    from .recurrence import build_sequence, char_poly, verify_certificate
+
     seq = build_sequence(*_family(args))
     chi = char_poly(args.mu, args.nu, args.n)
     start = seq.r if args.r_override is None else args.r_override
@@ -192,6 +202,8 @@ def _verify(args):
 
 def _minimal(args):
     """minimal characteristic polynomial of a family"""
+    from .recurrence import build_sequence, char_poly, minimal_report, verify_certificate
+
     seq = build_sequence(*_family(args))
     chi = char_poly(args.mu, args.nu, args.n)
     rep = minimal_report(seq, chi, seed=args.seed)
@@ -228,12 +240,16 @@ def _m_basis(args):
 
 def _conjecture(args):
     """minimal-recurrence conjecture check for a family"""
+    from .recurrence import conjecture_check
+
     report = conjecture_check(*_family(args), count=args.count, seed=args.seed)
     return (0 if report.verdict == "SUPPORTED" else REFUTED), report.to_json_obj(), None
 
 
 def _polynomiality(args):
     """finite-difference polynomiality of filling counts"""
+    from .recurrence import polynomiality_check
+
     report = polynomiality_check(args.mu, args.nu, args.n, args.kmax)
     payload = report.to_json_obj()
     payload["family"] = {"mu": format_partition(args.mu), "nu": format_partition(args.nu), "n": args.n}
@@ -242,10 +258,14 @@ def _polynomiality(args):
 
 def _roots(args):
     """root clouds of circle specializations"""
+    from .asymptotics import clouds_to_csv, limit_experiment
+    from .recurrence import build_sequence
+
     if (args.xi is None) == (args.xi_radius is None):
         raise ValueError("exactly one of --xi / --xi-radius is required")
     if args.xi is not None:
-        xi = [complex(tok) for tok in args.xi.split(",") if tok.strip()]
+        tokens = [tok for tok in args.xi.split(",") if tok.strip()]
+        xi = _entries("--xi", args.xi, tokens, complex, "a complex number")
     else:
         xi = [complex(args.xi_radius, 0.0)] * (args.n - 1)
     result = limit_experiment(build_sequence(*_family(args)), xi, args.kmax)
