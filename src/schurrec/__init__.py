@@ -42,7 +42,9 @@ from .tableaux import (
     weight,
 )
 from .polynomials import (
+    CharPoly,
     MultiPoly,
+    char_poly,
     complete_homogeneous,
     eval_all_ones,
     monomial_symmetric,
@@ -60,10 +62,9 @@ from .kostka import (
 # The names __getattr__ serves, by the engine module that defines them.
 _LAZY = {
     "recurrence": (
-        "CharPoly", "ConjectureReport", "InvalidFamilyError", "MinimalReport", "PolynomialityReport",
-        "SchurSequence", "VerifyResult", "berlekamp_massey", "build_sequence", "char_poly",
-        "conjecture_check", "conjectured_weights", "minimal_report", "polynomiality_check",
-        "verify_certificate", "verify_recurrence",
+        "ConjectureReport", "InvalidFamilyError", "MinimalReport", "PolynomialityReport", "SchurSequence",
+        "VerifyResult", "berlekamp_massey", "build_sequence", "conjecture_check", "conjectured_weights",
+        "minimal_report", "polynomiality_check", "verify_certificate", "verify_recurrence",
     ),
     "asymptotics": (
         "ComplexPoly", "DegenerateSpecialization", "ExperimentResult", "RootCloud", "RootConvergenceError",

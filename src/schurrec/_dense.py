@@ -11,16 +11,18 @@ other rows are counted through chains of horizontal strips (the branching
 rule); split at the middle shape, the two halves range over coordinatewise
 boxes, so the counts reduce to lattice-point counts of boxes sliced by
 coordinate sum.  The arithmetic is int64 only, guarded by the exact total
-count computed up front.
+count computed up front; a count at the limit is refused, not enumerated.
 """
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
-from .partitions import Partition
+from .partitions import IntVector, Partition
 from .polynomials import MultiPoly
 
-# every table entry and intermediate is at most the filling count
+# int64 is exact below this; tables and chains bound every entry under it
 _INT64_LIMIT = 1 << 63
 _CHUNK_CELLS = 1 << 13
 
@@ -182,7 +184,7 @@ def _simplex_filter(x: np.ndarray, m: int, d: int) -> np.ndarray:
 
 def weight_counts(outer: Partition, inner: Partition, n: int) -> np.ndarray:
     """Dense weight table for n <= 4 letters and any number of rows; raises
-    UnsupportedShape for other n or a filling count at the int64 limit.
+    UnsupportedShape for other n and ValueError at the int64 limit.
 
     A row that shares no column with its neighbours is a factor h_m of the
     skew Schur polynomial, m its length.  The table of the rest, the shape
@@ -204,7 +206,7 @@ def weight_counts(outer: Partition, inner: Partition, n: int) -> np.ndarray:
         raise UnsupportedShape(f"dense engine is limited to 1..4 letters, got n={n}")
     total = ssyt_count(outer, inner, n)
     if total >= _INT64_LIMIT:
-        raise UnsupportedShape(f"{total} fillings reach the int64 limit")
+        raise ValueError(f"{total} fillings reach the int64 limit {_INT64_LIMIT}; refused")
     rows = max(len(outer), 1)
     lam, mu = _padded(outer, rows), _padded(inner, rows)
     isolated = _isolated_rows(lam, mu)
@@ -268,6 +270,21 @@ def _chain_counts(lam: tuple[int, ...], mu: tuple[int, ...], n: int) -> np.ndarr
     return K.reshape((D + 1,) * (n - 1))
 
 
+def factor_chain(tables: list[np.ndarray], weights: Sequence[IntVector]) -> list[np.ndarray]:
+    """The residual tables of prod_w (E - x^w), E the index shift, on a
+    window of term tables: U_k <- U_{k+1} - x^w * U_k, x^w shifting a table
+    by the first n - 1 entries of w.  Every intermediate l1 norm is at most
+    2^d times the largest table total, which keeps the chain in int64 when
+    that bound is below the int64 limit, else in Python integers."""
+    bound = max((int(t.sum()) for t in tables), default=0) << len(weights)
+    dtype = np.int64 if bound < _INT64_LIMIT else object
+    terms = [t.astype(dtype) for t in tables]  # copies: the chain runs in place
+    for w in weights:
+        # from the top down, the buffer of U_{k+1} becomes the new U_k
+        for lo, hi in zip(terms[-2::-1], terms[:0:-1]):
+            hi[tuple(slice(o, o + s) for o, s in zip(w, lo.shape))] -= lo
+        del terms[0]
+    return terms
 
 
 def counts_to_multipoly(arr: np.ndarray, n: int, total_boxes: int) -> MultiPoly:

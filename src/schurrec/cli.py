@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 
 from .kostka import kostka, schur_in_m_basis
 from .partitions import Partition, format_partition, parse_partition
-from .polynomials import skew_schur
+from .polynomials import char_poly, skew_schur
 from .tableaux import SkewShape, Tableau, enumerate_tableaux, insert
 
 USAGE_ERROR = 1
@@ -125,11 +125,13 @@ def _emit(args: argparse.Namespace, code: int, payload: dict, text: Optional[str
     return code
 
 
-def _entries(option: str, text: str, tokens: list[str], convert, kind: str) -> list:
-    """Convert the tokens of an option's raw string, which the config echo
-    keeps; a bad token is a usage error naming the option."""
+def _entries(option: str, text: str, body: str, convert, kind: str) -> list:
+    """Convert the comma-separated entries of body, an option's raw string
+    text less any brackets (the config echo keeps text).  A blank body has
+    no entries; a bad entry, an empty one too, is a usage error naming the
+    option."""
     values = []
-    for tok in tokens:
+    for tok in body.split(",") if body.strip() else []:
         try:
             values.append(convert(tok))
         except ValueError:
@@ -141,8 +143,7 @@ def _parse_weight(text: str) -> tuple[int, ...]:
     s = text.strip()
     if s.startswith("[") and s.endswith("]"):
         s = s[1:-1]
-    tokens = s.split(",") if s.strip() else []
-    return tuple(_entries("--weight", text, tokens, int, "an integer"))
+    return tuple(_entries("--weight", text, s, int, "an integer"))
 
 
 def _family(args) -> tuple:
@@ -172,15 +173,13 @@ def _insert(args):
 
 def _char_poly(args):
     """characteristic polynomial of a stretch shape"""
-    from .recurrence import char_poly
-
     chi = char_poly(args.mu, args.nu, args.n)
     return 0, {"char_poly": chi.to_json_obj()}, f"\n{chi}\n"
 
 
 def _verify(args):
     """verify the recurrence on a stretched family"""
-    from .recurrence import build_sequence, char_poly, verify_certificate
+    from .recurrence import build_sequence, verify_certificate
 
     seq = build_sequence(*_family(args))
     chi = char_poly(args.mu, args.nu, args.n)
@@ -202,7 +201,7 @@ def _verify(args):
 
 def _minimal(args):
     """minimal characteristic polynomial of a family"""
-    from .recurrence import build_sequence, char_poly, minimal_report, verify_certificate
+    from .recurrence import build_sequence, minimal_report, verify_certificate
 
     seq = build_sequence(*_family(args))
     chi = char_poly(args.mu, args.nu, args.n)
@@ -264,8 +263,7 @@ def _roots(args):
     if (args.xi is None) == (args.xi_radius is None):
         raise ValueError("exactly one of --xi / --xi-radius is required")
     if args.xi is not None:
-        tokens = [tok for tok in args.xi.split(",") if tok.strip()]
-        xi = _entries("--xi", args.xi, tokens, complex, "a complex number")
+        xi = _entries("--xi", args.xi, args.xi, complex, "a complex number")
     else:
         xi = [complex(args.xi_radius, 0.0)] * (args.n - 1)
     result = limit_experiment(build_sequence(*_family(args)), xi, args.kmax)

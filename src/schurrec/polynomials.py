@@ -1,6 +1,7 @@
 """Exact sparse multivariate polynomials over the integers, and the symmetric
 polynomials built from tableaux: skew Schur, monomial symmetric, complete
-homogeneous, plus the Jacobi-Trudi determinant as an independent oracle.
+homogeneous, plus the Jacobi-Trudi determinant as an independent oracle;
+and chi(t), the product of (t - x^w) over the tableaux of a shape.
 """
 from __future__ import annotations
 
@@ -8,9 +9,9 @@ import json
 from functools import lru_cache
 from itertools import permutations
 from types import MappingProxyType
-from typing import Mapping, Sequence
+from typing import Mapping, Optional, Sequence
 
-from .partitions import Partition
+from .partitions import IntVector, Partition, contains
 from .tableaux import SkewShape, Tableau, iter_tableaux, weight
 
 Exponent = tuple[int, ...]
@@ -284,3 +285,78 @@ def monomial_symmetric(lam: Partition, n: int) -> MultiPoly:
 
 def eval_all_ones(p: MultiPoly) -> int:
     return sum(p.terms.values())
+
+
+class CharPoly:
+    """Monic polynomial prod_w (t - x^w) in the shift symbol t.
+
+    root_weights lists the weight vectors w of the linear factors, with
+    multiplicity.  coeffs[j], their expansion into MultiPoly coefficients, is
+    the coefficient of t^j; it is built on first use, since the recurrence
+    checks apply the factors one at a time.  The recurrence it encodes is
+    sum_j coeffs[j] * s_{k+j} = 0.
+    """
+
+    __slots__ = ("nvars", "root_weights", "_coeffs")
+
+    def __init__(self, root_weights: Sequence[IntVector], nvars: int):
+        self.nvars = nvars
+        self.root_weights = tuple(tuple(w) for w in root_weights)
+        self._coeffs: Optional[tuple[MultiPoly, ...]] = None
+
+    @classmethod
+    def from_root_weights(cls, weights: Sequence[IntVector], nvars: int) -> "CharPoly":
+        """The same as CharPoly(weights, nvars)."""
+        return cls(weights, nvars)
+
+    @property
+    def coeffs(self) -> tuple[MultiPoly, ...]:
+        if self._coeffs is None:
+            zero, coeffs = [MultiPoly.zero(self.nvars)], [MultiPoly.one(self.nvars)]
+            for w in self.root_weights:  # times (t - x^w); t shifts the coefficients up
+                mono = MultiPoly.monomial(w)
+                coeffs = [up - mono * c for up, c in zip(zero + coeffs, coeffs + zero)]
+            self._coeffs = tuple(coeffs)
+        return self._coeffs
+
+    @property
+    def degree(self) -> int:
+        return len(self.root_weights)
+
+    def __eq__(self, other: object) -> bool:
+        # Z[x][t] factors uniquely, so the root multisets decide equality
+        if isinstance(other, CharPoly):
+            return self.nvars == other.nvars and sorted(self.root_weights) == sorted(other.root_weights)
+        return NotImplemented
+
+    def __str__(self) -> str:
+        parts = []
+        for j in range(self.degree, -1, -1):
+            c = self.coeffs[j]
+            if c.is_zero():
+                continue
+            tpow = "t" if j == 1 else (f"t^{j}" if j else "")
+            if j == self.degree:
+                parts.append(tpow or "1")
+            else:
+                body = str(c)
+                wrapped = body if c.num_terms() == 1 and not body.startswith("-") else f"({body})"
+                parts.append(f"+ {wrapped}" + (f"*{tpow}" if tpow else ""))
+        return " ".join(parts) if parts else "1"
+
+    __repr__ = __str__
+
+    def to_json_obj(self) -> dict:
+        return {
+            "nvars": self.nvars,
+            "degree": self.degree,
+            "coeffs": [c.to_json_obj() for c in self.coeffs],
+            "root_weights": [list(w) for w in self.root_weights],
+        }
+
+
+def char_poly(mu: Partition, nu: Partition, n: int) -> CharPoly:
+    """chi(t): the product of (t - x^w(T)) over all tableaux of mu/nu."""
+    if not contains(mu, nu):
+        raise ValueError("mu must contain nu")
+    return CharPoly([weight(t) for t in iter_tableaux(SkewShape(mu, nu), n)], n)

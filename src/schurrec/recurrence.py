@@ -1,7 +1,7 @@
 """Linear recurrences for stretched skew Schur polynomial sequences.
 
-Builds the characteristic polynomial chi(t) as the product of (t - x^w) over
-all tableaux of the ground shape, verifies the recurrence exactly on sequence
+Verifies the recurrence of chi(t), the product of (t - x^w) over all
+tableaux of the ground shape (polynomials.char_poly), exactly on sequence
 terms, extracts the minimal annihilator of product form, and exposes the
 conjectured minimal root set driven by Kostka positivity and domination.
 Berlekamp-Massey on integer specializations names the roots of the minimal
@@ -9,9 +9,10 @@ annihilator, and one exact factor chain certifies them.
 
 Verification is exact throughout.  Residuals come from applying the linear
 factors of chi one at a time.  For n <= 4 letters and any number of rows
-they run on dense weight tables, in int64 under an a-priori bound that rules
-out overflow and in Python integers above it; n >= 5 falls back to sparse
-exact polynomials.
+they run on dense weight tables (_dense.factor_chain), in int64 under an
+a-priori bound that rules out overflow and in Python integers above it; a
+term with a filling count at the int64 limit is refused, and n >= 5 falls
+back to sparse exact polynomials.
 """
 from __future__ import annotations
 
@@ -19,8 +20,6 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Sequence
-
-import numpy as np
 
 from . import _dense
 from .partitions import (
@@ -35,97 +34,12 @@ from .partitions import (
     stretch_violation,
     subtract,
 )
-from .polynomials import MultiPoly, skew_schur
-from .tableaux import (
-    SkewShape,
-    enumerate_tableaux,
-    first_enclosing_index,
-    stabilization_index,
-    weight,
-)
+from .polynomials import CharPoly, MultiPoly, char_poly, skew_schur
+from .tableaux import SkewShape, first_enclosing_index, stabilization_index
 
 
 class InvalidFamilyError(ValueError):
     """The four partitions do not define an eventually-valid stretched family."""
-
-
-# ---------------------------------------------------------------------------
-# characteristic polynomials
-
-
-class CharPoly:
-    """Monic polynomial prod_w (t - x^w) in the shift symbol t.
-
-    root_weights lists the weight vectors w of the linear factors, with
-    multiplicity.  coeffs[j], their expansion into MultiPoly coefficients, is
-    the coefficient of t^j; it is built on first use, since the recurrence
-    checks apply the factors one at a time.  The recurrence it encodes is
-    sum_j coeffs[j] * s_{k+j} = 0.
-    """
-
-    __slots__ = ("nvars", "root_weights", "_coeffs")
-
-    def __init__(self, root_weights: Sequence[IntVector], nvars: int):
-        self.nvars = nvars
-        self.root_weights = tuple(tuple(w) for w in root_weights)
-        self._coeffs: Optional[tuple[MultiPoly, ...]] = None
-
-    @classmethod
-    def from_root_weights(cls, weights: Sequence[IntVector], nvars: int) -> "CharPoly":
-        """The same as CharPoly(weights, nvars)."""
-        return cls(weights, nvars)
-
-    @property
-    def coeffs(self) -> tuple[MultiPoly, ...]:
-        if self._coeffs is None:
-            zero, coeffs = [MultiPoly.zero(self.nvars)], [MultiPoly.one(self.nvars)]
-            for w in self.root_weights:  # times (t - x^w); t shifts the coefficients up
-                mono = MultiPoly.monomial(w)
-                coeffs = [up - mono * c for up, c in zip(zero + coeffs, coeffs + zero)]
-            self._coeffs = tuple(coeffs)
-        return self._coeffs
-
-    @property
-    def degree(self) -> int:
-        return len(self.root_weights)
-
-    def __eq__(self, other: object) -> bool:
-        # Z[x][t] factors uniquely, so the root multisets decide equality
-        if isinstance(other, CharPoly):
-            return self.nvars == other.nvars and sorted(self.root_weights) == sorted(other.root_weights)
-        return NotImplemented
-
-    def __str__(self) -> str:
-        parts = []
-        for j in range(self.degree, -1, -1):
-            c = self.coeffs[j]
-            if c.is_zero():
-                continue
-            tpow = "t" if j == 1 else (f"t^{j}" if j else "")
-            if j == self.degree:
-                parts.append(tpow or "1")
-            else:
-                body = str(c)
-                wrapped = body if c.num_terms() == 1 and not body.startswith("-") else f"({body})"
-                parts.append(f"+ {wrapped}" + (f"*{tpow}" if tpow else ""))
-        return " ".join(parts) if parts else "1"
-
-    __repr__ = __str__
-
-    def to_json_obj(self) -> dict:
-        return {
-            "nvars": self.nvars,
-            "degree": self.degree,
-            "coeffs": [c.to_json_obj() for c in self.coeffs],
-            "root_weights": [list(w) for w in self.root_weights],
-        }
-
-
-def char_poly(mu: Partition, nu: Partition, n: int) -> CharPoly:
-    """chi(t): the product of (t - x^w(T)) over all tableaux of mu/nu."""
-    if not contains(mu, nu):
-        raise ValueError("mu must contain nu")
-    return CharPoly([weight(t) for t in enumerate_tableaux(SkewShape(mu, nu), n)], n)
 
 
 # ---------------------------------------------------------------------------
@@ -161,7 +75,7 @@ class SchurSequence:
         self.shift = shift
         self.requested = requested if requested is not None else (kappa, lam)
         self._terms: dict[int, MultiPoly] = {}
-        self._tables: dict[int, Optional[np.ndarray]] = {}
+        self._tables: dict[int, Optional[_dense.np.ndarray]] = {}
 
     def outer_at(self, k: int) -> Partition:
         return add(self.kappa, scale(k, self.mu))
@@ -175,8 +89,8 @@ class SchurSequence:
     def boxes_at(self, k: int) -> int:
         return self.shape_at(k).num_boxes
 
-    def term_table(self, k: int) -> Optional[np.ndarray]:
-        """Dense weight table of term k, or None when unsupported."""
+    def term_table(self, k: int) -> Optional[_dense.np.ndarray]:
+        """Dense weight table of term k, or None for n >= 5 letters."""
         if k not in self._tables:
             try:
                 self._tables[k] = _dense.weight_counts(self.outer_at(k), self.inner_at(k), self.n)
@@ -251,22 +165,13 @@ class VerifyResult:
     residual: Optional[MultiPoly] = None
 
 
-# int64 stays exact while every intermediate of the factor chain stays below this
-_INT64_EXACT_LIMIT = 1 << 62
-
-
 def _residuals(seq: SchurSequence, weights: Sequence[IntVector], start: int, count: int) -> Iterator[MultiPoly]:
     """Residuals of prod_w (E - x^w), E the index shift, on the sequence at
-    k = start ... start+count-1, in order.
-
-    One factor maps the terms U_k to U_{k+1} - x^w * U_k; applied in turn to
-    the terms at start ... start+count+d-1, the d factors leave the count
-    residuals.  Dense weight tables carry the chain when every term has one
-    and |w| = |mu| - |nu| for every factor, so that x^w shifts a table inside
-    the next; every intermediate l1 norm is at most 2^d times the largest
-    filling count, read off as the largest table total, which decides
-    between int64 and Python integers.  Sparse polynomials carry it otherwise.
-    """
+    k = start ... start+count-1, in order: U_k <- U_{k+1} - x^w * U_k, one
+    factor at a time, on the terms at start ... start+count+d-1.  Dense weight
+    tables carry the chain (_dense.factor_chain) when every term has one and
+    |w| = |mu| - |nu| for every factor, so that x^w shifts a table inside the
+    next; sparse polynomials carry it otherwise."""
     n, d = seq.n, len(weights)
     if any(len(w) != n for w in weights):
         raise ValueError(f"root weights must have length {n}")
@@ -274,15 +179,7 @@ def _residuals(seq: SchurSequence, weights: Sequence[IntVector], start: int, cou
     tables = [seq.term_table(k) for k in window]
     step = seq.mu.weight - seq.nu.weight
     if all(t is not None for t in tables) and all(sum(w) == step for w in weights):
-        bound = max((int(t.sum()) for t in tables), default=0) << d
-        dtype = np.int64 if bound < _INT64_EXACT_LIMIT else object
-        terms = [t.astype(dtype) for t in tables]  # copies: the chain runs in place
-        for w in weights:
-            # from the top down, the buffer of U_{k+1} becomes the new U_k
-            for lo, hi in zip(terms[-2::-1], terms[:0:-1]):
-                hi[tuple(slice(o, o + s) for o, s in zip(w[: n - 1], lo.shape))] -= lo
-            del terms[0]
-        for k, table in zip(window, terms):
+        for k, table in zip(window, _dense.factor_chain(tables, weights)):
             yield _dense.counts_to_multipoly(table, n, seq.boxes_at(k + d))
     else:
         terms = [seq.term(k) for k in window]
@@ -358,6 +255,10 @@ class MinimalReport:
     seed: int
 
 
+# extra points drawn, at most, to replace those whose BM degree falls short
+_REDRAWS = 5
+
+
 def _dedupe_canonical(weights: Sequence[IntVector]) -> list[IntVector]:
     distinct = set(tuple(w) for w in weights)
     return sorted(distinct, key=lambda w: (sum(w), w), reverse=True)
@@ -377,17 +278,23 @@ def minimal_report(seq: SchurSequence, chi: CharPoly, seed: int = 0) -> MinimalR
     S annihilates: deg(chi) consecutive zero residuals from seq.r suffice,
     since the residual sequence itself satisfies the chi recurrence.  A
     product that annihilates has every root of T, so S = T.  A point at which
-    some c_w(p) vanishes is reported as a collision.
+    some c_w(p) vanishes has a lower degree; once S is certified, each such
+    point is replaced by the next draw, up to _REDRAWS draws in all, and a
+    degree still short is reported as a collision.
     """
     distinct = _dedupe_canonical(chi.root_weights)
     rng = random.Random(seed)
     window = range(seq.r, seq.r + 2 * len(distinct) + 4)
+
+    def specialized(point: tuple[int, ...]) -> list[Fraction]:
+        return berlekamp_massey([seq.eval_at(k, point) for k in window])
+
     bm_degrees: list[int] = []
     points: list[tuple[int, ...]] = []
     found: set[IntVector] = set()
     for _ in range(3):
         point = _draw_point(rng, seq.n, distinct)
-        bm = berlekamp_massey([seq.eval_at(k, point) for k in window])
+        bm = specialized(point)
         found.update(w for w in distinct if _value(bm, _eval_monomial(point, w)) == 0)
         bm_degrees.append(len(bm) - 1)
         points.append(point)
@@ -399,6 +306,12 @@ def minimal_report(seq: SchurSequence, chi: CharPoly, seed: int = 0) -> MinimalR
             f"the {len(weights)} roots named at degrees {bm_degrees} do not annihilate "
             f"the sequence (collision suspected; rerun with a different seed)"
         )
+    redraws = _REDRAWS
+    for i in range(3):
+        while bm_degrees[i] < len(weights) and redraws:
+            redraws -= 1
+            points[i] = _draw_point(rng, seq.n, distinct)
+            bm_degrees[i] = len(specialized(points[i])) - 1
     if any(deg != len(weights) for deg in bm_degrees):
         raise RuntimeError(
             f"specialized minimal degrees {bm_degrees} disagree with symbolic degree "

@@ -95,8 +95,14 @@ BAD_INVOCATIONS = [
     (["roots", "--mu", "[1]", "--n", "3", "--xi", "1,nan", "--kmax", "2"], "xi must be finite"),
     (["roots", "--mu", "[1]", "--n", "2", "--xi", "1+", "--kmax", "2"], "argument --xi: expected a complex number, got '1+'"),
     (["roots", "--mu", "[1]", "--n", "2", "--xi", "abc", "--kmax", "2"], "argument --xi: expected a complex number, got 'abc'"),
+    (["roots", "--mu", "[1]", "--n", "3", "--xi", "1,,1", "--kmax", "1"], "argument --xi: expected a complex number, got ''"),
     (["kostka", "--outer", "[2,1]", "--weight", "[1,,1]"], "argument --weight: expected an integer, got ''"),
     (["kostka", "--outer", "[2,1]", "--weight", "1.5"], "argument --weight: expected an integer, got '1.5'"),
+    # 32 disjoint boxes over 4 letters: 2^64 fillings, refused before any table or tableau
+    (
+        ["verify", "--kappa", str(list(range(32, 0, -1))), "--lambda", str(list(range(31, 0, -1))), "--mu", "[]", "--n", "4"],
+        f"{1 << 64} fillings reach the int64 limit {1 << 63}",
+    ),
 ]
 
 

@@ -17,7 +17,7 @@ from schurrec._dense import (
 )
 from schurrec.partitions import Partition, contains, partitions_up_to
 from schurrec.polynomials import complete_homogeneous, skew_schur, skew_schur_jacobi_trudi
-from schurrec.recurrence import build_sequence
+from schurrec.recurrence import build_sequence, char_poly, verify_certificate
 from schurrec.tableaux import SkewShape, enumerate_tableaux
 
 
@@ -67,18 +67,35 @@ class TestWeightCounts:
         assert table.shape == (5, 5) and not table.any()
 
     def test_int64_guard_refuses_and_terms_stay_exact(self):
+        # a count at the limit is refused by the term too: no engine lists it
         seq = build_sequence(P(), P(), P(2, 1), P(), 4)
-        expected = skew_schur(seq.shape_at(3), 4)
-        with mock.patch.object(_dense, "_INT64_LIMIT", _dense.ssyt_count(seq.outer_at(3), seq.inner_at(3), 4)):
-            with pytest.raises(UnsupportedShape):
+        total = _dense.ssyt_count(seq.outer_at(3), seq.inner_at(3), 4)
+        refusal = rf"^{total} fillings reach the int64 limit {total}"
+        with mock.patch.object(_dense, "_INT64_LIMIT", total):
+            with pytest.raises(ValueError, match=refusal):
                 weight_counts(seq.outer_at(3), seq.inner_at(3), 4)
-            assert seq.term_table(3) is None
-            assert seq.term(3) == expected
+            with pytest.raises(ValueError, match=refusal):
+                seq.term(3)
+        assert 3 not in seq._tables and 3 not in seq._terms
+        assert seq.term(3) == skew_schur(seq.shape_at(3), 4)
+
+    def test_thirty_two_disjoint_boxes_are_refused(self):
+        # b one-box rows touching at corners have 4^b fillings at n = 4: 31
+        # (2^62) are served, their chain in Python integers since its bound
+        # is 2^63, and 32 (2^64) are refused up front
+        chi = char_poly(P(), P(), 4)
+        seq = build_sequence(P(*range(31, 0, -1)), P(*range(30, 0, -1)), P(), P(), 4)
+        assert int(seq.term_table(seq.r).sum()) == 1 << 62
+        assert verify_certificate(seq, chi, seq.r, 1).ok
+        kappa, lam = P(*range(32, 0, -1)), P(*range(31, 0, -1))
+        assert ssyt_count(kappa, lam, 4) == 1 << 64
+        seq = build_sequence(kappa, lam, P(), P(), 4)
+        with pytest.raises(ValueError, match=rf"^{1 << 64} fillings reach the int64 limit {1 << 63}"):
+            verify_certificate(seq, chi, seq.r, 1)
 
     def test_int64_guard_serves_every_count_below_the_limit(self):
         # every intermediate is at most the filling count, so the engine
-        # serves every count below 2^63; a real shape near 2^60 fillings is
-        # out of reach (30 disjoint boxes at n = 4 list 2^30 middle shapes)
+        # serves every count below 2^63
         assert _dense._INT64_LIMIT == 1 << 63
         outer, inner = P(5, 3, 2, 1), P(2, 1)
         total = ssyt_count(outer, inner, 4)
@@ -182,7 +199,7 @@ class TestIsolatedRows:
             with mock.patch.object(_dense, "_INT64_LIMIT", total + 1):
                 assert int(weight_counts(outer, inner, 4).sum()) == total
             with mock.patch.object(_dense, "_INT64_LIMIT", total):
-                with pytest.raises(UnsupportedShape):
+                with pytest.raises(ValueError, match=f"{total} fillings"):
                     weight_counts(outer, inner, 4)
 
     def test_all_isolated_shape_lists_no_middle_shape(self):

@@ -8,6 +8,7 @@ import importlib
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -32,17 +33,17 @@ DEFINED = {
         "stabilization_index", "weight",
     ],
     "polynomials": [
-        "MultiPoly", "complete_homogeneous", "eval_all_ones", "monomial_symmetric", "skew_schur",
-        "skew_schur_jacobi_trudi", "weight_monomial",
+        "CharPoly", "MultiPoly", "char_poly", "complete_homogeneous", "eval_all_ones", "monomial_symmetric",
+        "skew_schur", "skew_schur_jacobi_trudi", "weight_monomial",
     ],
     "kostka": [
         "first_tableau_of_weight", "kostka", "m_basis_reconstruction", "schur_in_m_basis",
         "stretch_positivity_check",
     ],
     "recurrence": [
-        "CharPoly", "ConjectureReport", "InvalidFamilyError", "MinimalReport", "PolynomialityReport",
-        "SchurSequence", "VerifyResult", "berlekamp_massey", "build_sequence", "char_poly", "conjecture_check",
-        "conjectured_weights", "minimal_report", "polynomiality_check", "verify_certificate", "verify_recurrence",
+        "ConjectureReport", "InvalidFamilyError", "MinimalReport", "PolynomialityReport", "SchurSequence",
+        "VerifyResult", "berlekamp_massey", "build_sequence", "conjecture_check", "conjectured_weights",
+        "minimal_report", "polynomiality_check", "verify_certificate", "verify_recurrence",
     ],
     "asymptotics": [
         "ComplexPoly", "DegenerateSpecialization", "ExperimentResult", "RootCloud", "RootConvergenceError",
@@ -51,7 +52,7 @@ DEFINED = {
 }
 PUBLIC = sorted(SUBMODULES + [name for names in DEFINED.values() for name in names])
 
-TABLE_FREE = {"tableaux", "schur", "insert", "kostka", "m-basis"}
+TABLE_FREE = {"tableaux", "schur", "insert", "char-poly", "kostka", "m-basis"}
 TABLE_FREE_CASES = [(golden, args) for golden, args in CASES if args[0] in TABLE_FREE]
 
 # cli.main on the argv that follows the code, exiting with its code
@@ -85,6 +86,12 @@ class TestNumpyBoundary:
         assert out == (GOLDEN / golden).read_text()
         assert not numpy
 
+    def test_only_the_table_engine_imports_numpy(self):
+        # _dense owns the table layout and the int64 policy
+        sources = sorted((ROOT / "src" / "schurrec").glob("*.py"))
+        importers = [p.name for p in sources if re.search(r"^(import|from) numpy", p.read_text(), re.M)]
+        assert importers == ["_dense.py"]
+
     def test_recurrence_loads_numpy_at_import(self, tmp_path):
         # the engine pays numpy before its first computation, not inside it
         code, _, numpy = fresh("import schurrec.recurrence", tmp_path=tmp_path)
@@ -108,6 +115,12 @@ class TestPublicApi:
         module = importlib.import_module(f"schurrec.{home}")
         for name in DEFINED[home]:
             assert getattr(schurrec, name) is getattr(module, name), name
+
+    def test_recurrence_reexports_chi(self):
+        # recurrence.CharPoly and recurrence.char_poly stay the polynomials objects
+        from schurrec import polynomials, recurrence
+
+        assert recurrence.CharPoly is polynomials.CharPoly and recurrence.char_poly is polynomials.char_poly
 
     def test_submodules(self):
         for name in SUBMODULES:

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from unittest import mock
 
@@ -231,14 +232,21 @@ def chain_case(draw, families):
     return seq, weights, start, count
 
 
+def built_tables(seq, start, stop):
+    """Build the term tables of seq at start ... stop-1, so that a patched
+    int64 limit then reaches the chain only, not the table engine."""
+    for k in range(start, stop):
+        seq.term_table(k)
+
+
 class TestFactorChain:
     @pytest.mark.parametrize(
         "families,limit,dtypes",
         [
-            (DENSE_FAMILIES, recurrence._INT64_EXACT_LIMIT, {"int64"}),
-            (WIDE_FAMILIES, recurrence._INT64_EXACT_LIMIT, {"int64"}),
+            (DENSE_FAMILIES, _dense._INT64_LIMIT, {"int64"}),
+            (WIDE_FAMILIES, _dense._INT64_LIMIT, {"int64"}),
             (DENSE_FAMILIES, 0, {"object"}),  # the a-priori bound always fails
-            (SPARSE_FAMILIES, recurrence._INT64_EXACT_LIMIT, set()),
+            (SPARSE_FAMILIES, _dense._INT64_LIMIT, set()),
         ],
         ids=["int64", "int64-wide", "object", "multipoly"],
     )
@@ -248,7 +256,8 @@ class TestFactorChain:
         seq, weights, start, count = data.draw(chain_case(families))
         chi = CharPoly.from_root_weights(weights, seq.n)
         expected = [expanded_residual(seq, chi, k) for k in range(start, start + count)]
-        with mock.patch.object(recurrence, "_INT64_EXACT_LIMIT", limit), mock.patch.object(
+        built_tables(seq, start, start + count + len(weights))
+        with mock.patch.object(_dense, "_INT64_LIMIT", limit), mock.patch.object(
             _dense, "counts_to_multipoly", wraps=_dense.counts_to_multipoly
         ) as spy:
             assert list(recurrence._residuals(seq, weights, start, count)) == expected
@@ -263,8 +272,9 @@ class TestFactorChain:
         start, count, d = seq.r, 2, len(weights)
         window = range(start, start + count + d)
         bound = max(_dense.ssyt_count(seq.outer_at(k), seq.inner_at(k), 3) for k in window) << d
+        built_tables(seq, start, start + count + d)
         for limit, dtype in ((bound, "object"), (bound + 1, "int64")):
-            with mock.patch.object(recurrence, "_INT64_EXACT_LIMIT", limit), mock.patch.object(
+            with mock.patch.object(_dense, "_INT64_LIMIT", limit), mock.patch.object(
                 _dense, "counts_to_multipoly", wraps=_dense.counts_to_multipoly
             ) as spy:
                 assert not any(recurrence._residuals(seq, weights, start, count))
@@ -423,10 +433,10 @@ class TestMinimalAgainstGreedy:
     @pytest.mark.parametrize(
         "families,limit",
         [
-            (DENSE_FAMILIES, recurrence._INT64_EXACT_LIMIT),
-            (WIDE_FAMILIES, recurrence._INT64_EXACT_LIMIT),
+            (DENSE_FAMILIES, _dense._INT64_LIMIT),
+            (WIDE_FAMILIES, _dense._INT64_LIMIT),
             (DENSE_FAMILIES, 0),  # the certificate runs on Python integers
-            (SPARSE_FAMILIES, recurrence._INT64_EXACT_LIMIT),
+            (SPARSE_FAMILIES, _dense._INT64_LIMIT),
         ],
         ids=["int64", "int64-wide", "object", "multipoly"],
     )
@@ -436,7 +446,9 @@ class TestMinimalAgainstGreedy:
         kappa, lam, mu, nu, n = data.draw(st.sampled_from(families))
         seq = build_sequence(kappa, lam, mu, nu, n)
         chi = char_poly(mu, nu, n)
-        with mock.patch.object(recurrence, "_INT64_EXACT_LIMIT", limit):
+        # every window the certificate and the squarefree check may read
+        built_tables(seq, seq.r, seq.r + chi.degree + len(set(chi.root_weights)))
+        with mock.patch.object(_dense, "_INT64_LIMIT", limit):
             rep = minimal_report(seq, chi, seed=data.draw(st.integers(0, 3)))
         assert (rep.weights, rep.removed) == greedy_minimal(seq, chi)
         assert rep.char_poly.root_weights == tuple(rep.weights)
@@ -460,15 +472,34 @@ class TestMinimalAgainstGreedy:
         assert (rep.weights, rep.removed) == greedy_minimal(seq, chi)
 
     @pytest.mark.parametrize("call", [0, 1, 2])
+    def test_root_missed_at_one_point_is_redrawn(self, call):
+        # the other two points name the root, so the certificate passes, and
+        # the point that missed it is replaced by the next draw
+        seq, chi = build_sequence(*H_FAMILY), char_poly(P(1), P(), 2)
+        with dropping_bm((1, 0), {call}):
+            rep = minimal_report(seq, chi)
+        assert rep.weights == [(1, 0), (0, 1)] and rep.bm_degrees == [2, 2, 2]
+        rng = random.Random(0)  # the seed's draws: three points, then the redraw
+        drawn = [recurrence._draw_point(rng, 2, rep.weights) for _ in range(4)]
+        assert rep.specializations == [drawn[3] if i == call else drawn[i] for i in range(3)]
+
+    @pytest.mark.parametrize("call", [0, 1, 2])
     def test_root_missed_at_one_point_is_a_degree_disagreement(self, call):
-        # the other two points still name the root, so the certificate passes
+        # the point and every redraw miss the root: the degree stays short
         seq, chi = build_sequence(*H_FAMILY), char_poly(P(1), P(), 2)
         degrees = [1 if i == call else 2 for i in range(3)]
-        with dropping_bm((1, 0), {call}), pytest.raises(
+        missed = {call, *range(3, 3 + recurrence._REDRAWS)}
+        with dropping_bm((1, 0), missed), pytest.raises(
             RuntimeError,
             match=rf"specialized minimal degrees \[{', '.join(map(str, degrees))}\] disagree with symbolic degree 2",
         ):
             minimal_report(seq, chi)
+
+    def test_collision_at_a_seed_is_redrawn(self):
+        # seed 3 draws a point at which one of the 15 roots has coefficient 0
+        seq, chi = build_sequence(P(), P(), P(4, 2, 1), P(1), 3), char_poly(P(4, 2, 1), P(1), 3)
+        rep = minimal_report(seq, chi, seed=3)
+        assert rep.bm_degrees == [15, 15, 15] and len(rep.weights) == 15
 
     def test_root_missed_at_every_point_fails_the_certificate(self):
         seq, chi = build_sequence(*H_FAMILY), char_poly(P(1), P(), 2)
