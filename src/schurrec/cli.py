@@ -154,7 +154,7 @@ def _tableaux(args):
     """enumerate the fillings of a skew shape"""
     shape = SkewShape(args.outer, args.inner)
     ts = enumerate_tableaux(shape, args.n)
-    payload = {"count": len(ts), "tableaux": [json.loads(t.to_json()) for t in ts]}
+    payload = {"count": len(ts), "tableaux": [t.to_json_obj() for t in ts]}
     text = f"\n{len(ts)} tableaux of shape {shape} with entries in 1..{args.n}\n"
     return 0, payload, text + "".join(t.to_ascii() + "\n---\n" for t in ts)
 
@@ -168,7 +168,7 @@ def _schur(args):
 def _insert(args):
     """row-insertion product of two tableaux (JSON)"""
     result = insert(Tableau.from_json(args.t1), Tableau.from_json(args.t2))
-    return 0, {"tableau": json.loads(result.to_json())}, f"\n{result.to_ascii()}\n"
+    return 0, {"tableau": result.to_json_obj()}, f"\n{result.to_ascii()}\n"
 
 
 def _char_poly(args):
@@ -293,8 +293,8 @@ _TABLE = {
     "kostka": (_SHAPE + _WEIGHT, ("pretty", "json"), _kostka),
     "m-basis": (_SHAPE + _N, ("json", "pretty"), _m_basis),
     "conjecture": (_FAMILY + _SAMPLED, ("json",), _conjecture),
-    "polynomiality": (_STRETCH + (_arg("--kmax", type=int, required=True),), ("json",), _polynomiality),
-    "roots": (_FAMILY + _XI + (_arg("--kmax", type=int, default=10),), ("csv", "json"), _roots),
+    "polynomiality": (_STRETCH + (_arg("--kmax", type=_nonnegative, required=True),), ("json",), _polynomiality),
+    "roots": (_FAMILY + _XI + (_arg("--kmax", type=_positive, default=10),), ("csv", "json"), _roots),
 }
 _COMMANDS = {name: entry[-1] for name, entry in _TABLE.items()}
 

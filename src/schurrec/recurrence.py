@@ -17,7 +17,7 @@ back to sparse exact polynomials.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -63,8 +63,8 @@ class SchurSequence:
         nu: Partition,
         n: int,
         r: int,
-        shift: int = 0,
-        requested: Optional[tuple[Partition, Partition]] = None,
+        shift: int,
+        requested: tuple[Partition, Partition],
     ):
         self.kappa = kappa
         self.lam = lam
@@ -73,7 +73,8 @@ class SchurSequence:
         self.n = n
         self.r = r
         self.shift = shift
-        self.requested = requested if requested is not None else (kappa, lam)
+        self.requested = requested
+        # sparse terms, kept only where _dense has no table (n >= 5): costly to rebuild
         self._terms: dict[int, MultiPoly] = {}
         self._tables: dict[int, Optional[_dense.np.ndarray]] = {}
 
@@ -87,7 +88,7 @@ class SchurSequence:
         return SkewShape(self.outer_at(k), self.inner_at(k))
 
     def boxes_at(self, k: int) -> int:
-        return self.shape_at(k).num_boxes
+        return self.kappa.weight - self.lam.weight + k * (self.mu.weight - self.nu.weight)
 
     def term_table(self, k: int) -> Optional[_dense.np.ndarray]:
         """Dense weight table of term k, or None for n >= 5 letters."""
@@ -99,15 +100,15 @@ class SchurSequence:
         return self._tables[k]
 
     def term(self, k: int) -> MultiPoly:
-        """The exact skew Schur polynomial at index k."""
+        """The exact skew Schur polynomial at index k, read off its dense
+        table when there is one."""
         if k < 0:
             raise ValueError("sequence index must be nonnegative")
+        table = self.term_table(k)
+        if table is not None:
+            return _dense.counts_to_multipoly(table, self.n, self.boxes_at(k))
         if k not in self._terms:
-            table = self.term_table(k)
-            if table is not None:
-                self._terms[k] = _dense.counts_to_multipoly(table, self.n, self.boxes_at(k))
-            else:
-                self._terms[k] = skew_schur(self.shape_at(k), self.n)
+            self._terms[k] = skew_schur(self.shape_at(k), self.n)
         return self._terms[k]
 
     def eval_at(self, k: int, point: tuple[int, ...]) -> int:
@@ -168,17 +169,18 @@ class VerifyResult:
 def _residuals(seq: SchurSequence, weights: Sequence[IntVector], start: int, count: int) -> Iterator[MultiPoly]:
     """Residuals of prod_w (E - x^w), E the index shift, on the sequence at
     k = start ... start+count-1, in order: U_k <- U_{k+1} - x^w * U_k, one
-    factor at a time, on the terms at start ... start+count+d-1.  Dense weight
-    tables carry the chain (_dense.factor_chain) when every term has one and
-    |w| = |mu| - |nu| for every factor, so that x^w shifts a table inside the
-    next; sparse polynomials carry it otherwise."""
+    factor at a time, on the terms at start ... start+count+d-1.  Every w
+    must have n entries and total |mu| - |nu|, the degree step of the terms;
+    a factor of another total cannot annihilate a nonzero sequence.  Dense
+    weight tables carry the chain (_dense.factor_chain) when the window has
+    them, sparse polynomials otherwise."""
     n, d = seq.n, len(weights)
-    if any(len(w) != n for w in weights):
-        raise ValueError(f"root weights must have length {n}")
+    step = seq.mu.weight - seq.nu.weight
+    if any(len(w) != n or sum(w) != step for w in weights):
+        raise ValueError(f"root weights must have length {n} and total |mu| - |nu| = {step}")
     window = range(start, start + count + d)
     tables = [seq.term_table(k) for k in window]
-    step = seq.mu.weight - seq.nu.weight
-    if all(t is not None for t in tables) and all(sum(w) == step for w in weights):
+    if all(t is not None for t in tables):
         for k, table in zip(window, _dense.factor_chain(tables, weights)):
             yield _dense.counts_to_multipoly(table, n, seq.boxes_at(k + d))
     else:
@@ -444,13 +446,7 @@ class PolynomialityReport:
     newton_coefficients: Optional[list[int]]
 
     def to_json_obj(self) -> dict:
-        return {
-            "counts": self.counts,
-            "degree": self.degree,
-            "vanish_order": self.vanish_order,
-            "verdict": self.verdict,
-            "newton_coefficients": self.newton_coefficients,
-        }
+        return asdict(self)
 
 
 def polynomiality_check(mu: Partition, nu: Partition, n: int, kmax: int) -> PolynomialityReport:

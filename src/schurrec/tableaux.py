@@ -82,11 +82,7 @@ class SkewShape:
         ]
 
     def to_ascii(self) -> str:
-        lines = []
-        for i in range(len(self.outer)):
-            cells = [SKEW_CHAR] * self.inner[i] + ["."] * (self.outer[i] - self.inner[i])
-            lines.append(" ".join(cells))
-        return "\n".join(lines) if lines else "(empty)"
+        return _diagram(self.inner, [["."] * (self.outer[i] - self.inner[i]) for i in range(len(self.outer))])
 
 
 @dataclass(frozen=True)
@@ -143,16 +139,16 @@ class Tableau:
     def __mul__(self, other: "Tableau") -> "Tableau":
         return insert(self, other)
 
+    def to_json_obj(self) -> dict:
+        return {
+            "outer": list(self.shape.outer),
+            "inner": list(self.shape.inner),
+            "n": self.n,
+            "rows": [list(r) for r in self.rows],
+        }
+
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "outer": list(self.shape.outer),
-                "inner": list(self.shape.inner),
-                "n": self.n,
-                "rows": [list(r) for r in self.rows],
-            },
-            separators=(",", ":"),
-        )
+        return json.dumps(self.to_json_obj(), separators=(",", ":"))
 
     @classmethod
     def from_json(cls, text: str) -> "Tableau":
@@ -179,11 +175,13 @@ class Tableau:
         return tableau
 
     def to_ascii(self) -> str:
-        lines = []
-        for i in range(len(self.shape.outer)):
-            cells = [SKEW_CHAR] * self.shape.inner[i] + [str(v) for v in self.rows[i]]
-            lines.append(" ".join(cells))
-        return "\n".join(lines) if lines else "(empty)"
+        return _diagram(self.shape.inner, [[str(v) for v in row] for row in self.rows])
+
+
+def _diagram(inner: Partition, rows: Sequence[Sequence[str]]) -> str:
+    """One line per row: inner[i] skew marks, then row i's cells."""
+    lines = [" ".join([SKEW_CHAR] * inner[i] + list(row)) for i, row in enumerate(rows)]
+    return "\n".join(lines) if lines else "(empty)"
 
 
 def _is_int_list(value) -> bool:
@@ -287,13 +285,17 @@ def insert(t1: Tableau, t2: Tableau) -> Tableau:
     return result
 
 
+def _column_views(t: Tableau) -> list[ColumnView]:
+    """One view per column of t, left to right, skew-only columns included."""
+    return [
+        ColumnView(j, first, last, tuple(t.entry(i - 1, j - 1) for i in range(first, last + 1)))
+        for j, (first, last) in enumerate(t.shape.column_runs(), 1)
+    ]
+
+
 def columns(t: Tableau) -> list[ColumnView]:
     """The nonempty columns of t, left to right."""
-    out = []
-    for j, first, last in t.shape.column_intervals():
-        entries = tuple(t.entry(i - 1, j - 1) for i in range(first, last + 1))
-        out.append(ColumnView(j, first, last, entries))
-    return out
+    return [cv for cv in _column_views(t) if cv.entries]
 
 
 def column_tableau(cv: ColumnView, n: int) -> Tableau:
@@ -309,13 +311,7 @@ def column_factors(t: Tableau) -> list[Tableau]:
     """One single-column tableau per column of t, left to right, whose
     insertion product is exactly t.  A column holding h skew boxes only
     gives the box-free factor (1^h)/(1^h)."""
-    return [
-        column_tableau(
-            ColumnView(j, first, last, tuple(t.entry(i - 1, j - 1) for i in range(first, last + 1))),
-            t.n,
-        )
-        for j, (first, last) in enumerate(t.shape.column_runs(), 1)
-    ]
+    return [column_tableau(cv, t.n) for cv in _column_views(t)]
 
 
 def sits_inside(small: SkewShape, big: SkewShape) -> bool:

@@ -51,17 +51,26 @@ class FamilyResult:
         )
 
 
+def skew_pairs(max_weight: int, max_length: int) -> list[tuple[Partition, Partition]]:
+    """Every (outer, inner) with inner inside outer, |outer| <= max_weight
+    and both of length <= max_length, in partitions_up_to order: the one
+    grid of stretch pairs mu/nu and of small test shapes."""
+    return [
+        (outer, inner)
+        for outer in partitions_up_to(max_weight, max_length)
+        for inner in partitions_up_to(outer.weight, max_length)
+        if contains(outer, inner)
+    ]
+
+
 def battery_families():
     for n in (1, 2, 3):
-        mus = [m for m in partitions_up_to(MAX_MU_WEIGHT, n)]
-        bases = [b for b in partitions_up_to(MAX_BASE_PART * n, n, max_part=MAX_BASE_PART)]
-        for mu in mus:
-            nus = [p for p in partitions_up_to(mu.weight if mu else 0, n) if contains(mu, p)]
-            for nu in nus:
-                for kappa, lam in product(bases, bases):
-                    if stretch_condition(kappa, lam, mu, nu) is None:
-                        continue
-                    yield kappa, lam, mu, nu, n
+        bases = partitions_up_to(MAX_BASE_PART * n, n, max_part=MAX_BASE_PART)
+        for mu, nu in skew_pairs(MAX_MU_WEIGHT, n):
+            for kappa, lam in product(bases, bases):
+                if stretch_condition(kappa, lam, mu, nu) is None:
+                    continue
+                yield kappa, lam, mu, nu, n
 
 
 _CHI_CACHE: dict[tuple, CharPoly] = {}

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from battery import skew_pairs
 from schurrec import _dense
 from schurrec._dense import (
     UnsupportedShape,
@@ -15,7 +16,7 @@ from schurrec._dense import (
     ssyt_count,
     weight_counts,
 )
-from schurrec.partitions import Partition, contains, partitions_up_to
+from schurrec.partitions import Partition
 from schurrec.polynomials import complete_homogeneous, skew_schur, skew_schur_jacobi_trudi
 from schurrec.recurrence import build_sequence, char_poly, verify_certificate
 from schurrec.tableaux import SkewShape, enumerate_tableaux
@@ -25,19 +26,10 @@ def P(*parts):
     return Partition(parts)
 
 
-def shape_battery(max_outer=6, max_len=3):
-    out = []
-    for outer in partitions_up_to(max_outer, max_len):
-        for inner in partitions_up_to(outer.weight, max_len):
-            if contains(outer, inner):
-                out.append((outer, inner))
-    return out
-
-
 class TestWeightCounts:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_matches_enumeration_exhaustively(self, n):
-        for outer, inner in shape_battery(max_outer=7, max_len=5):
+        for outer, inner in skew_pairs(7, 5):
             table = weight_counts(outer, inner, n)
             assert table.dtype == np.int64
             poly = counts_to_multipoly(table, n, outer.weight - inner.weight)
@@ -244,7 +236,7 @@ class TestIntegerEvaluation:
         assert ssyt_count(P(), P(), 2) == 1
 
     def test_counts_match_enumeration(self):
-        for outer, inner in shape_battery(max_outer=5):
+        for outer, inner in skew_pairs(5, 3):
             for n in (1, 2, 3):
                 expected = len(enumerate_tableaux(SkewShape(outer, inner), n))
                 assert ssyt_count(outer, inner, n) == expected

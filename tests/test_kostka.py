@@ -1,7 +1,8 @@
-from itertools import product
+from itertools import product, starmap
 
 import pytest
 
+from battery import skew_pairs
 from schurrec.kostka import (
     first_tableau_of_weight,
     kostka,
@@ -9,22 +10,13 @@ from schurrec.kostka import (
     schur_in_m_basis,
     stretch_positivity_check,
 )
-from schurrec.partitions import Partition, contains, partitions_up_to, scale, sort_decreasing
+from schurrec.partitions import Partition, partitions_up_to, scale, sort_decreasing
 from schurrec.polynomials import skew_schur
 from schurrec.tableaux import SkewShape, enumerate_tableaux, is_valid_ssyt, weight
 
 
 def P(*parts):
     return Partition(parts)
-
-
-def battery_shapes(max_outer=4, max_len=3):
-    shapes = []
-    for outer in partitions_up_to(max_outer, max_len):
-        for inner in partitions_up_to(outer.weight, max_len):
-            if contains(outer, inner):
-                shapes.append(SkewShape(outer, inner))
-    return shapes
 
 
 class TestKostka:
@@ -34,7 +26,7 @@ class TestKostka:
         assert kostka(SkewShape(P(2, 1)), (1, 1)) == 0
 
     def test_counts_match_enumeration(self):
-        for shape in battery_shapes():
+        for shape in starmap(SkewShape, skew_pairs(4, 3)):
             boxes = shape.num_boxes
             tableaux = enumerate_tableaux(shape, 3)
             for w in product(range(boxes + 1), repeat=3):
@@ -44,7 +36,7 @@ class TestKostka:
                 assert kostka(shape, w) == expected
 
     def test_permutation_symmetry(self):
-        for shape in battery_shapes():
+        for shape in starmap(SkewShape, skew_pairs(4, 3)):
             boxes = shape.num_boxes
             for w in product(range(boxes + 1), repeat=3):
                 if sum(w) == boxes:
@@ -62,7 +54,7 @@ class TestMBasis:
         assert schur_in_m_basis(SkewShape(P(2, 2), P(1)), 2) == {P(2, 1): 1}
 
     def test_round_trip(self):
-        for shape in battery_shapes(max_outer=5):
+        for shape in starmap(SkewShape, skew_pairs(5, 3)):
             for n in (2, 3):
                 coeffs = schur_in_m_basis(shape, n)
                 assert m_basis_reconstruction(coeffs, n) == skew_schur(shape, n)
@@ -79,7 +71,7 @@ class TestStretchPositivity:
         assert weight(w) == (2, 2, 2)
 
     def test_witnesses_valid_on_battery(self):
-        for shape in battery_shapes():
+        for shape in starmap(SkewShape, skew_pairs(4, 3)):
             boxes = shape.num_boxes
             for w in product(range(boxes + 1), repeat=3):
                 if sum(w) != boxes or kostka(shape, w) == 0:

@@ -5,7 +5,8 @@ marker, which pytest.ini deselects by default; run them with `pytest -m n4`.
 """
 import pytest
 
-from schurrec.partitions import Partition, contains, partitions_up_to, stretch_condition
+from battery import skew_pairs
+from schurrec.partitions import Partition, stretch_condition
 from schurrec.recurrence import build_sequence, char_poly, conjecture_check, verify_certificate
 
 pytestmark = pytest.mark.n4
@@ -15,9 +16,7 @@ P = Partition
 BASES = [(P(), P()), (P([1]), P()), (P([1, 1]), P([1]))]  # includes kappa=[1], mu=[2,1]
 FAMILIES = [
     (kappa, lam, mu, nu)
-    for mu in partitions_up_to(3, N)
-    for nu in partitions_up_to(mu.weight, N)
-    if contains(mu, nu)
+    for mu, nu in skew_pairs(3, N)
     for kappa, lam in BASES
     if stretch_condition(kappa, lam, mu, nu) is not None
 ]

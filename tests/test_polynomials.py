@@ -1,10 +1,11 @@
 from fractions import Fraction
-from itertools import product
+from itertools import product, starmap
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from schurrec.partitions import Partition, contains, partitions_up_to
+from battery import skew_pairs
+from schurrec.partitions import Partition
 from schurrec.polynomials import (
     MultiPoly,
     complete_homogeneous,
@@ -122,12 +123,7 @@ class TestWeightMonomial:
                 assert weight_monomial(insert(a, b)) == weight_monomial(a) * weight_monomial(b)
 
     def test_homomorphism_and_grading_small(self):
-        shapes = []
-        for outer in partitions_up_to(3, 2):
-            for inner in partitions_up_to(outer.weight, 2):
-                if contains(outer, inner):
-                    shapes.append(SkewShape(outer, inner))
-        ts = [t for s in shapes for t in enumerate_tableaux(s, 2)]
+        ts = [t for s in starmap(SkewShape, skew_pairs(3, 2)) for t in enumerate_tableaux(s, 2)]
         for a in ts:
             assert total_degree(weight_monomial(a)) == a.shape.num_boxes
             for b in ts:

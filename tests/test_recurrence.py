@@ -5,8 +5,9 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from battery import skew_pairs
 from schurrec import _dense, polynomials, recurrence, tableaux
-from schurrec.partitions import Partition, contains, partitions_up_to
+from schurrec.partitions import Partition
 from schurrec.polynomials import MultiPoly, complete_homogeneous, skew_schur
 from schurrec.recurrence import (
     CharPoly,
@@ -134,6 +135,23 @@ class TestBuildSequence:
             shape = SkewShape(seq.outer_at(k), seq.inner_at(k))
             assert seq.term(k) == skew_schur(shape, 3)
 
+    def test_term_reads_its_table_and_keeps_no_copy(self):
+        seq = build_sequence(P(1), P(), P(2, 1), P(1), 3)
+        for k in range(4):
+            assert seq.term(k) == _dense.counts_to_multipoly(seq.term_table(k), 3, seq.boxes_at(k))
+        assert seq._terms == {} and sorted(seq._tables) == [0, 1, 2, 3]
+        five = build_sequence(P(), P(), P(1), P(), 5)
+        assert five.term(2) == complete_homogeneous(2, 5)
+        assert five.term_table(2) is None and list(five._terms) == [2]
+
+    def test_boxes_at_counts_the_shape(self):
+        plain = build_sequence(P(), P(), P(2, 1), P(1), 2)
+        shifted = build_sequence(P(1), P(2), P(2, 1), P(1), 2)  # base [3,1]/[3]
+        assert shifted.shift == 1
+        for seq in (plain, shifted):
+            for k in range(11):
+                assert seq.boxes_at(k) == seq.shape_at(k).num_boxes
+
     def test_invalid_family_rejected(self):
         with pytest.raises(InvalidFamilyError):
             build_sequence(P(), P(1), P(1, 1), P(1, 1), 2)
@@ -195,16 +213,15 @@ def chain_families(letters, bases, max_degree, max_mu=3):
     given letters and base shapes, whose chi has degree <= max_degree."""
     out = []
     for n in letters:
-        for mu in partitions_up_to(max_mu, n):
-            for nu in partitions_up_to(mu.weight, n):
-                if not contains(mu, nu) or char_poly(mu, nu, n).degree > max_degree:
+        for mu, nu in skew_pairs(max_mu, n):
+            if char_poly(mu, nu, n).degree > max_degree:
+                continue
+            for kappa, lam in bases:
+                try:
+                    build_sequence(kappa, lam, mu, nu, n)
+                except InvalidFamilyError:
                     continue
-                for kappa, lam in bases:
-                    try:
-                        build_sequence(kappa, lam, mu, nu, n)
-                    except InvalidFamilyError:
-                        continue
-                    out.append((kappa, lam, mu, nu, n))
+                out.append((kappa, lam, mu, nu, n))
     return out
 
 
@@ -281,9 +298,17 @@ class TestFactorChain:
             assert {call.args[0].dtype.name for call in spy.call_args_list} == {dtype}
 
     def test_rejects_weights_of_the_wrong_length(self):
-        seq = build_sequence(P(), P(), P(1), P(), 2)
-        with pytest.raises(ValueError):
-            list(recurrence._residuals(seq, [(1, 0, 0)], 0, 2))
+        # or of the wrong total, before either route starts: x^w of total
+        # |w| != |mu| - |nu| = 1 cannot annihilate, so no chain is run for it
+        for n in (2, 3, 5):
+            seq = build_sequence(P(), P(), P(1), P(), n)
+            too_long, wrong_total = (1,) + (0,) * n, (1, 1) + (0,) * (n - 2)
+            for weights in ([too_long], [(1,) + (0,) * (n - 1), wrong_total]):
+                with pytest.raises(ValueError, match=f"length {n} and total .* = 1"):
+                    list(recurrence._residuals(seq, weights, 0, 2))
+            with pytest.raises(ValueError, match="total"):
+                verify_certificate(seq, CharPoly([wrong_total], n), 0, 2)
+            assert not seq._terms
 
 
 class TestBerlekampMassey:

@@ -1,8 +1,10 @@
 from collections import Counter
 from functools import reduce
+from itertools import starmap
 
 import pytest
 
+from battery import skew_pairs
 from schurrec.partitions import Partition
 from schurrec.tableaux import (
     column_factors,
@@ -30,17 +32,6 @@ FIG2_SHAPE = SkewShape(P(5, 4, 3, 1), P(3, 2, 2))
 FIG2 = Tableau(FIG2_SHAPE, [[1, 1], [1, 3], [2], [3]], 3)
 
 
-def small_shapes(max_outer_weight, max_len=4):
-    from schurrec.partitions import contains, partitions_up_to
-
-    shapes = []
-    for outer in partitions_up_to(max_outer_weight, max_len):
-        for inner in partitions_up_to(outer.weight, max_len):
-            if contains(outer, inner):
-                shapes.append(SkewShape(outer, inner))
-    return shapes
-
-
 class TestShapes:
     def test_box_counts_match_figure(self):
         # shape (5,4,3,1)/(3,2,2): seven skew boxes, six ordinary boxes
@@ -52,14 +43,14 @@ class TestShapes:
             SkewShape(P(2), P(3))
 
     def test_shape_is_sum_of_its_column_runs(self):
-        for shape in small_shapes(6, max_len=4):
+        for shape in starmap(SkewShape, skew_pairs(6, 4)):
             outer, inner = P(), P()
             for first, last in shape.column_runs():
                 outer, inner = outer + P(*[1] * last), inner + P(*[1] * (first - 1))
             assert SkewShape(outer, inner) == shape
 
     def test_column_intervals_are_contiguous_runs(self):
-        for shape in small_shapes(5):
+        for shape in starmap(SkewShape, skew_pairs(5, 4)):
             for j, first, last in shape.column_intervals():
                 rows = [i + 1 for i in range(len(shape.outer)) if shape.inner[i] < j <= shape.outer[i]]
                 assert rows == list(range(first, last + 1))
@@ -97,7 +88,7 @@ class TestEnumerate:
         assert FIG2 in enumerate_tableaux(FIG2_SHAPE, 3)
 
     def test_all_results_valid_and_distinct(self):
-        for shape in small_shapes(4, max_len=3):
+        for shape in starmap(SkewShape, skew_pairs(4, 3)):
             ts = enumerate_tableaux(shape, 3)
             assert len(set(ts)) == len(ts)
             assert all(is_valid_ssyt(t) for t in ts)
@@ -161,7 +152,7 @@ class TestMonoid:
     def tableaux_universe(cls):
         if cls.universe is None:
             cls.universe = [
-                t for shape in small_shapes(4, max_len=3) for t in enumerate_tableaux(shape, 3)
+                t for shape in starmap(SkewShape, skew_pairs(4, 3)) for t in enumerate_tableaux(shape, 3)
             ]
         return cls.universe
 
@@ -183,7 +174,7 @@ class TestMonoid:
 
     def test_associativity(self):
         ts = [
-            t for shape in small_shapes(2, max_len=2) for t in enumerate_tableaux(shape, 3)
+            t for shape in starmap(SkewShape, skew_pairs(2, 2)) for t in enumerate_tableaux(shape, 3)
         ]
         for t1 in ts:
             for t2 in ts:
@@ -192,7 +183,7 @@ class TestMonoid:
                     assert insert(t12, t3) == insert(t1, insert(t2, t3))
 
     def test_cancellation(self):
-        shapes = small_shapes(3, max_len=3)
+        shapes = list(starmap(SkewShape, skew_pairs(3, 3)))
         for sa in shapes:
             ta = enumerate_tableaux(sa, 3)
             if not ta:
@@ -251,7 +242,7 @@ class TestSitsInside:
         assert not sits_inside(a, c)
 
     def test_reflexive(self):
-        for shape in small_shapes(4):
+        for shape in starmap(SkewShape, skew_pairs(4, 4)):
             assert sits_inside(shape, shape)
 
     def test_multiplicity_counts(self):
@@ -277,11 +268,9 @@ class TestStabilization:
             for lam in kls:
                 if not contains(kappa, lam):
                     continue
-                for mu in partitions_up_to(3, 2):
-                    for nu in partitions_up_to(mu.weight, 2):
-                        if contains(mu, nu):
-                            r = stabilization_index(kappa, lam, mu, nu)
-                            assert 0 <= r <= kappa[0] + 1
+                for mu, nu in skew_pairs(3, 2):
+                    r = stabilization_index(kappa, lam, mu, nu)
+                    assert 0 <= r <= kappa[0] + 1
 
     def test_invalid_base_rejected(self):
         with pytest.raises(ValueError):
@@ -302,7 +291,7 @@ class TestDecompose:
     def test_round_trip_exhaustive(self):
         from schurrec.partitions import subtract
 
-        shapes = small_shapes(4, max_len=3)
+        shapes = list(starmap(SkewShape, skew_pairs(4, 3)))
         for big in shapes:
             tableaux = enumerate_tableaux(big, 3)
             for small in shapes:
