@@ -53,18 +53,20 @@ from .polynomials import (
     weight_monomial,
 )
 from .kostka import (
+    PolynomialityReport,
     first_tableau_of_weight,
     kostka,
     m_basis_reconstruction,
+    polynomiality_check,
     schur_in_m_basis,
     stretch_positivity_check,
 )
 # The names __getattr__ serves, by the engine module that defines them.
 _LAZY = {
     "recurrence": (
-        "ConjectureReport", "InvalidFamilyError", "MinimalReport", "PolynomialityReport", "SchurSequence",
-        "VerifyResult", "berlekamp_massey", "build_sequence", "conjecture_check", "conjectured_weights",
-        "minimal_report", "polynomiality_check", "verify_certificate", "verify_recurrence",
+        "ConjectureReport", "InvalidFamilyError", "MinimalReport", "SchurSequence", "VerifyResult",
+        "berlekamp_massey", "build_sequence", "conjecture_check", "conjectured_weights", "minimal_report",
+        "verify_certificate", "verify_recurrence",
     ),
     "asymptotics": (
         "ComplexPoly", "DegenerateSpecialization", "ExperimentResult", "RootCloud", "RootConvergenceError",

@@ -1,6 +1,7 @@
 """Dense weight-multiplicity tables for skew shapes in at most 4 letters
-with any number of rows, plus exact integer evaluation through the
-Jacobi-Trudi determinant.
+with any number of rows, the factor chain that runs the recurrence on them,
+and their conversion to sparse polynomials.  This is the one module that
+imports numpy.
 
 The table for a shape with box count D and n letters is an (n-1)-dimensional
 int64 array K with K[t_1, ..., t_{n-1}] = number of SSYTs of weight
@@ -11,7 +12,8 @@ other rows are counted through chains of horizontal strips (the branching
 rule); split at the middle shape, the two halves range over coordinatewise
 boxes, so the counts reduce to lattice-point counts of boxes sliced by
 coordinate sum.  The arithmetic is int64 only, guarded by the exact total
-count computed up front; a count at the limit is refused, not enumerated.
+count (polynomials.ssyt_count) computed up front; a count at the limit is
+refused, not enumerated.
 """
 from __future__ import annotations
 
@@ -20,7 +22,9 @@ from typing import Sequence
 import numpy as np
 
 from .partitions import IntVector, Partition
-from .polynomials import MultiPoly
+# ssyt_count guards the int64 limit.  schur_int_eval is not used here, but
+# bench/spans.py traces both under this module, so it stays importable.
+from .polynomials import MultiPoly, schur_int_eval, ssyt_count
 
 # int64 is exact below this; tables and chains bound every entry under it
 _INT64_LIMIT = 1 << 63
@@ -33,59 +37,6 @@ class UnsupportedShape(Exception):
 
 def _padded(p: Partition, length: int) -> tuple[int, ...]:
     return tuple(p[i] for i in range(length))
-
-
-def _h_int_table(point: tuple[int, ...], upto: int) -> list[int]:
-    """h_m evaluated at an integer point, for m = 0..upto, one variable at a
-    time: h_m(x_1..x_j) = h_m(x_1..x_{j-1}) + x_j * h_{m-1}(x_1..x_j), the
-    recurrence polynomials.complete_homogeneous uses."""
-    table = [1] + [0] * upto
-    for x in point:
-        for m in range(1, upto + 1):
-            table[m] += x * table[m - 1]
-    return table
-
-
-def _det_int(mat: list[list[int]]) -> int:
-    """Exact integer determinant (Bareiss)."""
-    a = [row[:] for row in mat]
-    size = len(a)
-    sign = 1
-    prev = 1
-    for k in range(size - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, size):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, size):
-            for j in range(k + 1, size):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-        prev = a[k][k]
-    return sign * a[-1][-1]
-
-
-def schur_int_eval(outer: Partition, inner: Partition, point: tuple[int, ...]) -> int:
-    """Exact integer value of the skew Schur polynomial at an integer point."""
-    size = len(outer)
-    if size == 0:
-        return 1
-    upto = outer[0] + size
-    table = _h_int_table(point, upto)
-
-    def h(m: int) -> int:
-        return 0 if m < 0 else table[m]
-
-    mat = [[h(outer[i] - inner[j] - i + j) for j in range(size)] for i in range(size)]
-    return _det_int(mat)
-
-
-def ssyt_count(outer: Partition, inner: Partition, n: int) -> int:
-    """Exact number of SSYTs of the shape with entries in 1..n."""
-    return schur_int_eval(outer, inner, (1,) * n)
 
 
 def _shifted(p: np.ndarray, s: int) -> np.ndarray:

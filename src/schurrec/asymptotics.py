@@ -10,6 +10,7 @@ from the circle.
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -86,9 +87,10 @@ def specialize(seq: SchurSequence, k: int, xi: Sequence[complex]) -> ComplexPoly
     The collection runs over the exact integer terms of seq.term(k), in
     the order its MultiPoly lists them; each term is evaluated in complex
     arithmetic once.  The xi must share one modulus R up to a relative
-    1e-12, so any R is accepted.  A top coefficient is trimmed only when it
-    cancels to COEFF_TRIM relative to the magnitudes summed into it, so any
-    radius keeps the true degree.
+    1e-12, so any R is accepted whose powers keep the coefficients finite;
+    an R that overflows them is refused.  A top coefficient is trimmed only
+    when it cancels to COEFF_TRIM relative to the magnitudes summed into it,
+    so any radius keeps the true degree.
     """
     xs = [complex(v) for v in xi]
     if len(xs) != seq.n - 1:
@@ -104,7 +106,10 @@ def specialize(seq: SchurSequence, k: int, xi: Sequence[complex]) -> ComplexPoly
     def xi_power(i: int, p: int) -> complex:
         got = powers.get((i, p))
         if got is None:
-            got = xs[i] ** p
+            try:
+                got = xs[i] ** p
+            except OverflowError:  # refused below, with the modulus named
+                got = complex(math.inf)
             powers[(i, p)] = got
         return got
 
@@ -115,6 +120,9 @@ def specialize(seq: SchurSequence, k: int, xi: Sequence[complex]) -> ComplexPoly
                 value *= xi_power(i, p)
         by_power[exps[0]] = by_power.get(exps[0], 0j) + value
         magnitude[exps[0]] = magnitude.get(exps[0], 0.0) + abs(value)
+    # each magnitude bounds its coefficient; an overflowed term makes it inf or nan
+    if not all(math.isfinite(m) for m in magnitude.values()):
+        raise ValueError(f"xi of modulus {abs(xs[0]):g} overflows the coefficients of term {k}")
     if not by_power:
         raise DegenerateSpecialization(f"term {k} is the zero polynomial")
     top = max(by_power)

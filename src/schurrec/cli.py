@@ -6,8 +6,8 @@ Every run echoes its resolved configuration at the top of the output
 certificate on stdout), 3 internal error (one line on stderr).
 
 The handlers that build weight tables import the engine (`recurrence`,
-`asymptotics` and with them numpy) when they run, so the tableau commands
-start without it.
+`asymptotics` and with them numpy) when they run, so the tableau and
+counting commands start without it.
 """
 from __future__ import annotations
 
@@ -16,8 +16,8 @@ import json
 import sys
 from typing import Optional, Sequence
 
-from .kostka import kostka, schur_in_m_basis
-from .partitions import Partition, format_partition, parse_partition
+from .kostka import kostka, polynomiality_check, schur_in_m_basis
+from .partitions import Partition, format_partition, parse_entries, parse_partition
 from .polynomials import char_poly, skew_schur
 from .tableaux import SkewShape, Tableau, enumerate_tableaux, insert
 
@@ -125,25 +125,13 @@ def _emit(args: argparse.Namespace, code: int, payload: dict, text: Optional[str
     return code
 
 
-def _entries(option: str, text: str, body: str, convert, kind: str) -> list:
-    """Convert the comma-separated entries of body, an option's raw string
-    text less any brackets (the config echo keeps text).  A blank body has
-    no entries; a bad entry, an empty one too, is a usage error naming the
-    option."""
-    values = []
-    for tok in body.split(",") if body.strip() else []:
-        try:
-            values.append(convert(tok))
-        except ValueError:
-            raise ValueError(f"argument {option}: expected {kind}, got {tok!r} in {text!r}") from None
-    return values
-
-
-def _parse_weight(text: str) -> tuple[int, ...]:
-    s = text.strip()
-    if s.startswith("[") and s.endswith("]"):
-        s = s[1:-1]
-    return tuple(_entries("--weight", text, s, int, "an integer"))
+def _entries(option: str, text: str, convert=int, kind: str = "an integer") -> list:
+    """The entries of an option's raw text (the config echo keeps text); a
+    bad entry is a usage error naming the option."""
+    try:
+        return parse_entries(text, convert, kind)
+    except ValueError as exc:
+        raise ValueError(f"argument {option}: {exc}") from None
 
 
 def _family(args) -> tuple:
@@ -225,7 +213,7 @@ def _minimal(args):
 
 def _kostka(args):
     """Kostka coefficient of a shape and weight"""
-    value = kostka(SkewShape(args.outer, args.inner), _parse_weight(args.weight))
+    value = kostka(SkewShape(args.outer, args.inner), _entries("--weight", args.weight))
     return 0, {"kostka": value}, f"\n{value}\n"
 
 
@@ -247,8 +235,6 @@ def _conjecture(args):
 
 def _polynomiality(args):
     """finite-difference polynomiality of filling counts"""
-    from .recurrence import polynomiality_check
-
     report = polynomiality_check(args.mu, args.nu, args.n, args.kmax)
     payload = report.to_json_obj()
     payload["family"] = {"mu": format_partition(args.mu), "nu": format_partition(args.nu), "n": args.n}
@@ -263,7 +249,7 @@ def _roots(args):
     if (args.xi is None) == (args.xi_radius is None):
         raise ValueError("exactly one of --xi / --xi-radius is required")
     if args.xi is not None:
-        xi = _entries("--xi", args.xi, args.xi, complex, "a complex number")
+        xi = _entries("--xi", args.xi, complex, "a complex number")
     else:
         xi = [complex(args.xi_radius, 0.0)] * (args.n - 1)
     result = limit_experiment(build_sequence(*_family(args)), xi, args.kmax)
@@ -321,8 +307,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ValueError as exc:  # includes InvalidFamilyError and JSONDecodeError
         sys.stderr.write(f"schurrec {args.command}: error: {exc}\n")
         return USAGE_ERROR
-    except RuntimeError as exc:
-        sys.stderr.write(f"schurrec {args.command}: internal error: {exc}\n")
+    except Exception as exc:  # a failed internal check (RuntimeError) or a fault
+        what = "" if isinstance(exc, RuntimeError) else f"{type(exc).__name__}: "
+        sys.stderr.write(f"schurrec {args.command}: internal error: {what}{exc}\n")
         return INTERNAL_ERROR
 
 

@@ -1,12 +1,14 @@
 """Kostka coefficients of skew shapes, the monomial-basis expansion of skew
-Schur polynomials, and explicit witnesses for stretch positivity."""
+Schur polynomials, explicit witnesses for stretch positivity, and the
+polynomiality of the stretched filling counts."""
 from __future__ import annotations
 
+from dataclasses import asdict, dataclass
 from functools import reduce
-from typing import Sequence
+from typing import Optional, Sequence
 
-from .partitions import Partition, partitions_up_to, scale
-from .polynomials import MultiPoly, monomial_symmetric
+from .partitions import Partition, contains, partitions_up_to, scale
+from .polynomials import MultiPoly, monomial_symmetric, ssyt_count
 from .tableaux import SkewShape, Tableau, insert, iter_tableaux, weight
 
 
@@ -72,3 +74,40 @@ def stretch_positivity_check(shape: SkewShape, w: Sequence[int], k: int) -> Tabl
     if weight(witness) != tuple(k * x for x in wt):
         raise RuntimeError("witness weight is not the stretched weight")
     return witness
+
+
+@dataclass
+class PolynomialityReport:
+    counts: list[int]
+    degree: Optional[int]
+    vanish_order: Optional[int]
+    verdict: str
+    newton_coefficients: Optional[list[int]]
+
+    def to_json_obj(self) -> dict:
+        return asdict(self)
+
+
+def polynomiality_check(mu: Partition, nu: Partition, n: int, kmax: int) -> PolynomialityReport:
+    """Finite-difference check that k -> #SSYT of k*mu/k*nu is polynomial.
+
+    Requires kmax >= degree + 2 to conclude; otherwise INCONCLUSIVE.
+    """
+    if not contains(mu, nu):
+        raise ValueError("mu must contain nu")
+    if kmax < 0:
+        raise ValueError("kmax must be nonnegative")
+    counts = [ssyt_count(scale(k, mu), scale(k, nu), n) for k in range(kmax + 1)]
+    diffs = counts
+    newton = [counts[0]]
+    order = 0
+    while len(diffs) >= 2 and any(diffs):
+        diffs = [b - a for a, b in zip(diffs, diffs[1:])]
+        order += 1
+        newton.append(diffs[0])
+    # conclusive when all differences of this order vanish, with at least 2 witnesses
+    if any(diffs) or len(diffs) < 2:
+        return PolynomialityReport(counts, None, None, "INCONCLUSIVE", None)
+    # counts[0] = 1 (the empty shape), so a vanishing order is at least 1
+    degree = order - 1
+    return PolynomialityReport(counts, degree, order, f"POLYNOMIAL(degree={degree})", newton[:-1])

@@ -6,7 +6,7 @@ componentwise operations silently pad to the longer operand.
 """
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 IntVector = tuple[int, ...]
 
@@ -154,15 +154,25 @@ def stretch_violation(kappa: Partition, lam: Partition, mu: Partition, nu: Parti
     return None
 
 
-def parse_partition(text: str) -> Partition:
-    """Parse the bracketed text form, e.g. '[5,4,3,1]'; '[]' is empty."""
+def parse_entries(text: str, convert: Callable = int, kind: str = "an integer") -> list:
+    """The comma-separated entries of text, less any enclosing brackets, each
+    through convert; a blank body has none.  A bad entry, an empty one too,
+    raises ValueError naming it and text."""
     s = text.strip()
     if s.startswith("[") and s.endswith("]"):
         s = s[1:-1]
-    s = s.strip()
-    if not s:
-        return Partition()
-    return Partition(int(tok) for tok in s.split(","))
+    values = []
+    for tok in s.split(",") if s.strip() else []:
+        try:
+            values.append(convert(tok))
+        except ValueError:
+            raise ValueError(f"expected {kind}, got {tok!r} in {text!r}") from None
+    return values
+
+
+def parse_partition(text: str) -> Partition:
+    """Parse the bracketed text form, e.g. '[5,4,3,1]'; '[]' is empty."""
+    return Partition(parse_entries(text))
 
 
 def format_partition(p: Partition) -> str:

@@ -1,7 +1,8 @@
 """Exact sparse multivariate polynomials over the integers, and the symmetric
 polynomials built from tableaux: skew Schur, monomial symmetric, complete
-homogeneous, plus the Jacobi-Trudi determinant as an independent oracle;
-and chi(t), the product of (t - x^w) over the tableaux of a shape.
+homogeneous; the Jacobi-Trudi determinant, symbolic as an independent
+oracle and at integer points for exact filling counts; and chi(t), the
+product of (t - x^w) over the tableaux of a shape.
 """
 from __future__ import annotations
 
@@ -9,7 +10,7 @@ import json
 from functools import lru_cache
 from itertools import permutations
 from types import MappingProxyType
-from typing import Mapping, Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
 from .partitions import IntVector, Partition, contains
 from .tableaux import SkewShape, Tableau, iter_tableaux, weight
@@ -218,20 +219,34 @@ def skew_schur(shape: SkewShape, n: int) -> MultiPoly:
     return MultiPoly(n, terms)
 
 
+def _h_table(point: Sequence, upto: int, one) -> list:
+    """h_0 .. h_upto at a point, in the ring of one (int, or MultiPoly with
+    the letters as point), one letter at a time:
+    h_m(x_1..x_j) = h_m(x_1..x_{j-1}) + x_j * h_{m-1}(x_1..x_j)."""
+    table = [one] + [one * 0] * upto
+    for x in point:
+        for m in range(1, upto + 1):
+            table[m] = table[m] + x * table[m - 1]
+    return table
+
+
 @lru_cache(maxsize=None)
 def complete_homogeneous(m: int, n: int) -> MultiPoly:
     """Sum of all degree-m monomials in n variables (h_m); h_m = 0 for m < 0."""
     if m < 0:
         return MultiPoly.zero(n)
-    if m == 0:
-        return MultiPoly.one(n)
-    if n == 1:
-        return MultiPoly(1, {(m,): 1})
-    # peel the last variable: h_m(x_1..x_n) = h_m(x_1..x_{n-1}) + x_n*h_{m-1}(x_1..x_n)
-    smaller = complete_homogeneous(m, n - 1)
-    lifted = MultiPoly(n, {e + (0,): c for e, c in smaller.terms.items()})
-    xn = MultiPoly.monomial((0,) * (n - 1) + (1,))
-    return lifted + xn * complete_homogeneous(m - 1, n)
+    letters = [MultiPoly.monomial((0,) * j + (1,) + (0,) * (n - 1 - j)) for j in range(n)]
+    return _h_table(letters, m, MultiPoly.one(n))[m]
+
+
+def _jacobi_trudi(outer: Partition, inner: Partition, h: Callable[[int], object], zero) -> list[list]:
+    """The matrix (h_{outer_i - inner_j - i + j}) of Macdonald I.5, over the
+    ring of zero; h is asked only for m >= 0, at most outer_1 + len(outer) - 1."""
+    size = len(outer)
+    return [
+        [h(m) if (m := outer[i] - inner[j] - i + j) >= 0 else zero for j in range(size)]
+        for i in range(size)
+    ]
 
 
 def _det(entries: list[list[MultiPoly]], n: int) -> MultiPoly:
@@ -261,17 +276,45 @@ def _det(entries: list[list[MultiPoly]], n: int) -> MultiPoly:
     return minor(tuple(range(size)))
 
 
+def _det_int(mat: list[list[int]]) -> int:
+    """Exact integer determinant (Bareiss); 1 for the empty matrix.  Its
+    exact divisions have no MultiPoly counterpart, and _det's expansion is
+    exponential in the rows, so each ring keeps its own determinant."""
+    a = [row[:] for row in mat]
+    size = len(a)
+    sign = 1
+    prev = 1
+    for k in range(size - 1):
+        if a[k][k] == 0:
+            for i in range(k + 1, size):
+                if a[i][k] != 0:
+                    a[k], a[i] = a[i], a[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, size):
+            for j in range(k + 1, size):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return sign * a[-1][-1] if a else 1
+
+
 def skew_schur_jacobi_trudi(shape: SkewShape, n: int) -> MultiPoly:
     """The same polynomial as skew_schur, via det(h_{outer_i - inner_j - i + j})."""
-    outer, inner = shape.outer, shape.inner
-    size = len(outer)
-    if size == 0:
-        return MultiPoly.one(n)
-    entries = [
-        [complete_homogeneous(outer[i] - inner[j] - i + j, n) for j in range(size)]
-        for i in range(size)
-    ]
+    entries = _jacobi_trudi(shape.outer, shape.inner, lambda m: complete_homogeneous(m, n), MultiPoly.zero(n))
     return _det(entries, n)
+
+
+def schur_int_eval(outer: Partition, inner: Partition, point: tuple[int, ...]) -> int:
+    """Exact integer value of the skew Schur polynomial at an integer point."""
+    table = _h_table(point, outer[0] + len(outer) - 1, 1)
+    return _det_int(_jacobi_trudi(outer, inner, table.__getitem__, 0))
+
+
+def ssyt_count(outer: Partition, inner: Partition, n: int) -> int:
+    """Exact number of SSYTs of the shape with entries in 1..n."""
+    return schur_int_eval(outer, inner, (1,) * n)
 
 
 def monomial_symmetric(lam: Partition, n: int) -> MultiPoly:

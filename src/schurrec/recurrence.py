@@ -17,7 +17,7 @@ back to sparse exact polynomials.
 from __future__ import annotations
 
 import random
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -34,7 +34,7 @@ from .partitions import (
     stretch_violation,
     subtract,
 )
-from .polynomials import CharPoly, MultiPoly, char_poly, skew_schur
+from .polynomials import CharPoly, MultiPoly, char_poly, schur_int_eval, skew_schur, ssyt_count
 from .tableaux import SkewShape, first_enclosing_index, stabilization_index
 
 
@@ -113,7 +113,7 @@ class SchurSequence:
 
     def eval_at(self, k: int, point: tuple[int, ...]) -> int:
         """Exact integer evaluation of term k at an integer point."""
-        return _dense.schur_int_eval(self.outer_at(k), self.inner_at(k), point)
+        return schur_int_eval(self.outer_at(k), self.inner_at(k), point)
 
     def family_json(self) -> dict:
         req_kappa, req_lam = self.requested
@@ -146,7 +146,7 @@ def build_sequence(kappa: Partition, lam: Partition, mu: Partition, nu: Partitio
     eff_lam = add(lam, scale(shift, nu))
     if not contains(eff_kappa, eff_lam):
         raise RuntimeError("index shift did not produce a valid base shape")
-    if _dense.ssyt_count(mu, nu, n) == 0:
+    if ssyt_count(mu, nu, n) == 0:
         # degree-0 recurrence (s_k = 0): valid only where mu/nu actually
         # sits inside, not one index earlier
         r = first_enclosing_index(eff_kappa, eff_lam, mu, nu)
@@ -431,48 +431,3 @@ def conjecture_check(
         verdict, True, None, matches, conj, minimal.weights, cnt, seed,
         seq.family_json(), chi.degree, minimal.char_poly.degree,
     )
-
-
-# ---------------------------------------------------------------------------
-# polynomiality of the filling counts
-
-
-@dataclass
-class PolynomialityReport:
-    counts: list[int]
-    degree: Optional[int]
-    vanish_order: Optional[int]
-    verdict: str
-    newton_coefficients: Optional[list[int]]
-
-    def to_json_obj(self) -> dict:
-        return asdict(self)
-
-
-def polynomiality_check(mu: Partition, nu: Partition, n: int, kmax: int) -> PolynomialityReport:
-    """Finite-difference check that k -> #SSYT of k*mu/k*nu is polynomial.
-
-    Requires kmax >= degree + 2 to conclude; otherwise INCONCLUSIVE.
-    """
-    if not contains(mu, nu):
-        raise ValueError("mu must contain nu")
-    if kmax < 0:
-        raise ValueError("kmax must be nonnegative")
-    counts = [
-        _dense.ssyt_count(scale(k, mu), scale(k, nu), n) for k in range(kmax + 1)
-    ]
-    diffs = counts
-    newton = [counts[0]]
-    order = 0
-    while len(diffs) >= 2 and any(diffs):
-        diffs = [b - a for a, b in zip(diffs, diffs[1:])]
-        order += 1
-        newton.append(diffs[0])
-    if any(diffs):
-        return PolynomialityReport(counts, None, None, "INCONCLUSIVE", None)
-    # all differences of this order vanish; need at least 2 witnesses
-    if len(diffs) < 2:
-        return PolynomialityReport(counts, None, None, "INCONCLUSIVE", None)
-    # counts[0] = 1 (the empty shape), so a vanishing order is at least 1
-    degree = order - 1
-    return PolynomialityReport(counts, degree, order, f"POLYNOMIAL(degree={degree})", newton[:-1])

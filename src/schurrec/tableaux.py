@@ -65,14 +65,6 @@ class SkewShape:
             for j in range(self.outer[0])
         ]
 
-    def column_intervals(self) -> list[tuple[int, int, int]]:
-        """(column index, first row, last row) for every nonempty column."""
-        return [
-            (j, first, last)
-            for j, (first, last) in enumerate(self.column_runs(), 1)
-            if first <= last
-        ]
-
     def cells(self) -> list[tuple[int, int]]:
         """Ordinary boxes as 0-based (row, col) pairs, row-major."""
         return [

@@ -14,6 +14,7 @@ from schurrec.asymptotics import find_roots, limit_experiment, specialize
 from schurrec.kostka import (
     kostka,
     m_basis_reconstruction,
+    polynomiality_check,
     schur_in_m_basis,
     stretch_positivity_check,
 )
@@ -32,7 +33,6 @@ from schurrec.recurrence import (
     build_sequence,
     char_poly,
     conjecture_check,
-    polynomiality_check,
     verify_recurrence,
 )
 from schurrec.tableaux import (

@@ -99,6 +99,8 @@ BAD_INVOCATIONS = [
     (["roots", "--mu", "[1]", "--n", "2", "--xi", "abc", "--kmax", "2"], "argument --xi: expected a complex number, got 'abc'"),
     (["roots", "--mu", "[1]", "--n", "3", "--xi", "1,,1", "--kmax", "1"], "argument --xi: expected a complex number, got ''"),
     (["kostka", "--outer", "[2,1]", "--weight", "[1,,1]"], "argument --weight: expected an integer, got ''"),
+    (["char-poly", "--mu", "[1,,2]", "--n", "2"], "argument --mu: expected an integer, got ''"),
+    (["roots", "--mu", "[2,1]", "--n", "3", "--xi-radius", "1e200", "--kmax", "3"], "xi of modulus 1e+200 overflows"),
     (["kostka", "--outer", "[2,1]", "--weight", "1.5"], "argument --weight: expected an integer, got '1.5'"),
     # 32 disjoint boxes over 4 letters: 2^64 fillings, refused before any table or tableau
     (
@@ -196,8 +198,9 @@ class TestExitCodes:
         [
             RuntimeError("decomposition does not multiply back"),
             RootConvergenceError([(0, 1j, 0.5)], 200, "stalled"),
+            KeyError("n"),
         ],
-        ids=["runtime", "root-convergence"],
+        ids=["runtime", "root-convergence", "key"],
     )
     def test_internal_error_is_three(self, monkeypatch, capsys, error):
         def broken(args):
@@ -205,7 +208,9 @@ class TestExitCodes:
 
         monkeypatch.setitem(cli._COMMANDS, "schur", broken)
         assert cli.main(["schur", "--outer", "[1]", "--n", "2"]) == cli.INTERNAL_ERROR == 3
-        assert capsys.readouterr().err == f"schurrec schur: internal error: {error}\n"
+        # a failed internal check speaks for itself; any other fault is named by its type
+        kind = "" if isinstance(error, RuntimeError) else f"{type(error).__name__}: "
+        assert capsys.readouterr().err == f"schurrec schur: internal error: {kind}{error}\n"
 
 
 @pytest.mark.parametrize("argv,message", BAD_INVOCATIONS, ids=[f"{a[0]}: {m}" for a, m in BAD_INVOCATIONS])

@@ -9,17 +9,11 @@ from hypothesis import given, settings, strategies as st
 
 from battery import skew_pairs
 from schurrec import _dense
-from schurrec._dense import (
-    UnsupportedShape,
-    counts_to_multipoly,
-    schur_int_eval,
-    ssyt_count,
-    weight_counts,
-)
+from schurrec._dense import UnsupportedShape, counts_to_multipoly, weight_counts
 from schurrec.partitions import Partition
-from schurrec.polynomials import complete_homogeneous, skew_schur, skew_schur_jacobi_trudi
+from schurrec.polynomials import schur_int_eval, skew_schur, skew_schur_jacobi_trudi, ssyt_count
 from schurrec.recurrence import build_sequence, char_poly, verify_certificate
-from schurrec.tableaux import SkewShape, enumerate_tableaux
+from schurrec.tableaux import SkewShape
 
 
 def P(*parts):
@@ -61,7 +55,7 @@ class TestWeightCounts:
     def test_int64_guard_refuses_and_terms_stay_exact(self):
         # a count at the limit is refused by the term too: no engine lists it
         seq = build_sequence(P(), P(), P(2, 1), P(), 4)
-        total = _dense.ssyt_count(seq.outer_at(3), seq.inner_at(3), 4)
+        total = ssyt_count(seq.outer_at(3), seq.inner_at(3), 4)
         refusal = rf"^{total} fillings reach the int64 limit {total}"
         with mock.patch.object(_dense, "_INT64_LIMIT", total):
             with pytest.raises(ValueError, match=refusal):
@@ -216,40 +210,3 @@ class TestIsolatedRows:
                         if sum(u) <= m and all(a >= b for a, b in zip(t, u)):
                             expected[t] += x[tuple(a - b for a, b in zip(t, u))]
                 assert np.array_equal(_dense._simplex_filter(x, m, d) * inside, expected)
-
-
-class TestIntegerEvaluation:
-    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
-    def test_h_table_matches_complete_homogeneous(self, n):
-        rng = random.Random(n)
-        points = [(0,) * n, (1,) * n, (-1,) * n] + [
-            tuple(rng.randrange(-7, 8) for _ in range(n)) for _ in range(20)
-        ]
-        for point in points:
-            table = _dense._h_int_table(point, 9)
-            assert table == [complete_homogeneous(m, n).eval(point) for m in range(10)]
-
-    def test_counts(self):
-        assert ssyt_count(P(2, 1), P(), 3) == 8
-        assert ssyt_count(P(1), P(), 2) == 2
-        assert ssyt_count(P(1, 1, 1), P(), 2) == 0
-        assert ssyt_count(P(), P(), 2) == 1
-
-    def test_counts_match_enumeration(self):
-        for outer, inner in skew_pairs(5, 3):
-            for n in (1, 2, 3):
-                expected = len(enumerate_tableaux(SkewShape(outer, inner), n))
-                assert ssyt_count(outer, inner, n) == expected
-
-    def test_point_evaluation_matches_polynomial(self):
-        for outer, inner in [(P(3, 1), P(1)), (P(2, 2), P()), (P(4), P(2))]:
-            shape = SkewShape(outer, inner)
-            poly = skew_schur(shape, 3)
-            for point in [(1, 1, 1), (2, 3, 5), (7, 2, 1)]:
-                assert schur_int_eval(outer, inner, point) == poly.eval(point)
-
-    def test_four_variables(self):
-        shape = SkewShape(P(2, 1), P())
-        poly = skew_schur(shape, 4)
-        assert schur_int_eval(P(2, 1), P(), (1, 1, 1, 1)) == sum(poly.terms.values())
-        assert schur_int_eval(P(2, 1), P(), (2, 3, 4, 5)) == poly.eval((2, 3, 4, 5))

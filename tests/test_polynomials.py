@@ -1,5 +1,7 @@
+import random
 from fractions import Fraction
-from itertools import product, starmap
+from itertools import combinations_with_replacement, product, starmap
+from math import prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,11 +10,14 @@ from battery import skew_pairs
 from schurrec.partitions import Partition
 from schurrec.polynomials import (
     MultiPoly,
+    _h_table,
     complete_homogeneous,
     eval_all_ones,
     monomial_symmetric,
+    schur_int_eval,
     skew_schur,
     skew_schur_jacobi_trudi,
+    ssyt_count,
     weight_monomial,
 )
 from schurrec.tableaux import (
@@ -180,6 +185,46 @@ class TestJacobiTrudiOracle:
         assert h3 == MultiPoly(2, {(3, 0): 1, (2, 1): 1, (1, 2): 1, (0, 3): 1})
         assert complete_homogeneous(0, 3) == MultiPoly.one(3)
         assert complete_homogeneous(-1, 3).is_zero()
+
+
+class TestIntegerEvaluation:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_h_table_matches_complete_homogeneous(self, n):
+        # oracle: h_m sums the monomials x_{i_1} ... x_{i_m} over i_1 <= ... <= i_m
+        rng = random.Random(n)
+        points = [(0,) * n, (1,) * n, (-1,) * n] + [
+            tuple(rng.randrange(-7, 8) for _ in range(n)) for _ in range(20)
+        ]
+        words = [list(combinations_with_replacement(range(n), m)) for m in range(9)]
+        for m, ws in enumerate(words):
+            assert complete_homogeneous(m, n) == MultiPoly(n, {tuple(map(w.count, range(n))): 1 for w in ws})
+        for point in points:
+            assert _h_table(point, 8, 1) == [sum(prod(point[i] for i in w) for w in ws) for ws in words]
+
+    def test_counts(self):
+        assert ssyt_count(P(2, 1), P(), 3) == 8
+        assert ssyt_count(P(1), P(), 2) == 2
+        assert ssyt_count(P(1, 1, 1), P(), 2) == 0
+        assert ssyt_count(P(), P(), 2) == 1
+
+    def test_counts_match_enumeration(self):
+        for outer, inner in skew_pairs(5, 3):
+            for n in (1, 2, 3):
+                expected = len(enumerate_tableaux(SkewShape(outer, inner), n))
+                assert ssyt_count(outer, inner, n) == expected
+
+    def test_point_evaluation_matches_polynomial(self):
+        for outer, inner in [(P(3, 1), P(1)), (P(2, 2), P()), (P(4), P(2))]:
+            shape = SkewShape(outer, inner)
+            poly = skew_schur(shape, 3)
+            for point in [(1, 1, 1), (2, 3, 5), (7, 2, 1)]:
+                assert schur_int_eval(outer, inner, point) == poly.eval(point)
+
+    def test_four_variables(self):
+        shape = SkewShape(P(2, 1), P())
+        poly = skew_schur(shape, 4)
+        assert schur_int_eval(P(2, 1), P(), (1, 1, 1, 1)) == sum(poly.terms.values())
+        assert schur_int_eval(P(2, 1), P(), (2, 3, 4, 5)) == poly.eval((2, 3, 4, 5))
 
 
 class TestMonomialSymmetric:

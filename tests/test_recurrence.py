@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from battery import skew_pairs
 from schurrec import _dense, polynomials, recurrence, tableaux
+from schurrec.kostka import polynomiality_check
 from schurrec.partitions import Partition
 from schurrec.polynomials import MultiPoly, complete_homogeneous, skew_schur
 from schurrec.recurrence import (
@@ -18,7 +19,6 @@ from schurrec.recurrence import (
     conjecture_check,
     conjectured_weights,
     minimal_report,
-    polynomiality_check,
     verify_certificate,
     verify_recurrence,
 )
@@ -160,7 +160,7 @@ class TestBuildSequence:
         seq = build_sequence(P(), P(), P(2, 1), P(), 3)
         for k in range(3):
             poly = seq.term(k)
-            assert _dense.ssyt_count(seq.outer_at(k), seq.inner_at(k), 3) == sum(poly.terms.values())
+            assert polynomials.ssyt_count(seq.outer_at(k), seq.inner_at(k), 3) == sum(poly.terms.values())
             assert seq.eval_at(k, (2, 3, 5)) == poly.eval((2, 3, 5))
 
 
@@ -288,7 +288,7 @@ class TestFactorChain:
         weights = char_poly(P(2, 1), P(1), 3).root_weights
         start, count, d = seq.r, 2, len(weights)
         window = range(start, start + count + d)
-        bound = max(_dense.ssyt_count(seq.outer_at(k), seq.inner_at(k), 3) for k in window) << d
+        bound = max(polynomials.ssyt_count(seq.outer_at(k), seq.inner_at(k), 3) for k in window) << d
         built_tables(seq, start, start + count + d)
         for limit, dtype in ((bound, "object"), (bound + 1, "int64")):
             with mock.patch.object(_dense, "_INT64_LIMIT", limit), mock.patch.object(

@@ -51,9 +51,10 @@ class TestShapes:
 
     def test_column_intervals_are_contiguous_runs(self):
         for shape in starmap(SkewShape, skew_pairs(5, 4)):
-            for j, first, last in shape.column_intervals():
-                rows = [i + 1 for i in range(len(shape.outer)) if shape.inner[i] < j <= shape.outer[i]]
-                assert rows == list(range(first, last + 1))
+            for j, (first, last) in enumerate(shape.column_runs(), 1):
+                if first <= last:
+                    rows = [i + 1 for i in range(len(shape.outer)) if shape.inner[i] < j <= shape.outer[i]]
+                    assert rows == list(range(first, last + 1))
 
 
 class TestValidity:
