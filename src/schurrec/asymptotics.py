@@ -2,15 +2,15 @@
 
 Specializing all variables but the first to points on a circle of radius R
 turns each sequence term into a complex polynomial P_k(z); as k grows the
-roots accumulate on the circle |z| = R (possibly plus the origin).  This
-module collects the exact coefficients symbolically, finds roots with a
-simultaneous Aberth-Ehrlich iteration, and reports per-cloud deviations
-from the circle.
+roots accumulate on the circle |z| = R (possibly plus the origin).  Terms
+are homogeneous, so the work runs in units of R: the roots of P_k are R
+times those of s_k(w, xi/R), whose coefficients are collected exactly and
+whose roots are found by a simultaneous Aberth-Ehrlich iteration.  Per-cloud
+deviations from the circle are reported at scale R.
 """
 from __future__ import annotations
 
 import cmath
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -81,48 +81,43 @@ class RootCloud:
         return RootCloud(k, tuple(roots), radius, dev)
 
 
-def specialize(seq: SchurSequence, k: int, xi: Sequence[complex]) -> ComplexPoly:
-    """P_k(z): substitute x_2..x_n -> xi and collect powers of x_1.
+def _unit(xs: Sequence[complex]) -> float:
+    """The modulus R that finite xi share up to a relative 1e-12; 1.0 for no xi."""
+    if not all(cmath.isfinite(v) for v in xs):
+        raise ValueError("xi must be finite")
+    moduli = [abs(v) for v in xs]
+    if moduli and max(moduli) - min(moduli) > 1e-12 * max(moduli):
+        raise ValueError("all xi must lie on a common circle |xi| = R")
+    return moduli[0] if moduli else 1.0
 
-    The collection runs over the exact integer terms of seq.term(k), in
-    the order its MultiPoly lists them; each term is evaluated in complex
-    arithmetic once.  The xi must share one modulus R up to a relative
-    1e-12, so any R is accepted whose powers keep the coefficients finite;
-    an R that overflows them is refused.  A top coefficient is trimmed only
-    when it cancels to COEFF_TRIM relative to the magnitudes summed into it,
-    so any radius keeps the true degree.
+
+def specialize(seq: SchurSequence, k: int, xi: Sequence[complex]) -> ComplexPoly:
+    """P_k in units of R: substitute x_2..x_n -> xi/R, where R is the common
+    modulus of xi (1 when R = 0), and collect powers of x_1.
+
+    The roots of P_k are R times the roots of the result, which is P_k
+    itself at R = 1; every power taken has modulus 1.  The collection runs
+    over the exact integer terms of seq.term(k), in the order its MultiPoly
+    lists them.  A top coefficient is trimmed only when it cancels to
+    COEFF_TRIM relative to the magnitudes summed into it.
     """
-    xs = [complex(v) for v in xi]
-    if len(xs) != seq.n - 1:
+    if len(xi) != seq.n - 1:
         raise ValueError(f"xi must have length n-1 = {seq.n - 1}")
-    if xs:
-        moduli = [abs(v) for v in xs]
-        if max(moduli) - min(moduli) > 1e-12 * max(moduli):
-            raise ValueError("all xi must lie on a common circle |xi| = R")
+    unit = _unit(xi) or 1.0
+    xs = [complex(v.real / unit, v.imag / unit) for v in xi]
     by_power: dict[int, complex] = {}
     magnitude: dict[int, float] = {}
     powers: dict[tuple[int, int], complex] = {}
-
-    def xi_power(i: int, p: int) -> complex:
-        got = powers.get((i, p))
-        if got is None:
-            try:
-                got = xs[i] ** p
-            except OverflowError:  # refused below, with the modulus named
-                got = complex(math.inf)
-            powers[(i, p)] = got
-        return got
-
     for exps, coef in seq.term(k).terms.items():
         value = complex(coef)
         for i, p in enumerate(exps[1:]):
             if p:
-                value *= xi_power(i, p)
+                power = powers.get((i, p))
+                if power is None:
+                    power = powers[(i, p)] = xs[i] ** p
+                value *= power
         by_power[exps[0]] = by_power.get(exps[0], 0j) + value
         magnitude[exps[0]] = magnitude.get(exps[0], 0.0) + abs(value)
-    # each magnitude bounds its coefficient; an overflowed term makes it inf or nan
-    if not all(math.isfinite(m) for m in magnitude.values()):
-        raise ValueError(f"xi of modulus {abs(xs[0]):g} overflows the coefficients of term {k}")
     if not by_power:
         raise DegenerateSpecialization(f"term {k} is the zero polynomial")
     top = max(by_power)
@@ -154,6 +149,8 @@ def _aberth(coeffs: list[complex]) -> tuple[list[complex], int, str]:
         for j in range(d)
     ]
     deriv = ComplexPoly(tuple(j * monic.coeffs[j] for j in range(1, d + 1)))
+    rev = ComplexPoly(monic.coeffs[::-1])
+    rev_deriv = ComplexPoly(tuple(j * rev.coeffs[j] for j in range(1, d + 1)))
     tol = 1e-14 * (1.0 + start)
 
     active = list(range(d))
@@ -168,10 +165,12 @@ def _aberth(coeffs: list[complex]) -> tuple[list[complex], int, str]:
         unfrozen = []
         for i in active:
             zi = z[i]
-            p = monic(zi)
+            p, dp = monic(zi), deriv(zi)
+            if not cmath.isfinite(p * dp):  # zi^d overflowed: p = zi^d q(1/zi), q reversed
+                w = 1 / zi
+                p, dp = zi * rev(w), d * rev(w) - w * rev_deriv(w)
             if p == 0:
                 continue
-            dp = deriv(zi)
             if dp == 0:
                 newton = p / (dp + 1e-300)
             else:
@@ -237,7 +236,9 @@ def _conjugate_closure(roots: list[complex]) -> list[complex]:
 
 def find_roots(p: ComplexPoly) -> list[complex]:
     """All complex roots with multiplicity, deterministic, each validated to
-    relative residual below 1e-8."""
+    relative residual below 1e-8.  The absolute floors of _aberth and
+    _conjugate_closure (1 + |z|) assume roots of modulus about 1, which is
+    what specialize's units of R give."""
     if p.degree < 1:
         raise ValueError("find_roots requires degree >= 1")
     coeffs = list(p.coeffs)
@@ -256,7 +257,7 @@ def find_roots(p: ComplexPoly) -> list[complex]:
     for i, z in enumerate(roots):
         scale = p.coefficient_scale(abs(z))
         residual = abs(p(z)) / scale if scale > 0 else abs(p(z))
-        if residual >= RESIDUAL_TOL:
+        if not residual < RESIDUAL_TOL:  # a nan root fails too
             bad.append((i, z, residual))
     if bad:
         raise RootConvergenceError(bad, sweeps, stop)
@@ -275,7 +276,8 @@ class ExperimentResult:
 
 
 def limit_experiment(seq: SchurSequence, xi: Sequence[complex], kmax: int) -> ExperimentResult:
-    """Root clouds of P_1 .. P_kmax with circle deviations.
+    """Root clouds of P_1 .. P_kmax, found in units of R and scaled by R,
+    with their deviations from |z| = R.
 
     trend_ok records whether deviation(kmax) < deviation(1); the limit
     statement gives no convergence rate, so the series is reported in full.
@@ -284,16 +286,14 @@ def limit_experiment(seq: SchurSequence, xi: Sequence[complex], kmax: int) -> Ex
         raise ValueError("the limit experiment requires mu != nu")
     if kmax < 1:
         raise ValueError("kmax must be at least 1")
-    xs = [complex(v) for v in xi]
-    if not all(cmath.isfinite(v) for v in xs):
-        raise ValueError("xi must be finite")
-    radius = abs(xs[0]) if xs else 1.0
+    radius = _unit(xi)
     clouds = []
     for k in range(1, kmax + 1):
-        poly = specialize(seq, k, xs)
+        poly = specialize(seq, k, xi)
         if poly.degree + 1 > DEGREE_CAP:
             raise ValueError(f"specialized polynomial at k={k} exceeds {DEGREE_CAP} coefficients")
-        roots = find_roots(poly) if poly.degree >= 1 else []
+        # P_k(R w) = R^D poly(w); at R = 0 every root is 0 and stays there
+        roots = [complex(z.real * radius, z.imag * radius) for z in find_roots(poly)] if poly.degree >= 1 else []
         clouds.append(RootCloud.from_roots(k, roots, radius))
     trend_ok = clouds[-1].deviation < clouds[0].deviation
     return ExperimentResult(clouds, radius, trend_ok)

@@ -24,11 +24,9 @@ def kostka(shape: SkewShape, w: Sequence[int]) -> int:
         raise ValueError(f"weight must be nonnegative, got {wt}")
     if sum(wt) != shape.num_boxes:
         return 0
-    n = len(wt)
-    count = 0
-    for _ in iter_tableaux(shape, n, weight_cap=wt):
-        count += 1
-    return count
+    if not wt:  # the empty filling of a shape with no boxes
+        return 1
+    return sum(1 for _ in iter_tableaux(shape, len(wt), weight_cap=wt))
 
 
 def schur_in_m_basis(shape: SkewShape, n: int) -> dict[Partition, int]:

@@ -409,8 +409,8 @@ def conjecture_check(
     sequence and equals the computed minimal characteristic polynomial.
 
     The verdict is evidence, not proof: SUPPORTED, REFUTED-AT(k) when the
-    conjectured polynomial fails to annihilate at index k, REFUTED-MINIMALITY
-    when it annihilates but is not minimal, or INCONCLUSIVE.
+    conjectured polynomial fails to annihilate at index k, or
+    REFUTED-MINIMALITY when it annihilates but is not minimal.
     """
     seq = build_sequence(kappa, lam, mu, nu, n)
     chi = char_poly(mu, nu, n)

@@ -323,10 +323,10 @@ def first_enclosing_index(kappa: Partition, lam: Partition, mu: Partition, nu: P
     """
     if not contains(kappa, lam):
         raise ValueError("kappa/lam is not a valid skew shape")
-    runs = Counter(SkewShape(mu, nu).column_runs())
+    small = SkewShape(mu, nu)
     for r0 in range(kappa[0] + 2):
         outer, inner = add(kappa, scale(r0, mu)), add(lam, scale(r0, nu))
-        if contains(outer, inner) and not runs - Counter(SkewShape(outer, inner).column_runs()):
+        if contains(outer, inner) and sits_inside(small, SkewShape(outer, inner)):
             return r0
     raise RuntimeError("no enclosing index within the bound kappa_1 + 1")
 

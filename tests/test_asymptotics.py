@@ -18,6 +18,7 @@ from schurrec.asymptotics import (
     specialize,
 )
 from schurrec.partitions import Partition
+from schurrec.polynomials import schur_int_eval
 from schurrec.recurrence import build_sequence
 
 
@@ -152,6 +153,22 @@ class TestSpecialize:
         for k in range(1, 5):
             assert specialize(seq, k, xs).coeffs == multipoly_coefficients(seq, k, xs)
 
+    @pytest.mark.parametrize(
+        "mu,nu,n,kmax",
+        [((2, 1), (), 2, 4), ((2, 1), (), 3, 4), ((2, 1), (), 4, 3), ((2, 1), (1,), 3, 4)],
+    )
+    def test_coefficients_are_in_units_of_the_radius(self, mu, nu, n, kmax):
+        # s_k is homogeneous of degree D, so s_k(z0, m, ..., m) is the sum of
+        # q_j z0^j m^(D - j) over the coefficients q_j of P_k in units of m
+        seq = build_sequence(P(), P(), P(*mu), P(*nu), n)
+        for k in range(1, kmax + 1):
+            D = seq.boxes_at(k)
+            for m in (2, 3, 7):
+                q = [round(c.real) for c in specialize(seq, k, [float(m)] * (n - 1)).coeffs]
+                for z0 in (1, 5, -4):
+                    value = sum(c * z0**j * m ** (D - j) for j, c in enumerate(q))
+                    assert value == schur_int_eval(seq.outer_at(k), seq.inner_at(k), (z0,) + (m,) * (n - 1))
+
 
 class TestFindRoots:
     def test_quadratic_roots_of_unity(self):
@@ -197,6 +214,14 @@ class TestFindRoots:
         assert err.stop in ("steps converged", "stalled")
         assert f"after {err.sweeps} sweeps ({err.stop})" in str(err)
 
+    def test_nan_root_fails_the_residual_check(self, monkeypatch):
+        def diverged(coeffs):
+            return [complex("nan")] * (len(coeffs) - 1), 1, "stalled"
+
+        monkeypatch.setattr(asymptotics, "_aberth", diverged)
+        with pytest.raises(RootConvergenceError, match="residual=nan"):
+            find_roots(cpoly([3, -2, 0, 5, 1]))
+
     def test_root_count_matches_degree(self):
         seq = build_sequence(P(), P(), P(2, 1), P(), 3)
         for k in (1, 2, 3, 4):
@@ -240,7 +265,7 @@ class TestOracle:
 
 
 class TestAnyRadius:
-    RADII = [10.0**e for e in range(-4, 5)]
+    RADII = [10.0**e for e in range(-4, 5)] + [1e-200, 1e-9, 1e9, 1e200]
 
     @pytest.mark.parametrize("radius", RADII)
     @pytest.mark.parametrize("mu,n", [((2,), 2), ((2, 1), 3)])
@@ -255,6 +280,18 @@ class TestAnyRadius:
         seq = build_sequence(P(), P(), P(2), P(), 2)
         for cloud in limit_experiment(seq, [radius], 8).clouds:
             assert cloud.deviation <= 1e-9 * radius
+
+    @pytest.mark.parametrize("radius,k", [(0.1, 170), (10.0, 160), (1.0, 165)])
+    def test_h_family_high_degree(self, radius, k):
+        # R^(2k) underflows or overflows a float, the powers of xi/R do not;
+        # and at these degrees some Aberth iterates stray far enough from the
+        # unit circle for z^(2k) to overflow before they come back
+        seq = build_sequence(P(), P(), P(2), P(), 2)
+        roots = [radius * z for z in find_roots(specialize(seq, k, [radius]))]
+        cloud = RootCloud.from_roots(k, roots, radius)
+        assert len(roots) == 2 * k and all(cmath.isfinite(z) for z in roots)
+        assert min(abs(z) for z in roots) >= asymptotics.ORIGIN_EXCLUSION * radius
+        assert cloud.deviation <= 1e-9 * radius
 
 
 class TestLimitExperiment:

@@ -3,6 +3,7 @@
 Each golden run is executed twice to pin byte-identical determinism.
 """
 import json
+import math
 import pathlib
 import subprocess
 import sys
@@ -100,7 +101,6 @@ BAD_INVOCATIONS = [
     (["roots", "--mu", "[1]", "--n", "3", "--xi", "1,,1", "--kmax", "1"], "argument --xi: expected a complex number, got ''"),
     (["kostka", "--outer", "[2,1]", "--weight", "[1,,1]"], "argument --weight: expected an integer, got ''"),
     (["char-poly", "--mu", "[1,,2]", "--n", "2"], "argument --mu: expected an integer, got ''"),
-    (["roots", "--mu", "[2,1]", "--n", "3", "--xi-radius", "1e200", "--kmax", "3"], "xi of modulus 1e+200 overflows"),
     (["kostka", "--outer", "[2,1]", "--weight", "1.5"], "argument --weight: expected an integer, got '1.5'"),
     # 32 disjoint boxes over 4 letters: 2^64 fillings, refused before any table or tableau
     (
@@ -141,16 +141,31 @@ class TestExitCodes:
         assert result.returncode == 1  # no stretch factor: invalid family
 
     @pytest.mark.parametrize(
-        "args",
+        "family,radius,kmax",
         [
-            ["--mu", "[2]", "--n", "2", "--xi-radius", "10", "--kmax", "8"],
-            ["--mu", "[1,1]", "--n", "2", "--xi-radius", "1e-3", "--kmax", "5"],
+            (["--mu", "[2]", "--n", "2"], "10", "8"),
+            (["--mu", "[1,1]", "--n", "2"], "1e-3", "5"),
+            (["--mu", "[2]", "--n", "2"], "1e-9", "2"),
+            (["--mu", "[2,1]", "--n", "3"], "1e-200", "1"),
+            (["--mu", "[2,1]", "--n", "3"], "1e200", "3"),
         ],
-        ids=["radius-10", "radius-1e-3"],
+        ids=["radius-10", "radius-1e-3", "radius-1e-9", "radius-1e-200", "radius-1e200"],
     )
-    def test_roots_at_any_radius_is_zero(self, args):
-        result = run_cli(["roots", *args])
-        assert result.returncode == 0, result.stderr
+    def test_roots_at_any_radius_is_zero(self, family, radius, kmax):
+        def rows(r):
+            result = run_cli(["roots", *family, "--xi-radius", r, "--kmax", kmax])
+            assert result.returncode == 0, result.stderr
+            return [line.split(",") for line in result.stdout.splitlines()[2:]]
+
+        # real xi divided by R is exactly 1: each root is R times the root
+        # in the same row of the radius-1 run
+        scaled, unit = rows(radius), rows("1")
+        R = float(radius)
+        assert len(scaled) == len(unit) > 0
+        for row, one in zip(scaled, unit):
+            assert row[:2] == one[:2]
+            for got, want in zip(row[2:4], one[2:4]):
+                assert math.isclose(float(got), R * float(want), rel_tol=1e-14, abs_tol=1e-14 * R)
 
     def test_roots_accept_xi_equal_in_modulus_up_to_rounding(self):
         # |xi_1| = 10000 - 1.8e-12, one ulp below |xi_2|

@@ -1,8 +1,10 @@
+import json
 from itertools import product, starmap
 
 import pytest
 
 from battery import skew_pairs
+from schurrec import cli
 from schurrec.kostka import (
     first_tableau_of_weight,
     kostka,
@@ -45,6 +47,14 @@ class TestKostka:
     def test_weight_mismatch_zero(self):
         assert kostka(SkewShape(P(3, 1)), (1, 1)) == 0
         assert kostka(SkewShape(P(2)), (2, 1)) == 0
+
+    def test_empty_filling_counts_once(self):
+        assert kostka(SkewShape(P()), ()) == 1
+        assert kostka(SkewShape(P(1, 1), P(1, 1)), ()) == 1
+
+    def test_empty_filling_from_the_cli(self, capsys):
+        assert cli.main(["kostka", "--outer", "[]", "--weight", "[]", "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["kostka"] == 1
 
 
 class TestMBasis:
