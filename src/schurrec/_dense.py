@@ -238,18 +238,23 @@ def factor_chain(tables: list[np.ndarray], weights: Sequence[IntVector]) -> list
     return terms
 
 
+def table_cells(arr: np.ndarray, total_boxes: int) -> tuple[list[list[int]], list[int]]:
+    """The nonzero cells of a dense weight table in C order, as Python ints:
+    one column of exponents per letter, the last letter's being total_boxes
+    less the others, and the column of counts."""
+    cells = np.nonzero(arr) if arr.ndim else ()  # n = 1: a 0-d table, no column
+    counts = arr[arr != 0]
+    last = np.full(len(counts), total_boxes, dtype=np.int64)
+    for column in cells:
+        last -= column
+    if (last < 0).any():
+        raise RuntimeError("dense table exponent exceeds box count")
+    return [c.tolist() for c in cells] + [last.tolist()], counts.tolist()
+
+
 def counts_to_multipoly(arr: np.ndarray, n: int, total_boxes: int) -> MultiPoly:
-    """The sparse polynomial of a dense weight table: its nonzero cells in C
-    order, the exponent of the last letter being total_boxes less the others.
-    The terms are clean by construction, so they are not validated again."""
-    if n == 1:
-        coef = int(arr[()])
-        return MultiPoly._trusted(1, {(total_boxes,): coef} if coef else {})
-    cells = np.nonzero(arr)
-    terms = {}
-    for t, coef in zip(zip(*(c.tolist() for c in cells)), arr[cells].tolist()):
-        last = total_boxes - sum(t)
-        if last < 0:
-            raise RuntimeError("dense table exponent exceeds box count")
-        terms[t + (last,)] = coef
-    return MultiPoly._trusted(n, terms)
+    """The sparse polynomial of a dense weight table, its terms listed in the
+    C order of the table's cells (table_cells).  The terms are clean by
+    construction, so they are not validated again."""
+    exponents, counts = table_cells(arr, total_boxes)
+    return MultiPoly._trusted(n, dict(zip(zip(*exponents), counts)))

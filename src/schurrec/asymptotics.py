@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 from .recurrence import SchurSequence
@@ -56,12 +57,16 @@ class ComplexPoly:
             acc = acc * z + c
         return acc
 
+    @cached_property
+    def _magnitudes(self) -> list[float]:
+        return [abs(c) for c in self.coeffs]
+
     def coefficient_scale(self, radius: float) -> float:
         """Sum of |c_j| * radius^j, the natural backward-error scale."""
-        return sum(abs(c) * radius**j for j, c in enumerate(self.coeffs))
+        return sum(m * radius**j for j, m in enumerate(self._magnitudes))
 
     def is_real(self) -> bool:
-        biggest = max((abs(c) for c in self.coeffs), default=0.0)
+        biggest = max(self._magnitudes, default=0.0)
         return all(abs(c.imag) <= 1e-14 * (1.0 + biggest) for c in self.coeffs)
 
 
@@ -85,7 +90,10 @@ def _unit(xs: Sequence[complex]) -> float:
     """The modulus R that finite xi share up to a relative 1e-12; 1.0 for no xi."""
     if not all(cmath.isfinite(v) for v in xs):
         raise ValueError("xi must be finite")
-    moduli = [abs(v) for v in xs]
+    try:
+        moduli = [abs(v) for v in xs]
+    except OverflowError:  # finite parts, but a modulus past the largest float
+        raise ValueError("the modulus of an xi exceeds the float range") from None
     if moduli and max(moduli) - min(moduli) > 1e-12 * max(moduli):
         raise ValueError("all xi must lie on a common circle |xi| = R")
     return moduli[0] if moduli else 1.0
@@ -97,35 +105,44 @@ def specialize(seq: SchurSequence, k: int, xi: Sequence[complex]) -> ComplexPoly
 
     The roots of P_k are R times the roots of the result, which is P_k
     itself at R = 1; every power taken has modulus 1.  The collection runs
-    over the exact integer terms of seq.term(k), in the order its MultiPoly
-    lists them.  A top coefficient is trimmed only when it cancels to
-    COEFF_TRIM relative to the magnitudes summed into it.
+    over the exact integer terms of term k in a fixed order (seq.term_cells:
+    the nonzero cells of its weight table in C order).  Each coefficient is
+    multiplied by its powers of xi/R letter by letter and summed, term by
+    term, into its power of x_1.  A top coefficient is trimmed only when it
+    cancels to COEFF_TRIM relative to the magnitudes summed into it.
     """
     if len(xi) != seq.n - 1:
         raise ValueError(f"xi must have length n-1 = {seq.n - 1}")
     unit = _unit(xi) or 1.0
     xs = [complex(v.real / unit, v.imag / unit) for v in xi]
-    by_power: dict[int, complex] = {}
-    magnitude: dict[int, float] = {}
-    powers: dict[tuple[int, int], complex] = {}
-    for exps, coef in seq.term(k).terms.items():
-        value = complex(coef)
-        for i, p in enumerate(exps[1:]):
-            if p:
-                power = powers.get((i, p))
-                if power is None:
-                    power = powers[(i, p)] = xs[i] ** p
-                value *= power
-        by_power[exps[0]] = by_power.get(exps[0], 0j) + value
-        magnitude[exps[0]] = magnitude.get(exps[0], 0.0) + abs(value)
-    if not by_power:
+    exponents, counts = seq.term_cells(k)
+    if not counts:
         raise DegenerateSpecialization(f"term {k} is the zero polynomial")
-    top = max(by_power)
-    while top >= 0 and abs(by_power.get(top, 0j)) <= COEFF_TRIM * magnitude.get(top, 0.0):
+    values = [complex(c) for c in counts]
+    for x, column in zip(xs, exponents[1:]):
+        powers = [x**q for q in range(max(column) + 1)]
+        # a zero exponent skips the product: times 1 + 0j could flip a zero's sign
+        values = [v * powers[q] if q else v for v, q in zip(values, column)]
+    top = max(exponents[0])
+    by_power, magnitude = [0j] * (top + 1), [0.0] * (top + 1)
+    for j, value in zip(exponents[0], values):
+        by_power[j] += value
+        magnitude[j] += abs(value)
+    while top >= 0 and abs(by_power[top]) <= COEFF_TRIM * magnitude[top]:
         top -= 1
     if top < 0:
         raise DegenerateSpecialization(f"specialized term {k} vanished identically")
-    return ComplexPoly(tuple(by_power.get(j, 0j) for j in range(top + 1)))
+    return ComplexPoly(tuple(by_power[: top + 1]))
+
+
+def _value_and_slope(pairs: list[tuple[complex, complex]], c0: complex, z: complex) -> tuple[complex, complex]:
+    """p(z) and p'(z) by Horner's rule, both started from 0j, where pairs
+    holds (c_j, j * c_j) for j = d .. 1."""
+    p = dp = 0j
+    for c, jc in pairs:
+        p = p * z + c
+        dp = dp * z + jc
+    return p * z + c0, dp
 
 
 def _aberth(coeffs: list[complex]) -> tuple[list[complex], int, str]:
@@ -139,18 +156,21 @@ def _aberth(coeffs: list[complex]) -> tuple[list[complex], int, str]:
     (1 + the start radius), when the largest step has not improved for 64
     sweeps, or after MAX_ITERATIONS sweeps.  Returns the roots, the number
     of sweeps run and why the sweep stopped.
+
+    A zero divisor (a zero derivative, two coincident iterates or a zero
+    Aberth denominator) is rare, so it is handled where division raises.
     """
     d = len(coeffs) - 1
     lead = coeffs[-1]
-    monic = ComplexPoly(tuple(c / lead for c in coeffs))
-    start = abs(monic.coeffs[0]) ** (1.0 / d)
+    monic = [c / lead for c in coeffs]
+    start = abs(monic[0]) ** (1.0 / d)
     z = [
         start * cmath.exp(2j * cmath.pi * (j / d) + 1j * cmath.pi / (2 * d))
         for j in range(d)
     ]
-    deriv = ComplexPoly(tuple(j * monic.coeffs[j] for j in range(1, d + 1)))
-    rev = ComplexPoly(monic.coeffs[::-1])
-    rev_deriv = ComplexPoly(tuple(j * rev.coeffs[j] for j in range(1, d + 1)))
+    rev = monic[::-1]
+    pairs = [(monic[j], j * monic[j]) for j in range(d, 0, -1)]
+    rev_pairs = [(rev[j], j * rev[j]) for j in range(d, 0, -1)]
     tol = 1e-14 * (1.0 + start)
 
     active = list(range(d))
@@ -165,28 +185,38 @@ def _aberth(coeffs: list[complex]) -> tuple[list[complex], int, str]:
         unfrozen = []
         for i in active:
             zi = z[i]
-            p, dp = monic(zi), deriv(zi)
+            p, dp = _value_and_slope(pairs, monic[0], zi)
             if not cmath.isfinite(p * dp):  # zi^d overflowed: p = zi^d q(1/zi), q reversed
                 w = 1 / zi
-                p, dp = zi * rev(w), d * rev(w) - w * rev_deriv(w)
+                q, dq = _value_and_slope(rev_pairs, rev[0], w)
+                p, dp = zi * q, d * q - w * dq
             if p == 0:
                 continue
-            if dp == 0:
-                newton = p / (dp + 1e-300)
-            else:
+            try:
                 newton = p / dp
-            repulsion = 0j
-            for j in range(d):
-                if j != i:
-                    diff = zi - z[j]
-                    if diff == 0:
-                        diff = 1e-300
-                    repulsion += 1.0 / diff
+            except ZeroDivisionError:
+                newton = p / (dp + 1e-300)
+            try:
+                repulsion = 0j
+                for zj in z[:i]:
+                    repulsion += 1.0 / (zi - zj)
+                for zj in z[i + 1 :]:
+                    repulsion += 1.0 / (zi - zj)
+            except ZeroDivisionError:  # coincident iterates: 1e-300 stands in for 0
+                repulsion = 0j
+                for j in range(d):
+                    if j != i:
+                        diff = zi - z[j]
+                        repulsion += 1.0 / (diff if diff != 0 else 1e-300)
             denom = 1.0 - newton * repulsion
-            step = newton / denom if denom != 0 else newton
+            try:
+                step = newton / denom
+            except ZeroDivisionError:
+                step = newton
             z[i] = zi - step
             size = abs(step)
-            max_step = max(max_step, size)
+            if size > max_step:
+                max_step = size
             if size >= 1e-14 * (1.0 + abs(z[i])):
                 unfrozen.append(i)
         active = unfrozen
@@ -255,8 +285,8 @@ def find_roots(p: ComplexPoly) -> list[complex]:
         roots.extend(found)
     bad = []
     for i, z in enumerate(roots):
-        scale = p.coefficient_scale(abs(z))
-        residual = abs(p(z)) / scale if scale > 0 else abs(p(z))
+        scale, value = p.coefficient_scale(abs(z)), abs(p(z))
+        residual = value / scale if scale > 0 else value
         if not residual < RESIDUAL_TOL:  # a nan root fails too
             bad.append((i, z, residual))
     if bad:

@@ -92,6 +92,8 @@ class SchurSequence:
 
     def term_table(self, k: int) -> Optional[_dense.np.ndarray]:
         """Dense weight table of term k, or None for n >= 5 letters."""
+        if k < 0:
+            raise ValueError("sequence index must be nonnegative")
         if k not in self._tables:
             try:
                 self._tables[k] = _dense.weight_counts(self.outer_at(k), self.inner_at(k), self.n)
@@ -102,14 +104,22 @@ class SchurSequence:
     def term(self, k: int) -> MultiPoly:
         """The exact skew Schur polynomial at index k, read off its dense
         table when there is one."""
-        if k < 0:
-            raise ValueError("sequence index must be nonnegative")
         table = self.term_table(k)
         if table is not None:
             return _dense.counts_to_multipoly(table, self.n, self.boxes_at(k))
         if k not in self._terms:
             self._terms[k] = skew_schur(self.shape_at(k), self.n)
         return self._terms[k]
+
+    def term_cells(self, k: int) -> tuple[Sequence[Sequence[int]], list[int]]:
+        """The terms of term(k) as columns, in the order term(k) lists them:
+        one column of exponents per letter, and the coefficients.  Read
+        straight off the dense table when there is one."""
+        table = self.term_table(k)
+        if table is not None:
+            return _dense.table_cells(table, self.boxes_at(k))
+        terms = self.term(k).terms
+        return list(zip(*terms)), list(terms.values())
 
     def eval_at(self, k: int, point: tuple[int, ...]) -> int:
         """Exact integer evaluation of term k at an integer point."""

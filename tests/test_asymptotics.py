@@ -52,6 +52,87 @@ def multipoly_coefficients(seq, k, xs):
     return tuple(by_power.get(j, 0j) for j in range(max(by_power) + 1))
 
 
+def reference_aberth(coeffs):
+    """The Aberth sweep with one Horner loop per polynomial, a repulsion loop
+    that skips j = i, and zero-divisor tests before each division: the
+    oracle that asymptotics._aberth must match bit for bit."""
+    d = len(coeffs) - 1
+    lead = coeffs[-1]
+    monic = ComplexPoly(tuple(c / lead for c in coeffs))
+    start = abs(monic.coeffs[0]) ** (1.0 / d)
+    z = [
+        start * cmath.exp(2j * cmath.pi * (j / d) + 1j * cmath.pi / (2 * d))
+        for j in range(d)
+    ]
+    deriv = ComplexPoly(tuple(j * monic.coeffs[j] for j in range(1, d + 1)))
+    rev = ComplexPoly(monic.coeffs[::-1])
+    rev_deriv = ComplexPoly(tuple(j * rev.coeffs[j] for j in range(1, d + 1)))
+    tol = 1e-14 * (1.0 + start)
+
+    active = list(range(d))
+    best_step = float("inf")
+    since_best = 0
+    sweeps = 0
+    while active:
+        if sweeps == asymptotics.MAX_ITERATIONS:
+            return z, sweeps, f"cap of {asymptotics.MAX_ITERATIONS} sweeps"
+        sweeps += 1
+        max_step = 0.0
+        unfrozen = []
+        for i in active:
+            zi = z[i]
+            p, dp = monic(zi), deriv(zi)
+            if not cmath.isfinite(p * dp):  # zi^d overflowed: p = zi^d q(1/zi), q reversed
+                w = 1 / zi
+                p, dp = zi * rev(w), d * rev(w) - w * rev_deriv(w)
+            if p == 0:
+                continue
+            if dp == 0:
+                newton = p / (dp + 1e-300)
+            else:
+                newton = p / dp
+            repulsion = 0j
+            for j in range(d):
+                if j != i:
+                    diff = zi - z[j]
+                    if diff == 0:
+                        diff = 1e-300
+                    repulsion += 1.0 / diff
+            denom = 1.0 - newton * repulsion
+            step = newton / denom if denom != 0 else newton
+            z[i] = zi - step
+            size = abs(step)
+            max_step = max(max_step, size)
+            if size >= 1e-14 * (1.0 + abs(z[i])):
+                unfrozen.append(i)
+        active = unfrozen
+        if max_step < tol:
+            break
+        if max_step < best_step * 0.999:
+            best_step = max_step
+            since_best = 0
+        else:
+            since_best += 1
+            if since_best > 64:
+                return z, sweeps, "stalled"
+    return z, sweeps, "steps converged"
+
+
+def sweep_bits(coeffs, aberth):
+    """(roots as float.hex pairs, sweeps, stop) of one Aberth run; hex tells
+    -0.0 from 0.0 and keeps nan comparable."""
+    roots, sweeps, stop = aberth(list(coeffs))
+    return [(z.real.hex(), z.imag.hex()) for z in roots], sweeps, stop
+
+
+def aberth_input(p):
+    """The coefficients find_roots hands to _aberth: p less its roots at 0."""
+    coeffs = list(p.coeffs)
+    while coeffs[0] == 0:
+        coeffs.pop(0)
+    return coeffs
+
+
 def oracle_distance(p):
     """Largest |z - w| / (1 + |z|) over the roots z of find_roots, each
     greedily matched to its nearest unused root w of np.roots."""
@@ -262,6 +343,62 @@ class TestOracle:
         seq = build_sequence(P(), P(), P(*mu), P(*nu), n)
         for k in range(1, 7):
             assert oracle_distance(specialize(seq, k, [1.0] * (n - 1))) < 1e-6
+
+
+class TestAberthMatchesReference:
+    """asymptotics._aberth against reference_aberth: identical roots, sweep
+    counts and stop reasons, bit for bit."""
+
+    def test_random_phase_families(self):
+        # the library's root clouds: n = 2, 3, |mu| <= 4, degrees up to 28
+        rng = random.Random(15)
+        runs = 0
+        for n in (2, 3):
+            for mu, nu in skew_pairs(4, n):
+                if mu == nu:
+                    continue
+                seq = build_sequence(P(), P(), mu, nu, n)
+                xs = random_phases(1.0, n - 1, rng)
+                for k in range(1, 29):
+                    p = specialize(seq, k, xs)
+                    if p.degree > 28:
+                        break
+                    coeffs = aberth_input(p)
+                    if len(coeffs) >= 2:
+                        runs += 1
+                        assert sweep_bits(coeffs, asymptotics._aberth) == sweep_bits(coeffs, reference_aberth)
+        assert runs > 300
+
+    @pytest.mark.parametrize("mu,nu,n", [((2, 1), (), 3), ((2, 1), (1,), 2), ((2, 1), (1,), 3)])
+    def test_double_root_families(self, mu, nu, n):
+        seq = build_sequence(P(), P(), P(*mu), P(*nu), n)
+        for k in range(1, 7):
+            coeffs = aberth_input(specialize(seq, k, [1.0] * (n - 1)))
+            assert sweep_bits(coeffs, asymptotics._aberth) == sweep_bits(coeffs, reference_aberth)
+
+    @pytest.mark.parametrize("k", [106, 120])
+    def test_h_family_reversed_steps(self, k, monkeypatch):
+        # at degree 2k >= 212 some iterates stray far enough for z^d to
+        # overflow, and both sweeps step from the reversed polynomial there
+        finite, overflowed = cmath.isfinite, []
+
+        def isfinite(value):
+            if not finite(value):
+                overflowed.append(value)
+                return False
+            return True
+
+        coeffs = aberth_input(specialize(build_sequence(P(), P(), P(2), P(), 2), k, [1.0]))
+        monkeypatch.setattr(cmath, "isfinite", isfinite)
+        expected = sweep_bits(coeffs, reference_aberth)
+        assert any(overflowed)
+        assert sweep_bits(coeffs, asymptotics._aberth) == expected
+
+    def test_zero_derivative(self):
+        # p'(z) = 2z - 2 z_0 vanishes exactly at the first start point z_0
+        z0 = cmath.exp(1j * cmath.pi / 4)
+        coeffs = [1 + 0j, -2 * z0, 1 + 0j]
+        assert sweep_bits(coeffs, asymptotics._aberth) == sweep_bits(coeffs, reference_aberth)
 
 
 class TestAnyRadius:

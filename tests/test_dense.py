@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from battery import skew_pairs
 from schurrec import _dense
-from schurrec._dense import UnsupportedShape, counts_to_multipoly, weight_counts
+from schurrec._dense import UnsupportedShape, counts_to_multipoly, table_cells, weight_counts
 from schurrec.partitions import Partition
 from schurrec.polynomials import schur_int_eval, skew_schur, skew_schur_jacobi_trudi, ssyt_count
 from schurrec.recurrence import build_sequence, char_poly, verify_certificate
@@ -28,6 +28,15 @@ class TestWeightCounts:
             assert table.dtype == np.int64
             poly = counts_to_multipoly(table, n, outer.weight - inner.weight)
             assert poly == skew_schur(SkewShape(outer, inner), n)
+
+    def test_table_cells_in_c_order(self):
+        # one column per letter, the last letter's exponent the boxes left over
+        table = np.array([[0, 2], [3, 0], [0, 5]], dtype=np.int64)
+        assert table_cells(table, 4) == ([[0, 1, 2], [1, 0, 1], [3, 3, 1]], [2, 3, 5])
+        assert table_cells(np.array(7, dtype=np.int64), 4) == ([[4]], [7])  # one letter
+        assert table_cells(np.array(0, dtype=np.int64), 4) == ([[]], [])
+        with pytest.raises(RuntimeError, match="exceeds box count"):
+            table_cells(table, 2)
 
     def test_large_shape_against_jacobi_trudi(self):
         outer, inner = P(23, 9), P(8, 1)
