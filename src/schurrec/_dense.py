@@ -14,10 +14,19 @@ boxes, so the counts reduce to lattice-point counts of boxes sliced by
 coordinate sum.  The arithmetic is int64 only, guarded by the exact total
 count (polynomials.ssyt_count) computed up front; a count at the limit is
 refused, not enumerated.
+
+Tables are built a window at a time (window_counts): the consecutive terms
+of a family that a recurrence window or a root-cloud run reads share their
+row structure, so their middle shapes are listed together, their box sums
+are taken in shared blocks and their factors filter the stacked tables.  A
+batch of shapes is closed before its tables, padded to its largest box
+count, pass _CHUNK_CELLS cells, so large tables are built one or a few at a
+time; every count still belongs to one shape.  weight_counts is the window
+of one shape.
 """
 from __future__ import annotations
 
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -28,7 +37,9 @@ from .polynomials import MultiPoly, schur_int_eval, ssyt_count
 
 # int64 is exact below this; tables and chains bound every entry under it
 _INT64_LIMIT = 1 << 63
-_CHUNK_CELLS = 1 << 13
+# cells of one block of box sums, and padded table cells of one batch of
+# window_counts: a bound on the memory of both, measured best near 2^14
+_CHUNK_CELLS = 1 << 14
 
 
 class UnsupportedShape(Exception):
@@ -47,16 +58,20 @@ def _shifted(p: np.ndarray, s: int) -> np.ndarray:
     return np.concatenate(parts, axis=-1)[..., : p.shape[-1]]
 
 
-def _partitions_between(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Every partition rho with lo <= rho <= hi coordinatewise, one per row,
-    built a row at a time so that only partitions are ever listed."""
-    rhos = np.full((1, 1), hi[0], dtype=np.int64)  # sentinel first column
-    for a, b in zip(lo, hi):
+def _partitions_between(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every partition rho with lo[s] <= rho <= hi[s] coordinatewise, for
+    each row s of lo and hi: one per row, with its label s.  Built a part at
+    a time, so that only partitions are ever listed."""
+    label = np.arange(len(lo))
+    rhos = hi[:, :1].copy()  # sentinel first column
+    for a, b in zip(lo.T, hi.T):
+        a, b = a[label], b[label]
         sizes = np.maximum(np.minimum(rhos[:, -1], b) - a + 1, 0)
         parent = np.repeat(np.arange(len(rhos)), sizes)
-        value = a + np.arange(len(parent)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+        value = a[parent] + np.arange(len(parent)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
         rhos = np.column_stack((rhos[parent], value))
-    return rhos[:, 1:]
+        label = label[parent]
+    return rhos[:, 1:], label
 
 
 def _shift_rows(x: np.ndarray, by: np.ndarray) -> np.ndarray:
@@ -101,20 +116,23 @@ def _strided(x: np.ndarray, shape: tuple[int, ...], skip: int, tilt: int, d: int
     return np.ndarray(shape, np.int64, x, skip * step, strides)
 
 
-def _simplex_filter(x: np.ndarray, m: int, d: int) -> np.ndarray:
-    """y[t] = sum of x[t - u] over u >= 0 with |u| <= m, over the first d
-    axes of x, which all have width w; the axes after them are carried
-    along.  Exact where those first d indices sum to less than w.
+def _simplex_filter(x: np.ndarray, m: Sequence[int], d: int) -> np.ndarray:
+    """y[t, ..., b] = sum of x[t - u, ..., b] over u >= 0 with |u| <= m[b],
+    over the first d axes of x, which all have width w; the axes after them
+    are carried along, and the last one is a batch of tables, table b
+    filtered with its own m[b].  Exact where those first d indices sum to
+    less than w.
 
     This is x times S_m, the sum of the monomials of degree <= m in d
     letters.  Peeling the last letter z,
         S_m(x', z) = [S_m(x') - z^(m+1) S_m(x'/z)] / (1 - z),
     the prefix sums along axis d-1 go through the (d-1)-letter filter twice:
     as they are, and sheared to s = c + sum(t'), the index the monomial
-    z^(m+1) (x'/z)^u keeps, then shifted by m + 1 and sheared back.  Both
-    shears are strided views of zero-padded buffers, so no index array is
-    built.  Every entry of every step is 0 or a sum of distinct entries of
-    x, so none exceeds the total of x.
+    z^(m+1) (x'/z)^u keeps, then shifted by m + 1 (the one step taken table
+    by table) and sheared back.  Both shears are strided views of
+    zero-padded buffers, so no index array is built.  Every entry of every
+    step is 0 or a sum of distinct entries of one table of x, so none
+    exceeds that table's total.
     """
     if d == 0:
         return x
@@ -127,15 +145,18 @@ def _simplex_filter(x: np.ndarray, m: int, d: int) -> np.ndarray:
     slanted = _simplex_filter(_strided(sums, x.shape, pad, -1, d), m, d - 1)
     del sums  # freed before back is made, which lowers the peak
     back = np.zeros(padded, dtype=np.int64)
-    span = max(0, min(width, width + pad - m - 1))
-    back[axes + (slice(m + 1, m + 1 + span),)] = slanted[axes + (slice(span),)]
+    for b, shift in enumerate(m):
+        span = max(0, min(width, width + pad - shift - 1))
+        back[axes + (slice(shift + 1, shift + 1 + span), ..., b)] = slanted[axes + (slice(span), ..., b)]
     out -= _strided(back, x.shape, 0, 1, d)
     return out
 
 
-def weight_counts(outer: Partition, inner: Partition, n: int) -> np.ndarray:
-    """Dense weight table for n <= 4 letters and any number of rows; raises
-    UnsupportedShape for other n and ValueError at the int64 limit.
+def window_counts(shapes: Sequence[tuple[Partition, Partition]], n: int) -> list[np.ndarray]:
+    """Dense weight tables of the skew shapes outer/inner given as (outer,
+    inner) pairs, in that order, for n <= 4 letters and any number of rows;
+    raises UnsupportedShape for other n and, before any table is built,
+    ValueError when a shape's filling count reaches the int64 limit.
 
     A row that shares no column with its neighbours is a factor h_m of the
     skew Schur polynomial, m its length.  The table of the rest, the shape
@@ -150,75 +171,140 @@ def weight_counts(outer: Partition, inner: Partition, n: int) -> np.ndarray:
     along the third letter, the same n = 3 steps taken on them, as they are
     and sheared onto the planes t1 + t2 + t3 = s, and the difference.  So
     each stays at most the total of the table filtered, which is at most
-    the final total: the exact filling count, computed once up front and
-    checked against the table at the end.
+    the final total: the exact filling count, computed up front for every
+    shape and checked against its table at the end.
+
+    Consecutive shapes with as many rest rows and as many factors as each
+    other, as the terms of one stretched family have, are built as one
+    batch: one pass of the chain engine and one filter per factor level
+    over the stack of their tables, padded to the batch's largest box count.
+    A batch is closed before its padded cells pass _CHUNK_CELLS, so large
+    tables are built one or a few at a time.  Nothing sums across shapes.
     """
     if not 1 <= n <= 4:
         raise UnsupportedShape(f"dense engine is limited to 1..4 letters, got n={n}")
-    total = ssyt_count(outer, inner, n)
-    if total >= _INT64_LIMIT:
-        raise ValueError(f"{total} fillings reach the int64 limit {_INT64_LIMIT}; refused")
+    totals = []
+    for outer, inner in shapes:
+        total = ssyt_count(outer, inner, n)
+        if total >= _INT64_LIMIT:
+            raise ValueError(f"{total} fillings reach the int64 limit {_INT64_LIMIT}; refused")
+        totals.append(total)
+    batches: list[list[_Split]] = []
+    width = 0  # of the last batch's tables
+    for split in (_split(outer, inner) for outer, inner in shapes):
+        width = max(width, split.boxes + 1)
+        batch = batches[-1] if batches else []
+        if batch and batch[0].kind == split.kind and (len(batch) + 1) * width ** (n - 1) <= _CHUNK_CELLS:
+            batch.append(split)
+        else:
+            batches.append([split])
+            width = split.boxes + 1
+    tables = [table for batch in batches for table in _batch_tables(batch, n)]
+    if any(int(table.sum()) != total for table, total in zip(tables, totals)):
+        raise RuntimeError("dense table total mismatch")
+    return tables
+
+
+def weight_counts(outer: Partition, inner: Partition, n: int) -> np.ndarray:
+    """The dense weight table of one shape: window_counts on a window of
+    that shape alone, with its errors."""
+    return window_counts([(outer, inner)], n)[0]
+
+
+class _Split(NamedTuple):
+    """A shape split into its rest, the rows that share a column with a
+    neighbour (as outer and inner parts), and the lengths m of its nonempty
+    isolated rows, its h_m factors."""
+
+    lam: list[int]
+    mu: list[int]
+    factors: list[int]
+    boxes: int
+
+    @property
+    def kind(self) -> tuple[int, int]:
+        """What the shapes of one batch share: rest rows and factors."""
+        return len(self.lam), len(self.factors)
+
+
+def _split(outer: Partition, inner: Partition) -> _Split:
     rows = max(len(outer), 1)
     lam, mu = _padded(outer, rows), _padded(inner, rows)
     isolated = _isolated_rows(lam, mu)
     rest = [r for r in range(rows) if not isolated[r]]
-    if rest:
-        K = _chain_counts(tuple(lam[r] for r in rest), tuple(mu[r] for r in rest), n)
-    else:
-        K = np.ones((1,) * (n - 1), dtype=np.int64)
     factors = [lam[r] - mu[r] for r in range(rows) if isolated[r] and lam[r] > mu[r]]
-    if factors:  # else K is already the whole table
-        D = sum(lam) - sum(mu)
-        inside = sum(np.ogrid[(slice(D + 1),) * (n - 1)], 0) <= D
-        part, K = K, np.zeros((D + 1,) * (n - 1), dtype=np.int64)
+    return _Split([lam[r] for r in rest], [mu[r] for r in rest], factors, sum(lam) - sum(mu))
+
+
+def _batch_tables(batch: list[_Split], n: int) -> list[np.ndarray]:
+    """The tables of one batch of window_counts, in its order."""
+    lam = np.array([s.lam for s in batch], dtype=np.int64).reshape(len(batch), -1)
+    mu = np.array([s.mu for s in batch], dtype=np.int64).reshape(len(batch), -1)
+    if lam.shape[1]:
+        K = _chain_tables(lam, mu, n, int((lam.sum(axis=1) - mu.sum(axis=1)).max()) + 1)
+    else:
+        K = np.ones((len(batch),) + (1,) * (n - 1), dtype=np.int64)
+    K = np.moveaxis(K, 0, -1)  # the batch axis last, where the filter carries it
+    boxes = [s.boxes for s in batch]
+    if batch[0].factors:  # else K already holds the whole tables
+        width = max(boxes) + 1
+        inside = np.asarray(sum(np.ogrid[(slice(width),) * (n - 1)], 0) < width)[..., None]
+        part, K = K, np.zeros((width,) * (n - 1) + (len(batch),), dtype=np.int64)
         K[tuple(slice(w) for w in part.shape)] = part
-    for m in factors:
-        K = _simplex_filter(K, m, n - 1)
-        K *= inside
-    if int(K.sum()) != total:
-        raise RuntimeError("dense table total mismatch")
-    return K
+        for m in zip(*(s.factors for s in batch)):
+            K = _simplex_filter(K, m, n - 1)
+            K *= inside
+    tables = [K[(slice(D + 1),) * (n - 1) + (..., b)] for b, D in enumerate(boxes)]
+    # a table that shares its buffer, with padding or other tables, is copied out
+    return [t if t.base.nbytes == t.nbytes else t.copy() for t in tables]
 
 
-def _chain_counts(lam: tuple[int, ...], mu: tuple[int, ...], n: int) -> np.ndarray:
-    """The weight table of the shape lam/mu (one entry per row, both of the
-    same length) through the chain engine.
+def _chain_tables(lam: np.ndarray, mu: np.ndarray, n: int, width: int) -> np.ndarray:
+    """The weight tables of the shapes lam[s]/mu[s], one per row of the two
+    arrays, through the chain engine, stacked along a first axis and each
+    padded to width along every other axis.
 
     A filling is a chain inner = rho0 c rho1 c ... c rho4 = outer of
     horizontal strips, the first 4 - n of them empty.  The chain is split at
     rho2: once rho2 is fixed, rho1 and rho3 range over independent boxes,
     whose lattice points are counted by coordinate sum (A and B), and
     K[t1, c - t1, t3] sums A[t1] * B[t3] over the rho2 with |rho2/inner| = c.
-    Every intermediate counts a subset of the fillings, so it stays below
-    the total of the whole shape, which weight_counts has checked.
+    The rho2 of every shape are listed at once, each with its shape's label,
+    and taken a block of rows at a time in the order of (shape, c).  For
+    n <= 3, A is 1, and a block's sums per (shape, c) are one
+    np.add.reduceat; for n = 4 each is one product A^T B, added in before
+    the next is made, so that at most one (D+1) x (D+1) product is alive.
+    Every intermediate
+    counts a subset of one shape's fillings, so it stays below that shape's
+    total, which window_counts has checked.
     """
-    lam = np.array(lam, dtype=np.int64)
-    mu = np.array(mu, dtype=np.int64)
-    D = int(lam.sum() - mu.sum())
     used = [j > 4 - n for j in (1, 2, 3)]  # letter 4 is always used
-    rho2 = _partitions_between(
+    rho2, label = _partitions_between(
         np.maximum(mu, _shifted(lam, 2)), np.minimum(lam, _shifted(mu, -used[0] - used[1]))
     )
+    K = np.zeros((len(lam),) + tuple(width if u else 1 for u in used), dtype=np.int64)
+    lam, mu = lam[label], mu[label]
     lo1, hi1 = np.maximum(mu, _shifted(rho2, 1)), np.minimum(rho2, _shifted(mu, -used[0]))
     lo3, hi3 = np.maximum(_shifted(lam, 1), rho2), np.minimum(lam, _shifted(rho2, -used[2]))
     keep = (lo1 <= hi1).all(axis=1) & (lo3 <= hi3).all(axis=1)
-    size = rho2.sum(axis=1) - mu.sum()
-    order = np.flatnonzero(keep)[np.argsort(size[keep])]
-    widths = [D + 1 if u else 1 for u in used]
-    K = np.zeros(widths, dtype=np.int64)
-    step = max(1, _CHUNK_CELLS // (D + 1))  # bounds the memory of A and B
+    key = label * width + rho2.sum(axis=1) - mu.sum(axis=1)  # (shape, c)
+    order = np.flatnonzero(keep)[np.argsort(key[keep], kind="stable")]
+    w1, w3 = K.shape[1], K.shape[3]
+    step = max(1, _CHUNK_CELLS // width)  # bounds the memory of A and B
     for at in range(0, len(order), step):
         part = order[at : at + step]
-        if used[0]:
-            A = _box_sums(lo1[part] - mu, hi1[part] - mu, widths[0])
-        else:  # rho1 = inner: one point per kept rho2
-            A = np.ones((len(part), 1), dtype=np.int64)
-        B = _box_sums(lo3[part] - rho2[part], hi3[part] - rho2[part], widths[2])
-        for c in set(size[part].tolist()):  # np.unique would import numpy.ma
-            block = size[part] == c
-            t1 = np.arange(min(c, widths[0] - 1) + 1)
-            K[t1, c - t1] += (A[block].T @ B[block])[t1]
-    return K.reshape((D + 1,) * (n - 1))
+        B = _box_sums(lo3[part] - rho2[part], hi3[part] - rho2[part], w3)
+        starts = np.flatnonzero(np.diff(key[part], prepend=-1))
+        shape, c = np.divmod(key[part][starts], width)
+        if used[0]:  # one product A^T B per (shape, c), added in as it is made
+            A = _box_sums(lo1[part] - mu[part], hi1[part] - mu[part], w1)
+            ends = np.append(starts[1:], len(part))
+            for s, e, at_shape, at_c in zip(*(v.tolist() for v in (starts, ends, shape, c))):
+                t1 = np.arange(min(at_c, w1 - 1) + 1)
+                K[at_shape, t1, at_c - t1] += (A[s:e].T @ B[s:e])[t1]
+        else:  # rho1 = inner, so A is 1 on every kept rho2 and t1 = 0
+            K[shape, 0, c] += np.add.reduceat(B, starts)
+    return K.reshape((len(K),) + (width,) * (n - 1))
 
 
 def factor_chain(tables: list[np.ndarray], weights: Sequence[IntVector]) -> list[np.ndarray]:

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
+from .partitions import Partition
 from .recurrence import SchurSequence
 
 RESIDUAL_TOL = 1e-8
@@ -86,8 +87,11 @@ class RootCloud:
         return RootCloud(k, tuple(roots), radius, dev)
 
 
-def _unit(xs: Sequence[complex]) -> float:
-    """The modulus R that finite xi share up to a relative 1e-12; 1.0 for no xi."""
+def _unit(xs: Sequence[complex], n: int) -> float:
+    """The modulus R that the n - 1 finite xi share up to a relative 1e-12;
+    1.0 for no xi."""
+    if len(xs) != n - 1:
+        raise ValueError(f"xi must have length n-1 = {n - 1}")
     if not all(cmath.isfinite(v) for v in xs):
         raise ValueError("xi must be finite")
     try:
@@ -97,6 +101,18 @@ def _unit(xs: Sequence[complex]) -> float:
     if moduli and max(moduli) - min(moduli) > 1e-12 * max(moduli):
         raise ValueError("all xi must lie on a common circle |xi| = R")
     return moduli[0] if moduli else 1.0
+
+
+def _x1_degree(outer: Partition, inner: Partition) -> int:
+    """The number of nonempty columns of outer/inner, which is the degree in
+    x1 of its skew Schur polynomial when that is nonzero: no column holds
+    two 1s, and numbering each column's boxes 1, 2, ... from its top is a
+    tableau.  Row i adds the columns (inner_i, min(outer_i, inner_{i-1})],
+    since the rows above it cover its columns right of inner_{i-1}."""
+    return sum(
+        max(0, min(outer[i], inner[i - 1]) - inner[i]) if i else outer[0] - inner[0]
+        for i in range(len(outer))
+    )
 
 
 def specialize(seq: SchurSequence, k: int, xi: Sequence[complex]) -> ComplexPoly:
@@ -111,9 +127,7 @@ def specialize(seq: SchurSequence, k: int, xi: Sequence[complex]) -> ComplexPoly
     term, into its power of x_1.  A top coefficient is trimmed only when it
     cancels to COEFF_TRIM relative to the magnitudes summed into it.
     """
-    if len(xi) != seq.n - 1:
-        raise ValueError(f"xi must have length n-1 = {seq.n - 1}")
-    unit = _unit(xi) or 1.0
+    unit = _unit(xi, seq.n) or 1.0
     xs = [complex(v.real / unit, v.imag / unit) for v in xi]
     exponents, counts = seq.term_cells(k)
     if not counts:
@@ -311,12 +325,25 @@ def limit_experiment(seq: SchurSequence, xi: Sequence[complex], kmax: int) -> Ex
 
     trend_ok records whether deviation(kmax) < deviation(1); the limit
     statement gives no convergence rate, so the series is reported in full.
+
+    Before any table is built, a kmax whose term has more nonempty columns
+    than DEGREE_CAP - 1 is refused: that count is the degree of P_kmax
+    before trimming.  The tables of k = 1 .. kmax are then fetched as one
+    window (SchurSequence.term_tables), built in index order in batches
+    under the table engine's cell budget.
     """
     if seq.mu == seq.nu:
         raise ValueError("the limit experiment requires mu != nu")
     if kmax < 1:
         raise ValueError("kmax must be at least 1")
-    radius = _unit(xi)
+    radius = _unit(xi, seq.n)
+    columns = _x1_degree(seq.outer_at(kmax), seq.inner_at(kmax))
+    if columns + 1 > DEGREE_CAP:
+        raise ValueError(
+            f"kmax={kmax} is refused: term {kmax} has {columns} nonempty columns, so P_{kmax} "
+            f"has up to {columns + 1} coefficients, over the cap of {DEGREE_CAP}"
+        )
+    seq.term_tables(range(1, kmax + 1))  # one window, built in index order
     clouds = []
     for k in range(1, kmax + 1):
         poly = specialize(seq, k, xi)

@@ -92,14 +92,23 @@ class SchurSequence:
 
     def term_table(self, k: int) -> Optional[_dense.np.ndarray]:
         """Dense weight table of term k, or None for n >= 5 letters."""
-        if k < 0:
+        return self.term_tables([k])[0]
+
+    def term_tables(self, ks: Iterable[int]) -> list[Optional[_dense.np.ndarray]]:
+        """Dense weight tables of the terms at ks, None for n >= 5 letters.
+        The indices not yet cached are built in the order given, in one call
+        of the window builder (_dense.window_counts), and cached."""
+        ks = list(ks)
+        if any(k < 0 for k in ks):
             raise ValueError("sequence index must be nonnegative")
-        if k not in self._tables:
+        missing = list(dict.fromkeys(k for k in ks if k not in self._tables))
+        if missing:
+            shapes = [(self.outer_at(k), self.inner_at(k)) for k in missing]
             try:
-                self._tables[k] = _dense.weight_counts(self.outer_at(k), self.inner_at(k), self.n)
+                self._tables.update(zip(missing, _dense.window_counts(shapes, self.n)))
             except _dense.UnsupportedShape:
-                self._tables[k] = None
-        return self._tables[k]
+                self._tables.update(dict.fromkeys(missing))
+        return [self._tables[k] for k in ks]
 
     def term(self, k: int) -> MultiPoly:
         """The exact skew Schur polynomial at index k, read off its dense
@@ -189,7 +198,7 @@ def _residuals(seq: SchurSequence, weights: Sequence[IntVector], start: int, cou
     if any(len(w) != n or sum(w) != step for w in weights):
         raise ValueError(f"root weights must have length {n} and total |mu| - |nu| = {step}")
     window = range(start, start + count + d)
-    tables = [seq.term_table(k) for k in window]
+    tables = seq.term_tables(window)
     if all(t is not None for t in tables):
         for k, table in zip(window, _dense.factor_chain(tables, weights)):
             yield _dense.counts_to_multipoly(table, n, seq.boxes_at(k + d))

@@ -1,12 +1,14 @@
 import cmath
 import math
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from battery import skew_pairs
-from schurrec import asymptotics
+from schurrec import _dense, asymptotics
+from schurrec._dense import weight_counts
 from schurrec.asymptotics import (
     ComplexPoly,
     DegenerateSpecialization,
@@ -20,6 +22,7 @@ from schurrec.asymptotics import (
 from schurrec.partitions import Partition
 from schurrec.polynomials import schur_int_eval
 from schurrec.recurrence import build_sequence
+from schurrec.tableaux import SkewShape
 
 
 def P(*parts):
@@ -441,6 +444,44 @@ class TestLimitExperiment:
     def test_cloud_sizes(self):
         result = limit_experiment(h_sequence(), [1.0], 5)
         assert [len(c.roots) for c in result.clouds] == [1, 2, 3, 4, 5]
+
+    def test_x1_degree_is_the_column_count(self):
+        # the degree in x1 of every nonzero table is its shape's number of
+        # nonempty columns
+        for outer, inner in skew_pairs(8, 4):
+            columns = sum(top <= bottom for top, bottom in SkewShape(outer, inner).column_runs())
+            assert asymptotics._x1_degree(outer, inner) == columns
+            for n in (2, 3, 4):
+                table = weight_counts(outer, inner, n)
+                if table.any():
+                    assert np.nonzero(table)[0].max() == columns
+
+    def test_kmax_over_the_degree_cap_is_refused_before_any_table(self, monkeypatch):
+        # k*[2,2]/k*[1] has 2k nonempty columns, so P_k has 2k + 1 coefficients
+        kmax = 6
+        spy = mock.Mock(wraps=_dense.window_counts)
+        monkeypatch.setattr(_dense, "window_counts", spy)
+        monkeypatch.setattr(asymptotics, "DEGREE_CAP", 2 * kmax + 1)
+        seq = build_sequence(P(), P(), P(2, 2), P(1), 3)
+        result = limit_experiment(seq, [1.0, 1.0], kmax)  # at the cap
+        assert [len(c.roots) for c in result.clouds] == [2 * k for k in range(1, kmax + 1)]
+        # one window, built in index order
+        assert spy.call_count == 1
+        assert spy.call_args.args == ([(seq.outer_at(k), seq.inner_at(k)) for k in range(1, kmax + 1)], 3)
+        seq = build_sequence(P(), P(), P(2, 2), P(1), 3)
+        refusal = (
+            rf"^kmax={kmax + 1} is refused: term {kmax + 1} has {2 * kmax + 2} nonempty columns, "
+            rf"so P_{kmax + 1} has up to {2 * kmax + 3} coefficients, over the cap of {2 * kmax + 1}$"
+        )
+        with pytest.raises(ValueError, match=refusal):
+            limit_experiment(seq, [1.0, 1.0], kmax + 1)
+        assert spy.call_count == 1 and seq._tables == {}
+
+    def test_xi_of_the_wrong_length_is_refused_before_any_table(self):
+        seq = h_sequence(3)
+        with pytest.raises(ValueError, match="xi must have length n-1 = 2"):
+            limit_experiment(seq, [1.0], 4)
+        assert seq._tables == {}
 
     def test_mu_equal_nu_rejected(self):
         seq = build_sequence(P(2), P(), P(1), P(1), 2)

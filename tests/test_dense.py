@@ -117,9 +117,44 @@ def rows_shape(rows):
     return Partition(outer), Partition(inner)
 
 
+def chain_counts(lam, mu, n):
+    """The weight table of lam/mu (one entry per row, both of the same
+    length) through the chain engine, one shape on its own: the
+    single-shape builder that window_counts batches, kept as its oracle.
+
+    rho2 runs over the partitions between the two bounds, listed a part at
+    a time; for each size c = |rho2/inner|, K[t1, c - t1, t3] sums
+    A[t1] * B[t3] over the rho2 of that size."""
+    lam = np.array(lam, dtype=np.int64)
+    mu = np.array(mu, dtype=np.int64)
+    D = int(lam.sum() - mu.sum())
+    used = [j > 4 - n for j in (1, 2, 3)]
+    lo, hi = np.maximum(mu, _dense._shifted(lam, 2)), np.minimum(lam, _dense._shifted(mu, -used[0] - used[1]))
+    rho2 = np.full((1, 1), hi[0], dtype=np.int64)
+    for a, b in zip(lo, hi):
+        sizes = np.maximum(np.minimum(rho2[:, -1], b) - a + 1, 0)
+        parent = np.repeat(np.arange(len(rho2)), sizes)
+        value = a + np.arange(len(parent)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+        rho2 = np.column_stack((rho2[parent], value))
+    rho2 = rho2[:, 1:]
+    lo1, hi1 = np.maximum(mu, _dense._shifted(rho2, 1)), np.minimum(rho2, _dense._shifted(mu, -used[0]))
+    lo3, hi3 = np.maximum(_dense._shifted(lam, 1), rho2), np.minimum(lam, _dense._shifted(rho2, -used[2]))
+    keep = (lo1 <= hi1).all(axis=1) & (lo3 <= hi3).all(axis=1)
+    widths = [D + 1 if u else 1 for u in used]
+    A = _dense._box_sums(lo1[keep] - mu, hi1[keep] - mu, widths[0])
+    B = _dense._box_sums(lo3[keep] - rho2[keep], hi3[keep] - rho2[keep], widths[2])
+    size = rho2[keep].sum(axis=1) - mu.sum()
+    K = np.zeros(widths, dtype=np.int64)
+    for c in set(size.tolist()):
+        block = size == c
+        t1 = np.arange(min(c, widths[0] - 1) + 1)
+        K[t1, c - t1] += (A[block].T @ B[block])[t1]
+    return K.reshape((D + 1,) * (n - 1))
+
+
 def unsplit_table(outer, inner, n):
     rows = max(len(outer), 1)
-    return _dense._chain_counts(_dense._padded(outer, rows), _dense._padded(inner, rows), n)
+    return chain_counts(_dense._padded(outer, rows), _dense._padded(inner, rows), n)
 
 
 @st.composite
@@ -218,4 +253,107 @@ class TestIsolatedRows:
                     for u in np.ndindex(*(m + 1,) * d):
                         if sum(u) <= m and all(a >= b for a, b in zip(t, u)):
                             expected[t] += x[tuple(a - b for a, b in zip(t, u))]
-                assert np.array_equal(_dense._simplex_filter(x, m, d) * inside, expected)
+                # a batch of one table, with its own m
+                assert np.array_equal(_dense._simplex_filter(x[..., None], [m], d)[..., 0] * inside, expected)
+
+
+SMALL_PAIRS = skew_pairs(4, 3)
+
+
+@st.composite
+def stretched_window_st(draw):
+    """A window of consecutive terms of a stretched family: the shapes
+    (kappa + k*mu)/(lam + k*nu) for k = start .. start + count - 1."""
+    kappa, lam = draw(st.sampled_from(SMALL_PAIRS))
+    mu, nu = draw(st.sampled_from(SMALL_PAIRS))
+    start = draw(st.integers(0, 3))
+    count = draw(st.integers(1, 6))
+    stretch = lambda base, step, k: Partition([base[i] + k * step[i] for i in range(max(len(base), len(step)))])
+    return [(stretch(kappa, mu, k), stretch(lam, nu, k)) for k in range(start, start + count)]
+
+
+class TestWindowCounts:
+    """A window of shapes is built in batches; each table must be the one
+    the single-shape chain engine builds, and the polynomial enumeration
+    gives."""
+
+    @given(stretched_window_st(), st.integers(1, 4))
+    @settings(deadline=None, max_examples=80)
+    def test_stretched_windows_match_oracles(self, shapes, n):
+        tables = _dense.window_counts(shapes, n)
+        assert len(tables) == len(shapes)
+        for (outer, inner), table in zip(shapes, tables):
+            expected = unsplit_table(outer, inner, n)
+            assert table.dtype == np.int64 and table.shape == expected.shape
+            assert np.array_equal(table, expected)
+            if outer.weight - inner.weight <= 10:
+                poly = counts_to_multipoly(table, n, outer.weight - inner.weight)
+                assert poly == skew_schur(SkewShape(outer, inner), n)
+
+    @given(st.lists(st.sampled_from(skew_pairs(7, 5)), min_size=1, max_size=8), st.integers(1, 4))
+    @settings(deadline=None, max_examples=60)
+    def test_mixed_windows_match_one_shape_builds(self, shapes, n):
+        # any row counts and isolated-row patterns, in any order, repeats too
+        tables = _dense.window_counts(shapes, n)
+        for (outer, inner), table in zip(shapes, tables):
+            expected = unsplit_table(outer, inner, n)
+            assert table.shape == expected.shape and np.array_equal(table, expected)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_pattern_changes_inside_the_window(self, n):
+        shapes = [
+            (P(), P()),  # empty: the unit table
+            (P(6, 4, 2), P(4, 2)),  # every row isolated
+            (P(6, 4, 2), P(4, 1)),  # the first row isolated
+            (P(6, 4, 2), P(3, 1)),  # no row isolated
+            (P(5, 5), P(5, 5)),  # no box
+            (P(9, 7, 6, 4, 2, 1), P(5, 2, 1)),
+            (P(6, 4, 2), P(3, 2)),  # the last row isolated
+            (P(2, 2, 2, 2, 2), P()),  # taller than n for n < 5: no filling
+            (P(12, 8, 3), P(8, 3)),
+        ]
+        tables = _dense.window_counts(shapes, n)
+        for (outer, inner), table in zip(shapes, tables):
+            assert np.array_equal(table, unsplit_table(outer, inner, n))
+            assert np.array_equal(table, weight_counts(outer, inner, n))
+            poly = counts_to_multipoly(table, n, outer.weight - inner.weight)
+            assert poly == skew_schur(SkewShape(outer, inner), n)
+
+    def test_one_chain_pass_per_batch_and_the_cell_budget(self):
+        seq = build_sequence(P(), P(), P(2, 2), P(1), 3)  # two rows sharing columns
+        shapes = [(seq.outer_at(k), seq.inner_at(k)) for k in range(1, 9)]
+        expected = [unsplit_table(outer, inner, 3) for outer, inner in shapes]
+        spy = mock.Mock(wraps=_dense._chain_tables)
+        with mock.patch.object(_dense, "_chain_tables", spy):
+            tables = _dense.window_counts(shapes, 3)
+            assert spy.call_count == 1  # 8 tables of at most 25 x 25 cells
+            # a budget of one cell builds each table on its own, a row of
+            # middle shapes at a time
+            with mock.patch.object(_dense, "_CHUNK_CELLS", 1):
+                alone = _dense.window_counts(shapes, 3)
+            assert spy.call_count == 1 + 8
+        for table, one, want in zip(tables, alone, expected):
+            assert np.array_equal(table, want) and np.array_equal(one, want)
+
+    def test_int64_guard_refuses_the_window_before_any_build(self):
+        seq = build_sequence(P(), P(), P(2, 1), P(), 4)
+        shapes = [(seq.outer_at(k), seq.inner_at(k)) for k in range(1, 6)]
+        total = ssyt_count(*shapes[2], 4)
+        refusal = rf"^{total} fillings reach the int64 limit {total}; refused$"
+        spy = mock.Mock(wraps=_dense._batch_tables)
+        with mock.patch.object(_dense, "_INT64_LIMIT", total), mock.patch.object(_dense, "_batch_tables", spy):
+            with pytest.raises(ValueError, match=refusal):
+                _dense.window_counts(shapes, 4)
+            with pytest.raises(ValueError, match=refusal):
+                weight_counts(*shapes[2], 4)
+            with pytest.raises(ValueError, match=refusal):
+                seq.term_tables(range(1, 6))
+        assert spy.call_count == 0 and seq._tables == {}
+        assert [int(t.sum()) for t in seq.term_tables(range(1, 6))] == [ssyt_count(*s, 4) for s in shapes]
+
+    def test_five_letters_have_no_table(self):
+        seq = build_sequence(P(), P(), P(1), P(), 5)
+        with pytest.raises(UnsupportedShape):
+            _dense.window_counts([(seq.outer_at(1), seq.inner_at(1))], 5)
+        assert seq.term_tables([0, 1, 2, 1]) == [None] * 4
+        assert sorted(seq._tables) == [0, 1, 2]

@@ -297,6 +297,26 @@ class TestFactorChain:
                 assert not any(recurrence._residuals(seq, weights, start, count))
             assert {call.args[0].dtype.name for call in spy.call_args_list} == {dtype}
 
+    def test_one_window_build_per_residual_window(self):
+        # the missing indices of a window are built in one call, in index
+        # order; indices already cached are not built again
+        seq = build_sequence(P(1), P(), P(2, 2), P(1), 3)
+        chi = char_poly(P(2, 2), P(1), 3)
+        d = chi.degree
+
+        def shapes(ks):
+            return [(seq.outer_at(k), seq.inner_at(k)) for k in ks]
+
+        with mock.patch.object(_dense, "window_counts", wraps=_dense.window_counts) as spy:
+            assert verify_certificate(seq, chi, seq.r, 2).ok
+            assert spy.call_count == 1
+            assert spy.call_args.args == (shapes(range(seq.r, seq.r + 2 + d)), 3)
+            assert verify_certificate(seq, chi, seq.r + 1, 3).ok
+            assert spy.call_count == 2
+            assert spy.call_args.args == (shapes(range(seq.r + 2 + d, seq.r + 4 + d)), 3)
+            assert verify_certificate(seq, chi, seq.r, 4).ok  # cached: no call
+            assert spy.call_count == 2
+
     def test_rejects_weights_of_the_wrong_length(self):
         # or of the wrong total, before either route starts: x^w of total
         # |w| != |mu| - |nu| = 1 cannot annihilate, so no chain is run for it
