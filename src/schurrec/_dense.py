@@ -12,8 +12,9 @@ other rows are counted through chains of horizontal strips (the branching
 rule); split at the middle shape, the two halves range over coordinatewise
 boxes, so the counts reduce to lattice-point counts of boxes sliced by
 coordinate sum.  The arithmetic is int64 only, guarded by the exact total
-count (polynomials.ssyt_count) computed up front; a count at the limit is
-refused, not enumerated.
+count computed up front for the whole window at once (one Jacobi-Trudi
+h-table, polynomials.schur_int_evals at (1, ..., 1)); a count at the limit
+is refused, not enumerated.
 
 Tables are built a window at a time (window_counts): the consecutive terms
 of a family that a recurrence window or a root-cloud run reads share their
@@ -31,9 +32,10 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .partitions import IntVector, Partition
-# ssyt_count guards the int64 limit.  schur_int_eval is not used here, but
-# bench/spans.py traces both under this module, so it stays importable.
-from .polynomials import MultiPoly, schur_int_eval, ssyt_count
+# schur_int_evals guards the int64 limit.  ssyt_count and schur_int_eval are
+# not used here: they are re-exported only because bench/spans.py traces
+# both under this module.
+from .polynomials import MultiPoly, schur_int_eval, schur_int_evals, ssyt_count
 
 # int64 is exact below this; tables and chains bound every entry under it
 _INT64_LIMIT = 1 << 63
@@ -172,7 +174,7 @@ def window_counts(shapes: Sequence[tuple[Partition, Partition]], n: int) -> list
     and sheared onto the planes t1 + t2 + t3 = s, and the difference.  So
     each stays at most the total of the table filtered, which is at most
     the final total: the exact filling count, computed up front for every
-    shape and checked against its table at the end.
+    shape, all from one h-table, and checked against its table at the end.
 
     Consecutive shapes with as many rest rows and as many factors as each
     other, as the terms of one stretched family have, are built as one
@@ -183,12 +185,10 @@ def window_counts(shapes: Sequence[tuple[Partition, Partition]], n: int) -> list
     """
     if not 1 <= n <= 4:
         raise UnsupportedShape(f"dense engine is limited to 1..4 letters, got n={n}")
-    totals = []
-    for outer, inner in shapes:
-        total = ssyt_count(outer, inner, n)
+    totals = schur_int_evals(shapes, (1,) * n)
+    for total in totals:
         if total >= _INT64_LIMIT:
             raise ValueError(f"{total} fillings reach the int64 limit {_INT64_LIMIT}; refused")
-        totals.append(total)
     batches: list[list[_Split]] = []
     width = 0  # of the last batch's tables
     for split in (_split(outer, inner) for outer, inner in shapes):

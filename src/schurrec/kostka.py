@@ -8,7 +8,7 @@ from functools import reduce
 from typing import Optional, Sequence
 
 from .partitions import Partition, contains, partitions_up_to, scale
-from .polynomials import MultiPoly, monomial_symmetric, ssyt_count
+from .polynomials import MultiPoly, monomial_symmetric, schur_int_evals
 from .tableaux import SkewShape, Tableau, insert, iter_tableaux, weight
 
 
@@ -95,7 +95,7 @@ def polynomiality_check(mu: Partition, nu: Partition, n: int, kmax: int) -> Poly
         raise ValueError("mu must contain nu")
     if kmax < 0:
         raise ValueError("kmax must be nonnegative")
-    counts = [ssyt_count(scale(k, mu), scale(k, nu), n) for k in range(kmax + 1)]
+    counts = schur_int_evals([(scale(k, mu), scale(k, nu)) for k in range(kmax + 1)], (1,) * n)
     diffs = counts
     newton = [counts[0]]
     order = 0

@@ -306,10 +306,18 @@ def skew_schur_jacobi_trudi(shape: SkewShape, n: int) -> MultiPoly:
     return _det(entries, n)
 
 
+def schur_int_evals(shapes: Sequence[tuple[Partition, Partition]], point: Sequence[int]) -> list[int]:
+    """Exact integer values of the skew Schur polynomials of the shapes,
+    given as (outer, inner) pairs, at one integer point: one h-table up to
+    the largest index any of their Jacobi-Trudi matrices asks for, then one
+    determinant per shape."""
+    table = _h_table(point, max((outer[0] + len(outer) - 1 for outer, _ in shapes), default=0), 1)
+    return [_det_int(_jacobi_trudi(outer, inner, table.__getitem__, 0)) for outer, inner in shapes]
+
+
 def schur_int_eval(outer: Partition, inner: Partition, point: tuple[int, ...]) -> int:
     """Exact integer value of the skew Schur polynomial at an integer point."""
-    table = _h_table(point, outer[0] + len(outer) - 1, 1)
-    return _det_int(_jacobi_trudi(outer, inner, table.__getitem__, 0))
+    return schur_int_evals([(outer, inner)], point)[0]
 
 
 def ssyt_count(outer: Partition, inner: Partition, n: int) -> int:

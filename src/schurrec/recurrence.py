@@ -19,6 +19,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Iterator, Optional, Sequence
 
 from . import _dense
@@ -34,7 +36,7 @@ from .partitions import (
     stretch_violation,
     subtract,
 )
-from .polynomials import CharPoly, MultiPoly, char_poly, schur_int_eval, skew_schur, ssyt_count
+from .polynomials import CharPoly, MultiPoly, char_poly, schur_int_eval, schur_int_evals, skew_schur, ssyt_count
 from .tableaux import SkewShape, first_enclosing_index, stabilization_index
 
 
@@ -234,30 +236,40 @@ def verify_recurrence(seq: SchurSequence, chi: CharPoly, r: Optional[int] = None
 
 def berlekamp_massey(values: Sequence) -> list[Fraction]:
     """Monic coefficients [c_0, ..., c_L] of the shortest linear recurrence
-    sum_i c_i * a_{k+i} = 0 satisfied by the given scalar sequence."""
-    S = [Fraction(v) for v in values]
-    C = [Fraction(1)]
-    B = [Fraction(1)]
-    L, m, b = 0, 1, Fraction(1)
-    for i, s in enumerate(S):
-        delta = s
-        for j in range(1, L + 1):
-            delta += C[j] * S[i - j]
+    sum_i c_i * a_{k+i} = 0 satisfied by the given rational sequence.
+
+    The sequence is scaled to integers by the lcm of its denominators.  Its
+    discrepancies scale with it, so the first b is that lcm instead of 1,
+    and every update is the one on the unscaled sequence.  The connection
+    polynomial C, and the last one B over its discrepancy b, are each an
+    integer vector over one denominator; each update C <- C - (delta / b)
+    x^m B is taken over the product of the two denominators and reduced by
+    the gcd of the result."""
+    S = [v if isinstance(v, int) else Fraction(v) for v in values]
+    den = lcm(*(v.denominator for v in S))
+    S = [v.numerator * (den // v.denominator) for v in S]
+    C, c = [1], 1  # C / c, with C[0] = c
+    B, b = [1], den  # B / b: the last C over its discrepancy, at first 1 over 1 unscaled
+    L, m = 0, 1
+    for i in range(len(S)):
+        delta = sum(map(mul, C[: L + 1], S[i::-1]))  # the discrepancy times c
         if delta == 0:
             m += 1
             continue
-        T = C[:]
-        coef = delta / b
-        while len(C) < len(B) + m:
-            C.append(Fraction(0))
-        for j, bj in enumerate(B):
-            C[j + m] -= coef * bj
-        if 2 * L <= i:
-            L, B, b, m = i + 1 - L, T, delta, 1
+        new = [x * b for x in C] + [0] * (len(B) + m - len(C))
+        for j, y in enumerate(B, m):
+            new[j] -= delta * y
+        g = c * b
+        for x in new:
+            if (g := gcd(g, x)) == 1:
+                break
+        if 2 * L <= i:  # B / b becomes the old C / c over delta / c
+            L, B, b, m = i + 1 - L, (C if delta > 0 else [-x for x in C]), abs(delta), 1
         else:
             m += 1
+        C, c = [x // g for x in new], new[0] // g
     # a_{k+L} + C[1] a_{k+L-1} + ... + C[L] a_k = 0
-    coeffs = [C[L - j] if L - j < len(C) else Fraction(0) for j in range(L)]
+    coeffs = [Fraction(C[L - j], c) if L - j < len(C) else Fraction(0) for j in range(L)]
     coeffs.append(Fraction(1))
     return coeffs
 
@@ -305,10 +317,10 @@ def minimal_report(seq: SchurSequence, chi: CharPoly, seed: int = 0) -> MinimalR
     """
     distinct = _dedupe_canonical(chi.root_weights)
     rng = random.Random(seed)
-    window = range(seq.r, seq.r + 2 * len(distinct) + 4)
+    shapes = [(seq.outer_at(k), seq.inner_at(k)) for k in range(seq.r, seq.r + 2 * len(distinct) + 4)]
 
     def specialized(point: tuple[int, ...]) -> list[Fraction]:
-        return berlekamp_massey([seq.eval_at(k, point) for k in window])
+        return berlekamp_massey(schur_int_evals(shapes, point))
 
     bm_degrees: list[int] = []
     points: list[tuple[int, ...]] = []
@@ -316,7 +328,7 @@ def minimal_report(seq: SchurSequence, chi: CharPoly, seed: int = 0) -> MinimalR
     for _ in range(3):
         point = _draw_point(rng, seq.n, distinct)
         bm = specialized(point)
-        found.update(w for w in distinct if _value(bm, _eval_monomial(point, w)) == 0)
+        found.update(_zeros(bm, point, distinct))
         bm_degrees.append(len(bm) - 1)
         points.append(point)
     weights = [w for w in distinct if w in found]
@@ -342,8 +354,20 @@ def minimal_report(seq: SchurSequence, chi: CharPoly, seed: int = 0) -> MinimalR
     return MinimalReport(CharPoly(weights, chi.nvars), weights, removed, bm_degrees, points, seed)
 
 
-def _value(coeffs: Sequence[Fraction], z: int) -> Fraction:
-    return sum(c * z**j for j, c in enumerate(coeffs))
+def _zeros(coeffs: Sequence[Fraction], point: tuple[int, ...], weights: Sequence[IntVector]) -> list[IntVector]:
+    """The weights w at whose value p^w the polynomial sum_j coeffs[j] t^j
+    vanishes: its denominators are cleared once, and each value is an exact
+    integer Horner sum."""
+    den = lcm(*(c.denominator for c in coeffs))
+    ints = [c.numerator * (den // c.denominator) for c in reversed(coeffs)]
+    zeros = []
+    for w in weights:
+        z, value = _eval_monomial(point, w), 0
+        for c in ints:
+            value = value * z + c
+        if value == 0:
+            zeros.append(w)
+    return zeros
 
 
 def _draw_point(rng: random.Random, n: int, monomials: Sequence[IntVector]) -> tuple[int, ...]:

@@ -16,10 +16,10 @@ from schurrec.asymptotics import RootConvergenceError
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 CASES = [
-    ("tableaux.json", ["tableaux", "--outer", "[2,1]", "--n", "2"]),
-    ("tableaux.txt", ["tableaux", "--outer", "[2,2]", "--inner", "[1]", "--n", "2", "--format", "pretty"]),
-    ("schur.txt", ["schur", "--outer", "[1]", "--n", "2"]),
-    ("schur.json", ["schur", "--outer", "[2,2]", "--inner", "[1]", "--n", "2", "--format", "json"]),
+    ("tableaux.json", ["tableaux", "--outer", "[2,1]", "--n", "2"], 0),
+    ("tableaux.txt", ["tableaux", "--outer", "[2,2]", "--inner", "[1]", "--n", "2", "--format", "pretty"], 0),
+    ("schur.txt", ["schur", "--outer", "[1]", "--n", "2"], 0),
+    ("schur.json", ["schur", "--outer", "[2,2]", "--inner", "[1]", "--n", "2", "--format", "json"], 0),
     (
         "insert.json",
         [
@@ -27,15 +27,19 @@ CASES = [
             "--t1", '{"outer":[1],"inner":[],"n":2,"rows":[[2]]}',
             "--t2", '{"outer":[2],"inner":[1],"n":2,"rows":[[1]]}',
         ],
+        0,
     ),
-    ("char_poly.json", ["char-poly", "--mu", "[1]", "--nu", "[]", "--n", "2"]),
-    ("verify.json", ["verify", "--mu", "[1]", "--nu", "[]", "--n", "2", "--count", "6"]),
-    ("minimal.json", ["minimal", "--mu", "[2,1]", "--nu", "[]", "--n", "3", "--seed", "7"]),
-    ("kostka.txt", ["kostka", "--outer", "[2,1]", "--weight", "[1,1,1]"]),
-    ("m_basis.json", ["m-basis", "--outer", "[2,1]", "--n", "3"]),
-    ("conjecture.json", ["conjecture", "--mu", "[2,1]", "--nu", "[]", "--n", "3", "--seed", "3"]),
-    ("polynomiality.json", ["polynomiality", "--mu", "[2,1]", "--nu", "[1]", "--n", "2", "--kmax", "10"]),
-    ("roots.csv", ["roots", "--mu", "[2,1]", "--nu", "[]", "--n", "3", "--xi-radius", "1", "--kmax", "4"]),
+    ("char_poly.json", ["char-poly", "--mu", "[1]", "--nu", "[]", "--n", "2"], 0),
+    ("verify.json", ["verify", "--mu", "[1]", "--nu", "[]", "--n", "2", "--count", "6"], 0),
+    ("minimal.json", ["minimal", "--mu", "[2,1]", "--nu", "[]", "--n", "3", "--seed", "7"], 0),
+    ("kostka.txt", ["kostka", "--outer", "[2,1]", "--weight", "[1,1,1]"], 0),
+    ("m_basis.json", ["m-basis", "--outer", "[2,1]", "--n", "3"], 0),
+    ("conjecture.json", ["conjecture", "--mu", "[2,1]", "--nu", "[]", "--n", "3", "--seed", "3"], 0),
+    # two rows that share no column: 6 of the 12 stated roots are minimal, so
+    # the certificate of REFUTED-MINIMALITY, exit 2
+    ("conjecture_refuted.json", ["conjecture", "--mu", "[4,2]", "--nu", "[2]", "--n", "3", "--seed", "1"], 2),
+    ("polynomiality.json", ["polynomiality", "--mu", "[2,1]", "--nu", "[1]", "--n", "2", "--kmax", "10"], 0),
+    ("roots.csv", ["roots", "--mu", "[2,1]", "--nu", "[]", "--n", "3", "--xi-radius", "1", "--kmax", "4"], 0),
     # the other format of commands that render two
     (
         "insert.txt",
@@ -45,13 +49,15 @@ CASES = [
             "--t2", '{"outer":[2],"inner":[1],"n":2,"rows":[[1]]}',
             "--format", "pretty",
         ],
+        0,
     ),
-    ("char_poly.txt", ["char-poly", "--mu", "[2,1]", "--nu", "[]", "--n", "2", "--format", "pretty"]),
-    ("kostka.json", ["kostka", "--outer", "[2,1]", "--weight", "[1,1,1]", "--format", "json"]),
-    ("m_basis.txt", ["m-basis", "--outer", "[2,1]", "--n", "3", "--format", "pretty"]),
+    ("char_poly.txt", ["char-poly", "--mu", "[2,1]", "--nu", "[]", "--n", "2", "--format", "pretty"], 0),
+    ("kostka.json", ["kostka", "--outer", "[2,1]", "--weight", "[1,1,1]", "--format", "json"], 0),
+    ("m_basis.txt", ["m-basis", "--outer", "[2,1]", "--n", "3", "--format", "pretty"], 0),
     (
         "roots.json",
         ["roots", "--mu", "[2,1]", "--nu", "[]", "--n", "3", "--xi-radius", "1", "--kmax", "4", "--format", "json"],
+        0,
     ),
 ]
 
@@ -122,12 +128,12 @@ def run_cli(args):
     )
 
 
-@pytest.mark.parametrize("golden,args", CASES, ids=[c[0] for c in CASES])
-def test_golden(golden, args):
+@pytest.mark.parametrize("golden,args,code", CASES, ids=[c[0] for c in CASES])
+def test_golden(golden, args, code):
     expected = (GOLDEN / golden).read_text()
     first = run_cli(args)
     second = run_cli(args)
-    assert first.returncode == 0, first.stderr
+    assert first.returncode == code, first.stderr
     assert first.stdout == expected
     assert second.stdout == first.stdout  # byte-identical reruns
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from battery import skew_pairs
-from schurrec import _dense
+from schurrec import _dense, polynomials
 from schurrec._dense import UnsupportedShape, counts_to_multipoly, table_cells, weight_counts
 from schurrec.partitions import Partition
 from schurrec.polynomials import schur_int_eval, skew_schur, skew_schur_jacobi_trudi, ssyt_count
@@ -350,6 +350,17 @@ class TestWindowCounts:
                 seq.term_tables(range(1, 6))
         assert spy.call_count == 0 and seq._tables == {}
         assert [int(t.sum()) for t in seq.term_tables(range(1, 6))] == [ssyt_count(*s, 4) for s in shapes]
+
+    def test_guard_takes_one_h_table_per_window(self):
+        seq = build_sequence(P(1), P(), P(3, 1), P(1), 3)
+        shapes = [(seq.outer_at(k), seq.inner_at(k)) for k in range(0, 12)]
+        with mock.patch.object(polynomials, "_h_table", wraps=polynomials._h_table) as spy:
+            tables = _dense.window_counts(shapes, 3)
+            assert spy.call_count == 1
+            assert spy.call_args.args[0] == (1, 1, 1)
+            seq.term_tables(range(0, 12))
+            assert spy.call_count == 2
+        assert [int(t.sum()) for t in tables] == [ssyt_count(*s, 3) for s in shapes]
 
     def test_five_letters_have_no_table(self):
         seq = build_sequence(P(), P(), P(1), P(), 5)

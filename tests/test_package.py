@@ -53,7 +53,7 @@ DEFINED = {
 PUBLIC = sorted(SUBMODULES + [name for names in DEFINED.values() for name in names])
 
 TABLE_FREE = {"tableaux", "schur", "insert", "char-poly", "kostka", "m-basis", "polynomiality"}
-TABLE_FREE_CASES = [(golden, args) for golden, args in CASES if args[0] in TABLE_FREE]
+TABLE_FREE_CASES = [(golden, args) for golden, args, _ in CASES if args[0] in TABLE_FREE]
 
 # cli.main on the argv that follows the code, exiting with its code
 RUN_CLI = "import sys\nfrom schurrec import cli\nsys.exit(cli.main(sys.argv[1:]))"

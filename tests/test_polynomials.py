@@ -15,6 +15,7 @@ from schurrec.polynomials import (
     eval_all_ones,
     monomial_symmetric,
     schur_int_eval,
+    schur_int_evals,
     skew_schur,
     skew_schur_jacobi_trudi,
     ssyt_count,
@@ -225,6 +226,22 @@ class TestIntegerEvaluation:
         poly = skew_schur(shape, 4)
         assert schur_int_eval(P(2, 1), P(), (1, 1, 1, 1)) == sum(poly.terms.values())
         assert schur_int_eval(P(2, 1), P(), (2, 3, 4, 5)) == poly.eval((2, 3, 4, 5))
+
+    # shapes of 0 to 4 rows, the empty one among them
+    @settings(deadline=None, max_examples=150)
+    @given(
+        st.lists(st.sampled_from(skew_pairs(6, 4)), max_size=8),
+        st.integers(1, 5).flatmap(lambda n: st.tuples(*[st.integers(-6, 6)] * n)),
+    )
+    def test_window_matches_one_shape_at_a_time(self, shapes, point):
+        # one h-table sized for the window's largest shape serves every shape
+        assert schur_int_evals(shapes, point) == [schur_int_eval(outer, inner, point) for outer, inner in shapes]
+
+    def test_window_edge_cases(self):
+        assert schur_int_evals([], (2, 3)) == []
+        point = (0, -1, 2)
+        assert schur_int_evals([(P(), P()), (P(3, 1), P(1))], point) == [1, schur_int_eval(P(3, 1), P(1), point)]
+        assert schur_int_evals([(P(2, 1), P())], (1, 1, 1)) == [8]
 
 
 class TestMonomialSymmetric:

@@ -5,10 +5,10 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from battery import skew_pairs
+from battery import battery_families, skew_pairs
 from schurrec import _dense, polynomials, recurrence, tableaux
 from schurrec.kostka import polynomiality_check
-from schurrec.partitions import Partition
+from schurrec.partitions import Partition, scale
 from schurrec.polynomials import MultiPoly, complete_homogeneous, skew_schur
 from schurrec.recurrence import (
     CharPoly,
@@ -331,7 +331,71 @@ class TestFactorChain:
             assert not seq._terms
 
 
+def fraction_berlekamp_massey(values):
+    """Berlekamp-Massey over Fractions, step by step as Massey states it:
+    the oracle for the integer berlekamp_massey."""
+    S = [Fraction(v) for v in values]
+    C = [Fraction(1)]
+    B = [Fraction(1)]
+    L, m, b = 0, 1, Fraction(1)
+    for i, s in enumerate(S):
+        delta = s
+        for j in range(1, L + 1):
+            delta += C[j] * S[i - j]
+        if delta == 0:
+            m += 1
+            continue
+        T = C[:]
+        coef = delta / b
+        while len(C) < len(B) + m:
+            C.append(Fraction(0))
+        for j, bj in enumerate(B):
+            C[j + m] -= coef * bj
+        if 2 * L <= i:
+            L, B, b, m = i + 1 - L, T, delta, 1
+        else:
+            m += 1
+    coeffs = [C[L - j] if L - j < len(C) else Fraction(0) for j in range(L)]
+    coeffs.append(Fraction(1))
+    return coeffs
+
+
+def fraction_zeros(coeffs, point, weights):
+    """The weights w at which sum_j coeffs[j] * (p^w)^j vanishes, summed in
+    Fractions: the oracle for the integer root test."""
+    def value(z):
+        return sum(c * z**j for j, c in enumerate(coeffs))
+
+    return [w for w in weights if value(recurrence._eval_monomial(point, w)) == 0]
+
+
+@st.composite
+def recurrent_values(draw):
+    """A sequence sum_i c_i r_i^k with small integer or rational c_i and r_i."""
+    num = st.integers(-4, 4)
+    rational = st.builds(Fraction, num, st.integers(1, 5))
+    entry = draw(st.sampled_from([num, rational]))
+    roots, coefs = draw(st.lists(entry, max_size=5)), draw(st.lists(entry, max_size=5))
+    return [sum(c * r**k for c, r in zip(coefs, roots)) for k in range(draw(st.integers(0, 40)))]
+
+
+scalar_sequences = st.one_of(
+    st.lists(st.integers(-(1 << 1000), 1 << 1000), max_size=40),
+    st.lists(st.integers(-3, 3), max_size=40),  # many zeros and repeats
+    st.lists(st.fractions(max_denominator=1 << 40), max_size=40),
+    st.integers(0, 40).map(lambda size: [0] * size),
+    recurrent_values(),
+)
+
+
 class TestBerlekampMassey:
+    @settings(deadline=None, max_examples=400)
+    @given(scalar_sequences)
+    def test_matches_the_fraction_oracle(self, values):
+        coeffs = berlekamp_massey(values)
+        assert coeffs == fraction_berlekamp_massey(values)
+        assert all(type(c) is Fraction for c in coeffs)
+
     def test_geometric(self):
         assert berlekamp_massey([1, 2, 4, 8, 16]) == [Fraction(-2), Fraction(1)]
 
@@ -472,6 +536,37 @@ def dropping_bm(weight, calls):
         return coeffs
 
     return mock.patch.multiple(recurrence, _draw_point=drawn, berlekamp_massey=dropped)
+
+
+class TestMinimalInIntegers:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_reports_match_the_fraction_oracles(self, n):
+        # on the battery's families with |mu| <= 3: one h-table per point,
+        # integer BM and the integer root test give the report of per-index
+        # evaluation, Fraction BM and Fraction sums
+        families = [f for f in battery_families() if f[4] == n and f[2].weight <= 3]
+        assert families
+        for family in families:
+            seq, chi = build_sequence(*family), char_poly(*family[2:])
+            rep = minimal_report(seq, chi)
+            with mock.patch.multiple(
+                recurrence,
+                berlekamp_massey=fraction_berlekamp_massey,
+                _zeros=fraction_zeros,
+                schur_int_evals=lambda shapes, point: [polynomials.schur_int_eval(*s, point) for s in shapes],
+            ):
+                assert minimal_report(seq, chi) == rep, family
+
+    def test_one_h_table_per_drawn_point(self):
+        # the h-family's three points and the redraw that replaces the second
+        seq, chi = build_sequence(*H_FAMILY), char_poly(P(1), P(), 2)
+        built_tables(seq, seq.r, seq.r + 2 * chi.degree)  # the certificate's window
+        with dropping_bm((1, 0), {1}), mock.patch.object(polynomials, "_h_table", wraps=polynomials._h_table) as spy:
+            rep = minimal_report(seq, chi)
+        rng = random.Random(0)
+        drawn = [recurrence._draw_point(rng, 2, rep.weights) for _ in range(4)]
+        assert rep.specializations == [drawn[0], drawn[3], drawn[2]]
+        assert [call.args[0] for call in spy.call_args_list] == drawn
 
 
 class TestMinimalAgainstGreedy:
@@ -646,6 +741,13 @@ class TestPolynomiality:
     def test_inconclusive_when_kmax_too_small(self):
         rep = polynomiality_check(P(2, 1), P(1), 3, 3)
         assert rep.verdict == "INCONCLUSIVE"
+
+    def test_counts_come_from_one_h_table(self):
+        for mu, nu, n in [(P(2, 1), P(1), 3), (P(3, 1), P(), 4), (P(2, 2), P(1), 2), (P(1, 1, 1), P(), 2)]:
+            with mock.patch.object(polynomials, "_h_table", wraps=polynomials._h_table) as spy:
+                rep = polynomiality_check(mu, nu, n, 40)
+            assert spy.call_count == 1
+            assert rep.counts == [polynomials.ssyt_count(scale(k, mu), scale(k, nu), n) for k in range(41)]
 
     def test_newton_coefficients_reconstruct_counts(self):
         from math import comb
