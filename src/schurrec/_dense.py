@@ -49,7 +49,8 @@ class UnsupportedShape(Exception):
 
 
 def _padded(p: Partition, length: int) -> tuple[int, ...]:
-    return tuple(p[i] for i in range(length))
+    """The parts of p, cut or padded with zeros to length."""
+    return (p.parts + (0,) * length)[:length]
 
 
 def _shifted(p: np.ndarray, s: int) -> np.ndarray:

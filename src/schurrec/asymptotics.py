@@ -63,8 +63,12 @@ class ComplexPoly:
         return [abs(c) for c in self.coeffs]
 
     def coefficient_scale(self, radius: float) -> float:
-        """Sum of |c_j| * radius^j, the natural backward-error scale."""
-        return sum(m * radius**j for j, m in enumerate(self._magnitudes))
+        """Sum of |c_j| * radius^j, the natural backward-error scale, in one
+        Horner pass: no power of radius is taken."""
+        acc = 0.0
+        for m in reversed(self._magnitudes):
+            acc = acc * radius + m
+        return acc
 
     def is_real(self) -> bool:
         biggest = max(self._magnitudes, default=0.0)
@@ -337,7 +341,7 @@ def limit_experiment(seq: SchurSequence, xi: Sequence[complex], kmax: int) -> Ex
     if kmax < 1:
         raise ValueError("kmax must be at least 1")
     radius = _unit(xi, seq.n)
-    columns = _x1_degree(seq.outer_at(kmax), seq.inner_at(kmax))
+    columns = _x1_degree(*seq.pair_at(kmax))
     if columns + 1 > DEGREE_CAP:
         raise ValueError(
             f"kmax={kmax} is refused: term {kmax} has {columns} nonempty columns, so P_{kmax} "

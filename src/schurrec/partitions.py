@@ -6,6 +6,7 @@ componentwise operations silently pad to the longer operand.
 """
 from __future__ import annotations
 
+from itertools import zip_longest
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 IntVector = tuple[int, ...]
@@ -109,8 +110,7 @@ def sort_decreasing(w: Sequence[int]) -> IntVector:
 
 
 def add(a: Partition, b: Partition) -> Partition:
-    n = max(len(a), len(b))
-    return Partition(_get(a, i) + _get(b, i) for i in range(n))
+    return Partition([x + y for x, y in zip_longest(a.parts, b.parts, fillvalue=0)])
 
 
 def scale(k: int, a: Partition) -> Partition:

@@ -241,12 +241,13 @@ def complete_homogeneous(m: int, n: int) -> MultiPoly:
 
 def _jacobi_trudi(outer: Partition, inner: Partition, h: Callable[[int], object], zero) -> list[list]:
     """The matrix (h_{outer_i - inner_j - i + j}) of Macdonald I.5, over the
-    ring of zero; h is asked only for m >= 0, at most outer_1 + len(outer) - 1."""
+    ring of zero; h is asked only for m >= 0, at most outer_1 + len(outer) - 1.
+    It reads the parts as tuples, inner's cut or padded with zeros to
+    len(outer) once."""
     size = len(outer)
-    return [
-        [h(m) if (m := outer[i] - inner[j] - i + j) >= 0 else zero for j in range(size)]
-        for i in range(size)
-    ]
+    rows = [a - i for i, a in enumerate(outer.parts)]
+    columns = [b - j for j, b in enumerate((inner.parts + (0,) * size)[:size])]
+    return [[h(a - b) if a >= b else zero for b in columns] for a in rows]
 
 
 def _det(entries: list[list[MultiPoly]], n: int) -> MultiPoly:

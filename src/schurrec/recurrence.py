@@ -54,7 +54,8 @@ class SchurSequence:
     kappa/lam here are the effective base shapes: build_sequence absorbs the
     index shift needed to make the base a valid skew shape, recording it in
     `shift` (term(k) of this object is term(k + shift) of the requested
-    family).
+    family).  Each index's (outer, inner) pair is built once and cached
+    (pair_at), beside its weight table.
     """
 
     def __init__(
@@ -79,15 +80,24 @@ class SchurSequence:
         # sparse terms, kept only where _dense has no table (n >= 5): costly to rebuild
         self._terms: dict[int, MultiPoly] = {}
         self._tables: dict[int, Optional[_dense.np.ndarray]] = {}
+        self._pairs: dict[int, tuple[Partition, Partition]] = {}
+
+    def pair_at(self, k: int) -> tuple[Partition, Partition]:
+        """(kappa + k*mu, lam + k*nu), the outer and inner shape of term k,
+        built on first use and cached."""
+        pair = self._pairs.get(k)
+        if pair is None:
+            pair = self._pairs[k] = (add(self.kappa, scale(k, self.mu)), add(self.lam, scale(k, self.nu)))
+        return pair
 
     def outer_at(self, k: int) -> Partition:
-        return add(self.kappa, scale(k, self.mu))
+        return self.pair_at(k)[0]
 
     def inner_at(self, k: int) -> Partition:
-        return add(self.lam, scale(k, self.nu))
+        return self.pair_at(k)[1]
 
     def shape_at(self, k: int) -> SkewShape:
-        return SkewShape(self.outer_at(k), self.inner_at(k))
+        return SkewShape(*self.pair_at(k))
 
     def boxes_at(self, k: int) -> int:
         return self.kappa.weight - self.lam.weight + k * (self.mu.weight - self.nu.weight)
@@ -105,7 +115,7 @@ class SchurSequence:
             raise ValueError("sequence index must be nonnegative")
         missing = list(dict.fromkeys(k for k in ks if k not in self._tables))
         if missing:
-            shapes = [(self.outer_at(k), self.inner_at(k)) for k in missing]
+            shapes = [self.pair_at(k) for k in missing]
             try:
                 self._tables.update(zip(missing, _dense.window_counts(shapes, self.n)))
             except _dense.UnsupportedShape:
@@ -134,7 +144,7 @@ class SchurSequence:
 
     def eval_at(self, k: int, point: tuple[int, ...]) -> int:
         """Exact integer evaluation of term k at an integer point."""
-        return schur_int_eval(self.outer_at(k), self.inner_at(k), point)
+        return schur_int_eval(*self.pair_at(k), point)
 
     def family_json(self) -> dict:
         req_kappa, req_lam = self.requested
@@ -194,7 +204,9 @@ def _residuals(seq: SchurSequence, weights: Sequence[IntVector], start: int, cou
     must have n entries and total |mu| - |nu|, the degree step of the terms;
     a factor of another total cannot annihilate a nonzero sequence.  Dense
     weight tables carry the chain (_dense.factor_chain) when the window has
-    them, sparse polynomials otherwise."""
+    them, sparse polynomials otherwise.  A residual table that is all zero
+    is never converted: it yields the zero polynomial, so a caller that
+    stops at the first nonzero residual converts at most that one table."""
     n, d = seq.n, len(weights)
     step = seq.mu.weight - seq.nu.weight
     if any(len(w) != n or sum(w) != step for w in weights):
@@ -203,7 +215,7 @@ def _residuals(seq: SchurSequence, weights: Sequence[IntVector], start: int, cou
     tables = seq.term_tables(window)
     if all(t is not None for t in tables):
         for k, table in zip(window, _dense.factor_chain(tables, weights)):
-            yield _dense.counts_to_multipoly(table, n, seq.boxes_at(k + d))
+            yield _dense.counts_to_multipoly(table, n, seq.boxes_at(k + d)) if table.any() else MultiPoly.zero(n)
     else:
         terms = [seq.term(k) for k in window]
         for w in weights:
@@ -317,7 +329,7 @@ def minimal_report(seq: SchurSequence, chi: CharPoly, seed: int = 0) -> MinimalR
     """
     distinct = _dedupe_canonical(chi.root_weights)
     rng = random.Random(seed)
-    shapes = [(seq.outer_at(k), seq.inner_at(k)) for k in range(seq.r, seq.r + 2 * len(distinct) + 4)]
+    shapes = [seq.pair_at(k) for k in range(seq.r, seq.r + 2 * len(distinct) + 4)]
 
     def specialized(point: tuple[int, ...]) -> list[Fraction]:
         return berlekamp_massey(schur_int_evals(shapes, point))

@@ -38,6 +38,13 @@ CASES = [
     # two rows that share no column: 6 of the 12 stated roots are minimal, so
     # the certificate of REFUTED-MINIMALITY, exit 2
     ("conjecture_refuted.json", ["conjecture", "--mu", "[4,2]", "--nu", "[2]", "--n", "3", "--seed", "1"], 2),
+    # a forced r = 0 is refuted at the first index: the residual is the
+    # certificate, exit 2
+    (
+        "verify_refuted.json",
+        ["verify", "--kappa", "[1,1]", "--mu", "[2]", "--nu", "[1]", "--n", "3", "--r-override", "0", "--count", "2"],
+        2,
+    ),
     ("polynomiality.json", ["polynomiality", "--mu", "[2,1]", "--nu", "[1]", "--n", "2", "--kmax", "10"], 0),
     ("roots.csv", ["roots", "--mu", "[2,1]", "--nu", "[]", "--n", "3", "--xi-radius", "1", "--kmax", "4"], 0),
     # the other format of commands that render two

@@ -4,13 +4,14 @@ from itertools import combinations_with_replacement, product, starmap
 from math import prod
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from battery import skew_pairs
 from schurrec.partitions import Partition
 from schurrec.polynomials import (
     MultiPoly,
     _h_table,
+    _jacobi_trudi,
     complete_homogeneous,
     eval_all_ones,
     monomial_symmetric,
@@ -163,7 +164,36 @@ class TestSkewSchur:
             assert eval_all_ones(skew_schur(shape, n)) == len(enumerate_tableaux(shape, n))
 
 
+def per_entry_jacobi_trudi(outer, inner, h, zero):
+    """The Jacobi-Trudi matrix (h_{outer_i - inner_j - i + j}) read entry by
+    entry through Partition indexing, which is 0 past a partition's length:
+    the oracle for _jacobi_trudi's tuple reads."""
+    size = len(outer)
+    return [
+        [h(m) if (m := outer[i] - inner[j] - i + j) >= 0 else zero for j in range(size)]
+        for i in range(size)
+    ]
+
+
+# partitions of 0 to 4 rows, the empty one among them
+partition_st = st.lists(st.integers(0, 6), max_size=4).map(lambda ps: Partition(sorted(ps, reverse=True)))
+
+
 class TestJacobiTrudiOracle:
+    # inner shorter than, as long as, or longer than outer, or empty; the
+    # indices asked of h are recorded, so the matrices pin which h_m sits where
+    @settings(deadline=None, max_examples=300)
+    @given(partition_st, partition_st)
+    @example(P(), P())
+    @example(P(3, 1), P())
+    @example(P(4, 3, 2, 1), P(2))
+    @example(P(), P(2, 1))
+    def test_tuple_reads_match_per_entry_indexing(self, outer, inner):
+        def h(m):
+            return ("h", m)
+
+        assert _jacobi_trudi(outer, inner, h, None) == per_entry_jacobi_trudi(outer, inner, h, None)
+
     def test_single_box(self):
         assert skew_schur_jacobi_trudi(SkewShape(P(1)), 2) == skew_schur(SkewShape(P(1)), 2)
 

@@ -1,3 +1,4 @@
+import contextlib
 import random
 from fractions import Fraction
 from unittest import mock
@@ -8,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from battery import battery_families, skew_pairs
 from schurrec import _dense, polynomials, recurrence, tableaux
 from schurrec.kostka import polynomiality_check
-from schurrec.partitions import Partition, scale
+from schurrec.partitions import Partition, add, scale
 from schurrec.polynomials import MultiPoly, complete_homogeneous, skew_schur
 from schurrec.recurrence import (
     CharPoly,
@@ -152,6 +153,28 @@ class TestBuildSequence:
             for k in range(11):
                 assert seq.boxes_at(k) == seq.shape_at(k).num_boxes
 
+    def test_shapes_are_built_once_per_index(self):
+        # every battery family, bases and index shifts included: the cached
+        # pair is the stretched shape, and the readers share its objects
+        for kappa, lam, mu, nu, n in battery_families():
+            seq = build_sequence(kappa, lam, mu, nu, n)
+            pairs = [seq.pair_at(k) for k in range(41)]
+            assert pairs == [(add(seq.kappa, scale(k, seq.mu)), add(seq.lam, scale(k, seq.nu))) for k in range(41)]
+            assert all(seq.pair_at(k) is pair for k, pair in enumerate(pairs))
+        assert seq.outer_at(40) is pairs[40][0] and seq.inner_at(40) is pairs[40][1]
+
+    def test_readers_take_the_cached_shapes(self):
+        # one outer and one inner per index, however many readers ask
+        seq = build_sequence(P(1), P(), P(2, 1), P(1), 3)
+        chi = char_poly(P(2, 1), P(1), 3)
+        with mock.patch.object(recurrence, "scale", wraps=recurrence.scale) as spy:
+            assert verify_certificate(seq, chi, seq.r, 2).ok
+            minimal_report(seq, chi, seed=1)
+            seq.term_tables(range(seq.r + 4))
+            assert all(seq.shape_at(k).outer is seq.outer_at(k) for k in range(seq.r + 4))
+            assert seq.eval_at(3, (2, 3, 5)) == seq.term(3).eval((2, 3, 5))
+        assert spy.call_count == 2 * len(seq._pairs)
+
     def test_invalid_family_rejected(self):
         with pytest.raises(InvalidFamilyError):
             build_sequence(P(), P(1), P(1, 1), P(1, 1), 2)
@@ -190,6 +213,23 @@ class TestVerify:
         assert cert.residual is not None and not cert.residual.is_zero()
         # residual at k: h_{k+1} - x1*h_k, at k=0 equals x2
         assert cert.residual == MultiPoly(2, {(0, 1): 1})
+
+    def test_only_the_failing_residual_is_converted(self):
+        # every residual of the wrong polynomial is nonzero, but the check
+        # stops at the first; a passing check converts none
+        seq = build_sequence(P(1), P(), P(2, 1), P(1), 3)
+        chi = char_poly(P(2, 1), P(1), 3)
+        wrong = CharPoly(chi.root_weights[1:], 3)
+        with mock.patch.object(_dense, "counts_to_multipoly", wraps=_dense.counts_to_multipoly) as spy:
+            cert = verify_certificate(seq, wrong, seq.r, 5)
+            assert not cert.ok and spy.call_count == 1
+            assert cert.residual == expanded_residual(seq, wrong, cert.failed_k)
+            assert all(recurrence._residuals(seq, wrong.root_weights, seq.r, 5))
+            spy.reset_mock()
+            assert verify_certificate(seq, chi, seq.r, chi.degree + 3).ok
+            minimal_report(seq, chi, seed=1)
+            assert conjecture_check(P(1), P(), P(2, 1), P(1), 3).annihilates
+            assert spy.call_count == 0
 
     def test_dense_and_exact_paths_agree(self):
         seq = build_sequence(P(2), P(1), P(2, 1), P(1), 3)
@@ -256,6 +296,22 @@ def built_tables(seq, start, stop):
         seq.term_table(k)
 
 
+@contextlib.contextmanager
+def chain_dtypes():
+    """Patch _dense.factor_chain to record the dtype of every residual table
+    it returns; the set of their names is the yielded value."""
+    seen = set()
+    factor_chain = _dense.factor_chain
+
+    def spy(tables, weights):
+        out = factor_chain(tables, weights)
+        seen.update(t.dtype.name for t in out)
+        return out
+
+    with mock.patch.object(_dense, "factor_chain", spy):
+        yield seen
+
+
 class TestFactorChain:
     @pytest.mark.parametrize(
         "families,limit,dtypes",
@@ -274,11 +330,9 @@ class TestFactorChain:
         chi = CharPoly.from_root_weights(weights, seq.n)
         expected = [expanded_residual(seq, chi, k) for k in range(start, start + count)]
         built_tables(seq, start, start + count + len(weights))
-        with mock.patch.object(_dense, "_INT64_LIMIT", limit), mock.patch.object(
-            _dense, "counts_to_multipoly", wraps=_dense.counts_to_multipoly
-        ) as spy:
+        with mock.patch.object(_dense, "_INT64_LIMIT", limit), chain_dtypes() as seen:
             assert list(recurrence._residuals(seq, weights, start, count)) == expected
-        assert {call.args[0].dtype.name for call in spy.call_args_list} == dtypes
+        assert seen == dtypes
 
     def test_int64_exactly_below_the_bound(self):
         # the bound is 2^d times the largest filling count in the window, the
@@ -291,11 +345,9 @@ class TestFactorChain:
         bound = max(polynomials.ssyt_count(seq.outer_at(k), seq.inner_at(k), 3) for k in window) << d
         built_tables(seq, start, start + count + d)
         for limit, dtype in ((bound, "object"), (bound + 1, "int64")):
-            with mock.patch.object(_dense, "_INT64_LIMIT", limit), mock.patch.object(
-                _dense, "counts_to_multipoly", wraps=_dense.counts_to_multipoly
-            ) as spy:
+            with mock.patch.object(_dense, "_INT64_LIMIT", limit), chain_dtypes() as seen:
                 assert not any(recurrence._residuals(seq, weights, start, count))
-            assert {call.args[0].dtype.name for call in spy.call_args_list} == {dtype}
+            assert seen == {dtype}
 
     def test_one_window_build_per_residual_window(self):
         # the missing indices of a window are built in one call, in index
