@@ -14,7 +14,9 @@ boxes, so the counts reduce to lattice-point counts of boxes sliced by
 coordinate sum.  The arithmetic is int64 only, guarded by the exact total
 count computed up front for the whole window at once (one Jacobi-Trudi
 h-table, polynomials.schur_int_evals at (1, ..., 1)); a count at the limit
-is refused, not enumerated.
+is refused, not enumerated.  The factor chain on d root weights stays in
+int64 while 2^(d-1) times the window's largest table entry is below the
+limit, and runs in Python integers past it (factor_chain).
 
 Tables are built a window at a time (window_counts): the consecutive terms
 of a family that a recurrence window or a root-cloud run reads share their
@@ -311,10 +313,14 @@ def _chain_tables(lam: np.ndarray, mu: np.ndarray, n: int, width: int) -> np.nda
 def factor_chain(tables: list[np.ndarray], weights: Sequence[IntVector]) -> list[np.ndarray]:
     """The residual tables of prod_w (E - x^w), E the index shift, on a
     window of term tables: U_k <- U_{k+1} - x^w * U_k, x^w shifting a table
-    by the first n - 1 entries of w.  Every intermediate l1 norm is at most
-    2^d times the largest table total, which keeps the chain in int64 when
-    that bound is below the int64 limit, else in Python integers."""
-    bound = max((int(t.sum()) for t in tables), default=0) << len(weights)
+    by the first n - 1 entries of w.  The tables are nonnegative with
+    entries at most M, their largest entry.  One factor makes each cell a
+    difference of two entries in [0, M], so |U| <= M, and each further
+    factor at most doubles that: after j >= 1 factors |U| <= 2^(j-1) M, in
+    every cell of every in-place subtract too.  The chain runs in int64 when
+    2^(d-1) M (M for d = 0) is below the int64 limit, else in Python
+    integers."""
+    bound = max((int(t.max()) for t in tables), default=0) << max(len(weights) - 1, 0)
     dtype = np.int64 if bound < _INT64_LIMIT else object
     terms = [t.astype(dtype) for t in tables]  # copies: the chain runs in place
     for w in weights:

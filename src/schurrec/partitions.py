@@ -6,7 +6,7 @@ componentwise operations silently pad to the longer operand.
 """
 from __future__ import annotations
 
-from itertools import zip_longest
+from itertools import accumulate, zip_longest
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 IntVector = tuple[int, ...]
@@ -69,15 +69,9 @@ class Partition:
         return sum(self._parts)
 
 
-def _get(p, i: int) -> int:
-    seq = p.parts if isinstance(p, Partition) else tuple(p)
-    return seq[i] if i < len(seq) else 0
-
-
 def contains(a: Partition, b: Partition) -> bool:
     """Inclusion order: a_i >= b_i for all i."""
-    n = max(len(a), len(b))
-    return all(_get(a, i) >= _get(b, i) for i in range(n))
+    return all(x >= y for x, y in zip_longest(a, b, fillvalue=0))
 
 
 def dominates(a: Sequence[int], b: Sequence[int]) -> bool:
@@ -92,13 +86,8 @@ def dominates(a: Sequence[int], b: Sequence[int]) -> bool:
             raise ValueError(f"dominates: argument {name}={t} is not sorted decreasingly")
     if sum(ta) != sum(tb):
         return False
-    pa = pb = 0
-    for i in range(max(len(ta), len(tb))):
-        pa += ta[i] if i < len(ta) else 0
-        pb += tb[i] if i < len(tb) else 0
-        if pa < pb:
-            return False
-    return True
+    # the prefix sums of a less those of b, padded to the longer length
+    return all(s >= 0 for s in accumulate(x - y for x, y in zip_longest(ta, tb, fillvalue=0)))
 
 
 def sort_decreasing(w: Sequence[int]) -> IntVector:
@@ -121,8 +110,22 @@ def scale(k: int, a: Partition) -> Partition:
 
 def subtract(a: Partition | Sequence[int], b: Partition | Sequence[int]) -> IntVector:
     """Componentwise a - b; the result need not be a partition."""
-    n = max(len(a), len(b))
-    return tuple(_get(a, i) - _get(b, i) for i in range(n))
+    return tuple(x - y for x, y in zip_longest(a, b, fillvalue=0))
+
+
+def _stretch_scan(
+    kappa: Partition, lam: Partition, mu: Partition, nu: Partition
+) -> tuple[Optional[int], Optional[int]]:
+    """(k, None) with k the smallest k >= 1 such that k*(mu_i - nu_i) >=
+    lam_i - kappa_i for all i, or (None, i) with i the first coordinate
+    where mu_i - nu_i <= 0 but lam_i - kappa_i > 0, when no k exists."""
+    k = 1
+    for i, (c, l, m, v) in enumerate(zip_longest(kappa, lam, mu, nu, fillvalue=0)):
+        if l > c:
+            if m <= v:
+                return None, i
+            k = max(k, -((c - l) // (m - v)))  # the ceiling of (l - c) / (m - v)
+    return k, None
 
 
 def stretch_condition(kappa: Partition, lam: Partition, mu: Partition, nu: Partition) -> Optional[int]:
@@ -133,25 +136,7 @@ def stretch_condition(kappa: Partition, lam: Partition, mu: Partition, nu: Parti
     """
     if not contains(mu, nu):
         raise ValueError("stretch_condition requires mu to contain nu")
-    n = max(len(kappa), len(lam), len(mu), len(nu))
-    k = 1
-    for i in range(n):
-        need = _get(lam, i) - _get(kappa, i)
-        grow = _get(mu, i) - _get(nu, i)
-        if need > 0:
-            if grow <= 0:
-                return None
-            k = max(k, -(-need // grow))
-    return k
-
-
-def stretch_violation(kappa: Partition, lam: Partition, mu: Partition, nu: Partition) -> Optional[int]:
-    """Index witnessing the absence of a stretch factor, or None when one exists."""
-    n = max(len(kappa), len(lam), len(mu), len(nu))
-    for i in range(n):
-        if _get(lam, i) - _get(kappa, i) > 0 and _get(mu, i) - _get(nu, i) <= 0:
-            return i
-    return None
+    return _stretch_scan(kappa, lam, mu, nu)[0]
 
 
 def parse_entries(text: str, convert: Callable = int, kind: str = "an integer") -> list:

@@ -27,13 +27,12 @@ from . import _dense
 from .partitions import (
     IntVector,
     Partition,
+    _stretch_scan,
     add,
     contains,
     dominates,
     scale,
     sort_decreasing,
-    stretch_condition,
-    stretch_violation,
     subtract,
 )
 from .polynomials import CharPoly, MultiPoly, char_poly, schur_int_eval, schur_int_evals, skew_schur, ssyt_count
@@ -166,9 +165,8 @@ def build_sequence(kappa: Partition, lam: Partition, mu: Partition, nu: Partitio
     index r from which the chi(t) recurrence is claimed."""
     if not contains(mu, nu):
         raise InvalidFamilyError(f"mu={mu} does not contain nu={nu}")
-    k0 = stretch_condition(kappa, lam, mu, nu)
+    k0, i = _stretch_scan(kappa, lam, mu, nu)
     if k0 is None:
-        i = stretch_violation(kappa, lam, mu, nu)
         raise InvalidFamilyError(
             f"no stretch factor: coordinate {i} has mu-nu = 0 but lam-kappa > 0"
         )

@@ -32,6 +32,9 @@ CASES = [
     ("char_poly.json", ["char-poly", "--mu", "[1]", "--nu", "[]", "--n", "2"], 0),
     ("verify.json", ["verify", "--mu", "[1]", "--nu", "[]", "--n", "2", "--count", "6"], 0),
     ("minimal.json", ["minimal", "--mu", "[2,1]", "--nu", "[]", "--n", "3", "--seed", "7"], 0),
+    # chi of degree 42 whose residual chain runs in int64 only under the
+    # largest-entry bound
+    ("verify_long_chain.json", ["verify", "--mu", "[5,2]", "--nu", "[]", "--n", "3"], 0),
     ("kostka.txt", ["kostka", "--outer", "[2,1]", "--weight", "[1,1,1]"], 0),
     ("m_basis.json", ["m-basis", "--outer", "[2,1]", "--n", "3"], 0),
     ("conjecture.json", ["conjecture", "--mu", "[2,1]", "--nu", "[]", "--n", "3", "--seed", "3"], 0),

@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 
 from schurrec.partitions import (
     Partition,
+    _stretch_scan,
     add,
     contains,
     dominates,
@@ -16,6 +17,7 @@ from schurrec.partitions import (
     stretch_condition,
     subtract,
 )
+from schurrec.recurrence import InvalidFamilyError, build_sequence
 
 
 def P(*parts):
@@ -172,3 +174,82 @@ class TestStretchCondition:
                 for m, n, l, c in [(2, 1, 4, 1), (1, 0, 2, 0)]
             )
         assert works(k) and not works(k - 1)
+
+
+# The per-coordinate forms the helpers above replaced, kept as oracles: each
+# reads coordinate i of a partition or a tuple through one getter that pads
+# with zeros, and the stretch factor and its witness come from two scans.
+def _get(p, i):
+    seq = p.parts if isinstance(p, Partition) else tuple(p)
+    return seq[i] if i < len(seq) else 0
+
+
+def contains_oracle(a, b):
+    return all(_get(a, i) >= _get(b, i) for i in range(max(len(a), len(b))))
+
+
+def subtract_oracle(a, b):
+    return tuple(_get(a, i) - _get(b, i) for i in range(max(len(a), len(b))))
+
+
+def dominates_oracle(a, b):
+    if sum(a) != sum(b):
+        return False
+    pa = pb = 0
+    for i in range(max(len(a), len(b))):
+        pa, pb = pa + _get(a, i), pb + _get(b, i)
+        if pa < pb:
+            return False
+    return True
+
+
+def stretch_condition_oracle(kappa, lam, mu, nu):
+    k = 1
+    for i in range(max(len(kappa), len(lam), len(mu), len(nu))):
+        need, grow = _get(lam, i) - _get(kappa, i), _get(mu, i) - _get(nu, i)
+        if need > 0:
+            if grow <= 0:
+                return None
+            k = max(k, -(-need // grow))
+    return k
+
+
+def stretch_violation_oracle(kappa, lam, mu, nu):
+    for i in range(max(len(kappa), len(lam), len(mu), len(nu))):
+        if _get(lam, i) - _get(kappa, i) > 0 and _get(mu, i) - _get(nu, i) <= 0:
+            return i
+    return None
+
+
+vector_st = st.one_of(partition_st, st.lists(st.integers(min_value=-3, max_value=8), max_size=5).map(tuple))
+
+
+class TestAgainstPerCoordinateOracles:
+    @given(partition_st, partition_st)
+    def test_contains_and_dominates(self, a, b):
+        assert contains(a, b) == contains_oracle(a, b)
+        assert dominates(a.parts, b.parts) == dominates_oracle(a.parts, b.parts)
+
+    @given(vector_st, vector_st)
+    def test_subtract_of_partitions_and_tuples(self, a, b):
+        assert subtract(a, b) == subtract_oracle(a, b)
+
+    @given(partition_st, partition_st, partition_st, partition_st, st.booleans())
+    def test_stretch_factor_and_witness(self, kappa, lam, nu, grow, nested):
+        # mu = nu + grow is the usual case; grow's zero tail leaves mu_i =
+        # nu_i there, so many of these families have no stretch factor
+        mu = add(nu, grow) if nested else grow
+        if not contains_oracle(mu, nu):
+            with pytest.raises(ValueError, match="stretch_condition requires mu to contain nu"):
+                stretch_condition(kappa, lam, mu, nu)
+            return
+        k = stretch_condition_oracle(kappa, lam, mu, nu)
+        i = stretch_violation_oracle(kappa, lam, mu, nu)
+        assert stretch_condition(kappa, lam, mu, nu) == k
+        assert _stretch_scan(kappa, lam, mu, nu) == (k, i)
+        if k is None:
+            with pytest.raises(InvalidFamilyError) as raised:
+                build_sequence(kappa, lam, mu, nu, 2)
+            assert str(raised.value) == f"no stretch factor: coordinate {i} has mu-nu = 0 but lam-kappa > 0"
+        else:  # a base shape outside its stretch is moved by k
+            assert build_sequence(kappa, lam, mu, nu, 2).shift == (0 if contains(kappa, lam) else k)

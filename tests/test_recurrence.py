@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -335,19 +336,48 @@ class TestFactorChain:
         assert seen == dtypes
 
     def test_int64_exactly_below_the_bound(self):
-        # the bound is 2^d times the largest filling count in the window, the
-        # largest table total: at that limit the chain runs in object, one
-        # above it in int64
+        # the bound is 2^(d-1) times the largest entry of a table in the
+        # window, the largest coefficient of its terms: at that limit the
+        # chain runs in object, one above it in int64
         seq = build_sequence(P(1), P(), P(2, 1), P(1), 3)
         weights = char_poly(P(2, 1), P(1), 3).root_weights
         start, count, d = seq.r, 2, len(weights)
         window = range(start, start + count + d)
-        bound = max(polynomials.ssyt_count(seq.outer_at(k), seq.inner_at(k), 3) for k in window) << d
+        bound = max(max(skew_schur(seq.shape_at(k), 3).terms.values()) for k in window) << (d - 1)
         built_tables(seq, start, start + count + d)
         for limit, dtype in ((bound, "object"), (bound + 1, "int64")):
             with mock.patch.object(_dense, "_INT64_LIMIT", limit), chain_dtypes() as seen:
                 assert not any(recurrence._residuals(seq, weights, start, count))
             assert seen == {dtype}
+
+    @pytest.mark.parametrize("d,dtype", [(3, "int64"), (4, "object")])
+    def test_int64_up_to_the_edge(self, d, dtype):
+        # an n = 2 window of entries up to M = 2^60 that alternate between
+        # the extremes, so that after j factors x^(0, 2) the residuals reach
+        # 2^(j-1) M: 2^62 at d = 3, in int64, and 2^63 at d = 4, past it
+        M = 1 << 60
+        rows = [[M, 0, M - 1], [0, M, 1]]
+        expected = [rows[k % 2] for k in range(d + 2)]
+        tables = [np.array(r, dtype=np.int64) for r in expected]
+        weights = [(0, 2)] * d
+        for _ in weights:  # the chain in Python integers
+            expected = [[b - a for a, b in zip(lo, hi)] for lo, hi in zip(expected, expected[1:])]
+        out = _dense.factor_chain(tables, weights)
+        assert {t.dtype.name for t in out} == {dtype}
+        assert [[int(x) for x in t] for t in out] == expected
+        assert max(abs(x) for r in expected for x in r) == M << (d - 1)
+
+    @pytest.mark.parametrize(
+        "mu,nu,count", [(P(5, 2), P(), 11), (P(5, 3), P(), 11), (P(4, 3), P(1), 27), (P(4, 2, 1), P(1), 1)]
+    )
+    def test_long_chains_run_in_int64(self, mu, nu, count):
+        # chi degrees 37 to 45: count is the shortest window from r in which
+        # 2^d times the largest table total passes the int64 limit, while
+        # 2^(d-1) times the largest entry stays below it
+        seq = build_sequence(P(), P(), mu, nu, 3)
+        with chain_dtypes() as seen:
+            assert verify_certificate(seq, char_poly(mu, nu, 3), seq.r, count).ok
+        assert seen == {"int64"}
 
     def test_one_window_build_per_residual_window(self):
         # the missing indices of a window are built in one call, in index
