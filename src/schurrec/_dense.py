@@ -29,6 +29,7 @@ of one shape.
 """
 from __future__ import annotations
 
+from itertools import zip_longest
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -48,11 +49,6 @@ _CHUNK_CELLS = 1 << 14
 
 class UnsupportedShape(Exception):
     """Raised when the dense engine cannot handle a shape/letter combination."""
-
-
-def _padded(p: Partition, length: int) -> tuple[int, ...]:
-    """The parts of p, cut or padded with zeros to length."""
-    return (p.parts + (0,) * length)[:length]
 
 
 def _shifted(p: np.ndarray, s: int) -> np.ndarray:
@@ -159,9 +155,10 @@ def _simplex_filter(x: np.ndarray, m: Sequence[int], d: int) -> np.ndarray:
 
 def window_counts(shapes: Sequence[tuple[Partition, Partition]], n: int) -> list[np.ndarray]:
     """Dense weight tables of the skew shapes outer/inner given as (outer,
-    inner) pairs, in that order, for n <= 4 letters and any number of rows;
-    raises UnsupportedShape for other n and, before any table is built,
-    ValueError when a shape's filling count reaches the int64 limit.
+    inner) pairs, in that order, for n <= 4 letters and any number of rows.
+    At any n it first raises ValueError when a shape's filling count reaches
+    the int64 limit, so such work is refused and not enumerated; then it
+    raises UnsupportedShape for n >= 5.
 
     A row that shares no column with its neighbours is a factor h_m of the
     skew Schur polynomial, m its length.  The table of the rest, the shape
@@ -179,26 +176,25 @@ def window_counts(shapes: Sequence[tuple[Partition, Partition]], n: int) -> list
     the final total: the exact filling count, computed up front for every
     shape, all from one h-table, and checked against its table at the end.
 
-    Consecutive shapes with as many rest rows and as many factors as each
-    other, as the terms of one stretched family have, are built as one
-    batch: one pass of the chain engine and one filter per factor level
-    over the stack of their tables, padded to the batch's largest box count.
-    A batch is closed before its padded cells pass _CHUNK_CELLS, so large
-    tables are built one or a few at a time.  Nothing sums across shapes.
+    Consecutive shapes are built as one batch: one pass of the chain engine
+    and one filter per factor level over the stack of their tables, padded
+    to the batch's largest box count (shorter rests with empty rows, missing
+    factors with the identity h_0).  A batch is closed before its padded
+    cells pass _CHUNK_CELLS, so large tables are built one or a few at a
+    time.  Nothing sums across shapes.
     """
-    if not 1 <= n <= 4:
-        raise UnsupportedShape(f"dense engine is limited to 1..4 letters, got n={n}")
     totals = schur_int_evals(shapes, (1,) * n)
     for total in totals:
         if total >= _INT64_LIMIT:
             raise ValueError(f"{total} fillings reach the int64 limit {_INT64_LIMIT}; refused")
+    if not 1 <= n <= 4:
+        raise UnsupportedShape(f"dense engine is limited to 1..4 letters, got n={n}")
     batches: list[list[_Split]] = []
     width = 0  # of the last batch's tables
     for split in (_split(outer, inner) for outer, inner in shapes):
         width = max(width, split.boxes + 1)
-        batch = batches[-1] if batches else []
-        if batch and batch[0].kind == split.kind and (len(batch) + 1) * width ** (n - 1) <= _CHUNK_CELLS:
-            batch.append(split)
+        if batches and (len(batches[-1]) + 1) * width ** (n - 1) <= _CHUNK_CELLS:
+            batches[-1].append(split)
         else:
             batches.append([split])
             width = split.boxes + 1
@@ -224,15 +220,10 @@ class _Split(NamedTuple):
     factors: list[int]
     boxes: int
 
-    @property
-    def kind(self) -> tuple[int, int]:
-        """What the shapes of one batch share: rest rows and factors."""
-        return len(self.lam), len(self.factors)
-
 
 def _split(outer: Partition, inner: Partition) -> _Split:
     rows = max(len(outer), 1)
-    lam, mu = _padded(outer, rows), _padded(inner, rows)
+    lam, mu = outer.padded(rows), inner.padded(rows)
     isolated = _isolated_rows(lam, mu)
     rest = [r for r in range(rows) if not isolated[r]]
     factors = [lam[r] - mu[r] for r in range(rows) if isolated[r] and lam[r] > mu[r]]
@@ -240,21 +231,25 @@ def _split(outer: Partition, inner: Partition) -> _Split:
 
 
 def _batch_tables(batch: list[_Split], n: int) -> list[np.ndarray]:
-    """The tables of one batch of window_counts, in its order."""
-    lam = np.array([s.lam for s in batch], dtype=np.int64).reshape(len(batch), -1)
-    mu = np.array([s.mu for s in batch], dtype=np.int64).reshape(len(batch), -1)
+    """The tables of one batch of window_counts, in its order.  Shorter
+    rests are padded with empty rows (0/0), and missing factors with m = 0,
+    whose filter h_0 = 1 is the identity."""
+    lam, mu = np.zeros((2, len(batch), max(len(s.lam) for s in batch)), dtype=np.int64)
+    for b, s in enumerate(batch):
+        lam[b, : len(s.lam)], mu[b, : len(s.mu)] = s.lam, s.mu
     if lam.shape[1]:
         K = _chain_tables(lam, mu, n, int((lam.sum(axis=1) - mu.sum(axis=1)).max()) + 1)
     else:
         K = np.ones((len(batch),) + (1,) * (n - 1), dtype=np.int64)
     K = np.moveaxis(K, 0, -1)  # the batch axis last, where the filter carries it
     boxes = [s.boxes for s in batch]
-    if batch[0].factors:  # else K already holds the whole tables
+    factors = list(zip_longest(*(s.factors for s in batch), fillvalue=0))
+    if factors:  # else K already holds the whole tables
         width = max(boxes) + 1
         inside = np.asarray(sum(np.ogrid[(slice(width),) * (n - 1)], 0) < width)[..., None]
         part, K = K, np.zeros((width,) * (n - 1) + (len(batch),), dtype=np.int64)
         K[tuple(slice(w) for w in part.shape)] = part
-        for m in zip(*(s.factors for s in batch)):
+        for m in factors:
             K = _simplex_filter(K, m, n - 1)
             K *= inside
     tables = [K[(slice(D + 1),) * (n - 1) + (..., b)] for b, D in enumerate(boxes)]

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
-from .partitions import Partition
 from .recurrence import SchurSequence
 
 RESIDUAL_TOL = 1e-8
@@ -105,18 +104,6 @@ def _unit(xs: Sequence[complex], n: int) -> float:
     if moduli and max(moduli) - min(moduli) > 1e-12 * max(moduli):
         raise ValueError("all xi must lie on a common circle |xi| = R")
     return moduli[0] if moduli else 1.0
-
-
-def _x1_degree(outer: Partition, inner: Partition) -> int:
-    """The number of nonempty columns of outer/inner, which is the degree in
-    x1 of its skew Schur polynomial when that is nonzero: no column holds
-    two 1s, and numbering each column's boxes 1, 2, ... from its top is a
-    tableau.  Row i adds the columns (inner_i, min(outer_i, inner_{i-1})],
-    since the rows above it cover its columns right of inner_{i-1}."""
-    return sum(
-        max(0, min(outer[i], inner[i - 1]) - inner[i]) if i else outer[0] - inner[0]
-        for i in range(len(outer))
-    )
 
 
 def specialize(seq: SchurSequence, k: int, xi: Sequence[complex]) -> ComplexPoly:
@@ -331,8 +318,10 @@ def limit_experiment(seq: SchurSequence, xi: Sequence[complex], kmax: int) -> Ex
     statement gives no convergence rate, so the series is reported in full.
 
     Before any table is built, a kmax whose term has more nonempty columns
-    than DEGREE_CAP - 1 is refused: that count is the degree of P_kmax
-    before trimming.  The tables of k = 1 .. kmax are then fetched as one
+    (column runs with top <= bottom) than DEGREE_CAP - 1 is refused: that
+    count is the degree of P_kmax before trimming, since no column holds two
+    1s, and numbering each column's boxes 1, 2, ... from its top is a
+    tableau.  The tables of k = 1 .. kmax are then fetched as one
     window (SchurSequence.term_tables), built in index order in batches
     under the table engine's cell budget.
     """
@@ -341,7 +330,7 @@ def limit_experiment(seq: SchurSequence, xi: Sequence[complex], kmax: int) -> Ex
     if kmax < 1:
         raise ValueError("kmax must be at least 1")
     radius = _unit(xi, seq.n)
-    columns = _x1_degree(*seq.pair_at(kmax))
+    columns = sum(top <= bottom for top, bottom in seq.shape_at(kmax).column_runs())
     if columns + 1 > DEGREE_CAP:
         raise ValueError(
             f"kmax={kmax} is refused: term {kmax} has {columns} nonempty columns, so P_{kmax} "

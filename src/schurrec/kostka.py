@@ -34,7 +34,7 @@ def schur_in_m_basis(shape: SkewShape, n: int) -> dict[Partition, int]:
     boxes = shape.num_boxes
     out: dict[Partition, int] = {}
     for lam in partitions_up_to(boxes, n, exact=True):
-        k = kostka(shape, tuple(lam[i] for i in range(n)))
+        k = kostka(shape, lam.padded(n))
         if k:
             out[lam] = k
     return out

@@ -68,6 +68,10 @@ class Partition:
     def weight(self) -> int:
         return sum(self._parts)
 
+    def padded(self, length: int) -> IntVector:
+        """The parts, cut or padded with zeros to length."""
+        return (self._parts + (0,) * length)[:length]
+
 
 def contains(a: Partition, b: Partition) -> bool:
     """Inclusion order: a_i >= b_i for all i."""

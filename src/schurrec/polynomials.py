@@ -242,11 +242,9 @@ def complete_homogeneous(m: int, n: int) -> MultiPoly:
 def _jacobi_trudi(outer: Partition, inner: Partition, h: Callable[[int], object], zero) -> list[list]:
     """The matrix (h_{outer_i - inner_j - i + j}) of Macdonald I.5, over the
     ring of zero; h is asked only for m >= 0, at most outer_1 + len(outer) - 1.
-    It reads the parts as tuples, inner's cut or padded with zeros to
-    len(outer) once."""
-    size = len(outer)
+    It reads the parts as tuples, inner's cut or padded to len(outer) once."""
     rows = [a - i for i, a in enumerate(outer.parts)]
-    columns = [b - j for j, b in enumerate((inner.parts + (0,) * size)[:size])]
+    columns = [b - j for j, b in enumerate(inner.padded(len(outer)))]
     return [[h(a - b) if a >= b else zero for b in columns] for a in rows]
 
 
@@ -330,8 +328,7 @@ def monomial_symmetric(lam: Partition, n: int) -> MultiPoly:
     """Sum of x^w over the distinct permutations w of lam, padded to length n."""
     if len(lam) > n:
         raise ValueError(f"partition {lam} is longer than nvars {n}")
-    padded = tuple(lam[i] for i in range(n))
-    terms = {perm: 1 for perm in set(permutations(padded))}
+    terms = {perm: 1 for perm in set(permutations(lam.padded(n)))}
     return MultiPoly(n, terms)
 
 

@@ -208,38 +208,34 @@ def iter_tableaux(
 ) -> Iterator[Tableau]:
     """Yield all SSYTs of the shape with entries in 1..n, in row-major
     lexicographic order.  weight_cap, when given, prunes fillings whose
-    letter multiplicities would exceed it."""
+    letter multiplicities would exceed it.  The partial filling is kept as
+    its rows: box (i, j) of row i sits at value_rows[i][j - inner_i]."""
     cells = shape.cells()
     ncells = len(cells)
+    inner, outer = shape.inner, shape.outer
     cap = list(weight_cap) if weight_cap is not None else None
     if cap is not None and len(cap) != n:
         raise ValueError("weight_cap must have length n")
-    grid: dict[tuple[int, int], int] = {}
     counts = [0] * (n + 1)
-    value_rows: list[list[int]] = [[] for _ in shape.outer]
+    value_rows: list[list[int]] = [[] for _ in outer]
 
     def rec(idx: int) -> Iterator[Tableau]:
         if idx == ncells:
             yield Tableau(shape, [list(r) for r in value_rows], n)
             return
         i, j = cells[idx]
-        lo = 1
-        left = grid.get((i, j - 1))
-        if left is not None:
-            lo = max(lo, left)
-        up = grid.get((i - 1, j))
-        if up is not None:
-            lo = max(lo, up + 1)
+        row = value_rows[i]
+        lo = row[-1] if row else 1
+        if i and inner[i - 1] <= j < outer[i - 1]:
+            lo = max(lo, value_rows[i - 1][j - inner[i - 1]] + 1)
         for v in range(lo, n + 1):
             if cap is not None and counts[v] + 1 > cap[v - 1]:
                 continue
-            grid[(i, j)] = v
             counts[v] += 1
-            value_rows[i].append(v)
+            row.append(v)
             yield from rec(idx + 1)
-            value_rows[i].pop()
+            row.pop()
             counts[v] -= 1
-            del grid[(i, j)]
 
     return rec(0)
 

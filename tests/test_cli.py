@@ -10,7 +10,7 @@ import sys
 
 import pytest
 
-from schurrec import cli
+from schurrec import cli, recurrence
 from schurrec.asymptotics import RootConvergenceError
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -46,6 +46,12 @@ CASES = [
     (
         "verify_refuted.json",
         ["verify", "--kappa", "[1,1]", "--mu", "[2]", "--nu", "[1]", "--n", "3", "--r-override", "0", "--count", "2"],
+        2,
+    ),
+    # the same at n = 5, where the terms come from the tableau walk
+    (
+        "verify_refuted_n5.json",
+        ["verify", "--kappa", "[1,1]", "--mu", "[2]", "--nu", "[1]", "--n", "5", "--r-override", "0", "--count", "2"],
         2,
     ),
     ("polynomiality.json", ["polynomiality", "--mu", "[2,1]", "--nu", "[1]", "--n", "2", "--kmax", "10"], 0),
@@ -126,6 +132,12 @@ BAD_INVOCATIONS = [
     (
         ["verify", "--kappa", str(list(range(32, 0, -1))), "--lambda", str(list(range(31, 0, -1))), "--mu", "[]", "--n", "4"],
         f"{1 << 64} fillings reach the int64 limit {1 << 63}",
+    ),
+    # the same at n = 5, beyond the dense engine: 5^32 fillings, refused
+    # before the tableau walk
+    (
+        ["verify", "--kappa", str(list(range(32, 0, -1))), "--lambda", str(list(range(31, 0, -1))), "--mu", "[]", "--n", "5"],
+        f"{5 ** 32} fillings reach the int64 limit {1 << 63}",
     ),
 ]
 
@@ -227,6 +239,16 @@ class TestExitCodes:
         payload = json.loads(result.stdout)
         assert payload["conjecture"] == "REFUTED-MINIMALITY"
         assert payload["minimal_degree"] == 0 and payload["minimal_W"] == []
+
+    def test_conjecture_refuted_at_an_index_is_two(self, monkeypatch, capsys):
+        real = recurrence._dominating
+        monkeypatch.setattr(recurrence, "_dominating", lambda *args: real(*args)[1:])
+        assert cli.main(["conjecture", "--mu", "[2,1]", "--nu", "[]", "--n", "3"]) == 2
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["conjecture"] == "REFUTED-AT(0)" and payload["failed_k"] == 0
+        assert payload["annihilates"] is False and payload["verified_upto"] is None
+        assert payload["minimal_W"] is None and payload["minimal_matches"] is None
+        assert len(payload["W"]) == 5
 
     @pytest.mark.parametrize(
         "error",

@@ -58,6 +58,9 @@ class TestWeightCounts:
     def test_unsupported_combinations(self):
         with pytest.raises(UnsupportedShape):
             weight_counts(P(2), P(), 5)
+        # the int64 guard comes first, at any n
+        with mock.patch.object(_dense, "_INT64_LIMIT", 15), pytest.raises(ValueError, match="^15 fillings"):
+            weight_counts(P(2), P(), 5)
         table = weight_counts(P(1, 1, 1, 1), P(), 3)
         assert table.shape == (5, 5) and not table.any()
 
@@ -154,7 +157,7 @@ def chain_counts(lam, mu, n):
 
 def unsplit_table(outer, inner, n):
     rows = max(len(outer), 1)
-    return chain_counts(_dense._padded(outer, rows), _dense._padded(inner, rows), n)
+    return chain_counts(outer.padded(rows), inner.padded(rows), n)
 
 
 @st.composite
@@ -200,7 +203,7 @@ class TestIsolatedRows:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_isolated_first_middle_and_last_rows(self, outer, inner, isolated, n):
         rows = len(outer)
-        assert _dense._isolated_rows(_dense._padded(outer, rows), _dense._padded(inner, rows)) == isolated
+        assert _dense._isolated_rows(outer.padded(rows), inner.padded(rows)) == isolated
         table = weight_counts(outer, inner, n)
         assert np.array_equal(table, unsplit_table(outer, inner, n))
 
@@ -214,7 +217,7 @@ class TestIsolatedRows:
         ],
     )
     def test_column_boundary(self, outer, inner, isolated):
-        assert _dense._isolated_rows(_dense._padded(outer, 3), _dense._padded(inner, 3)) == isolated
+        assert _dense._isolated_rows(outer.padded(3), inner.padded(3)) == isolated
         for n in (2, 3, 4):
             table = weight_counts(outer, inner, n)
             assert np.array_equal(table, unsplit_table(outer, inner, n))
@@ -334,6 +337,25 @@ class TestWindowCounts:
             assert spy.call_count == 1 + 8
         for table, one, want in zip(tables, alone, expected):
             assert np.array_equal(table, want) and np.array_equal(one, want)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_mixed_window_under_the_budget_is_one_batch(self, n):
+        # rest row counts 0 to 3 and factor counts 0 to 3 in one window
+        shapes = [
+            (P(), P()),
+            (P(6, 4, 2), P(4, 2)),
+            (P(6, 4, 2), P(3, 1)),
+            (P(9, 7, 6, 4, 2, 1), P(5, 2, 1)),
+            (P(6, 4, 2), P(3, 2)),
+            (P(12, 8, 3), P(8, 3)),
+        ]
+        assert len(shapes) * 28 ** (n - 1) <= _dense._CHUNK_CELLS  # 27 boxes at most
+        spy = mock.Mock(wraps=_dense._batch_tables)
+        with mock.patch.object(_dense, "_batch_tables", spy):
+            tables = _dense.window_counts(shapes, n)
+        assert spy.call_count == 1
+        for (outer, inner), table in zip(shapes, tables):
+            assert np.array_equal(table, unsplit_table(outer, inner, n))
 
     def test_int64_guard_refuses_the_window_before_any_build(self):
         seq = build_sequence(P(), P(), P(2, 1), P(), 4)

@@ -792,6 +792,15 @@ class TestConjectureCheck:
         assert report.verdict == "SUPPORTED"
         assert shapes.count(SkewShape(P(2, 1), P(1))) == 1
 
+    def test_a_root_short_is_refuted_at_the_first_index(self, monkeypatch):
+        real = recurrence._dominating
+        monkeypatch.setattr(recurrence, "_dominating", lambda *args: real(*args)[1:])
+        report = conjecture_check(P(), P(), P(2, 1), P(), 3)
+        assert report.verdict == "REFUTED-AT(0)"
+        assert report.annihilates is False and report.failed_k == 0
+        assert report.minimal_weights is None and report.minimal_matches is None
+        assert len(report.conjectured) == 5
+
     def test_report_payload(self):
         report = conjecture_check(P(), P(), P(1), P(), 2)
         obj = report.to_json_obj()

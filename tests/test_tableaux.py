@@ -3,6 +3,7 @@ from functools import reduce
 from itertools import starmap
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from battery import skew_pairs
 from schurrec.partitions import Partition
@@ -18,6 +19,7 @@ from schurrec.tableaux import (
     enumerate_tableaux,
     insert,
     is_valid_ssyt,
+    iter_tableaux,
     sits_inside,
     stabilization_index,
     weight,
@@ -106,6 +108,52 @@ class TestEnumerate:
 
     def test_too_tall_column_gives_nothing(self):
         assert enumerate_tableaux(SkewShape(P(1, 1, 1)), 2) == []
+
+
+def grid_walk(shape, n, weight_cap=None):
+    """The tableau walk with its partial filling in a (row, col) dict beside
+    its rows: the oracle for iter_tableaux, which keeps the rows alone."""
+    cells = shape.cells()
+    grid, counts, value_rows = {}, [0] * (n + 1), [[] for _ in shape.outer]
+
+    def rec(idx):
+        if idx == len(cells):
+            yield Tableau(shape, [list(r) for r in value_rows], n)
+            return
+        i, j = cells[idx]
+        lo = 1
+        if (i, j - 1) in grid:
+            lo = max(lo, grid[(i, j - 1)])
+        if (i - 1, j) in grid:
+            lo = max(lo, grid[(i - 1, j)] + 1)
+        for v in range(lo, n + 1):
+            if weight_cap is not None and counts[v] + 1 > weight_cap[v - 1]:
+                continue
+            grid[(i, j)] = v
+            counts[v] += 1
+            value_rows[i].append(v)
+            yield from rec(idx + 1)
+            value_rows[i].pop()
+            counts[v] -= 1
+            del grid[(i, j)]
+
+    return rec(0)
+
+
+@st.composite
+def walk_input_st(draw):
+    shape = SkewShape(*draw(st.sampled_from(skew_pairs(8, 4))))
+    n = draw(st.integers(1, 5))
+    cap = draw(st.none() | st.lists(st.integers(0, 4), min_size=n, max_size=n))
+    return shape, n, cap
+
+
+class TestWalkAgainstGridOracle:
+    @given(walk_input_st())
+    @settings(deadline=None, max_examples=200)
+    def test_same_tableaux_in_the_same_order(self, inp):
+        shape, n, cap = inp
+        assert list(iter_tableaux(shape, n, weight_cap=cap)) == list(grid_walk(shape, n, cap))
 
 
 class TestWeight:
