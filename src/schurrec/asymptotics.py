@@ -318,10 +318,10 @@ def limit_experiment(seq: SchurSequence, xi: Sequence[complex], kmax: int) -> Ex
     statement gives no convergence rate, so the series is reported in full.
 
     Before any table is built, a kmax whose term has more nonempty columns
-    (column runs with top <= bottom) than DEGREE_CAP - 1 is refused: that
-    count is the degree of P_kmax before trimming, since no column holds two
-    1s, and numbering each column's boxes 1, 2, ... from its top is a
-    tableau.  The tables of k = 1 .. kmax are then fetched as one
+    (SkewShape.num_columns, O(rows) whatever kmax) than DEGREE_CAP - 1 is
+    refused: that count is the degree of P_kmax before trimming, since no
+    column holds two 1s, and numbering each column's boxes 1, 2, ... from
+    its top is a tableau.  The tables of k = 1 .. kmax are then fetched as one
     window (SchurSequence.term_tables), built in index order in batches
     under the table engine's cell budget.
     """
@@ -330,7 +330,7 @@ def limit_experiment(seq: SchurSequence, xi: Sequence[complex], kmax: int) -> Ex
     if kmax < 1:
         raise ValueError("kmax must be at least 1")
     radius = _unit(xi, seq.n)
-    columns = sum(top <= bottom for top, bottom in seq.shape_at(kmax).column_runs())
+    columns = seq.shape_at(kmax).num_columns()
     if columns + 1 > DEGREE_CAP:
         raise ValueError(
             f"kmax={kmax} is refused: term {kmax} has {columns} nonempty columns, so P_{kmax} "

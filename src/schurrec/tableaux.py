@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass
+from itertools import zip_longest
 from typing import Iterator, Optional, Sequence
 
 from .partitions import Partition, add, contains, scale
@@ -50,6 +51,12 @@ class SkewShape:
     @property
     def num_skew_boxes(self) -> int:
         return self.inner.weight
+
+    def num_columns(self) -> int:
+        """The number of nonempty column runs, read from the rows in O(rows): row i
+        adds the columns (inner_i, min(outer_i, inner_{i-1})], the rows above cover the rest."""
+        inner = self.inner.padded(len(self.outer))
+        return sum(max(0, min(o, above) - i) for o, i, above in zip(self.outer, inner, (self.outer[0],) + inner))
 
     def row_span(self, i: int) -> tuple[int, int]:
         """Column bounds of the ordinary boxes of row i (0-based): (inner_i, outer_i]."""
@@ -261,12 +268,7 @@ def insert(t1: Tableau, t2: Tableau) -> Tableau:
     outer = add(t1.shape.outer, t2.shape.outer)
     inner = add(t1.shape.inner, t2.shape.inner)
     shape = SkewShape(outer, inner)
-    nrows = len(outer)
-    rows = []
-    for i in range(nrows):
-        r1 = t1.rows[i] if i < len(t1.rows) else ()
-        r2 = t2.rows[i] if i < len(t2.rows) else ()
-        rows.append(sorted(r1 + r2))
+    rows = [sorted(r1 + r2) for r1, r2 in zip_longest(t1.rows, t2.rows, fillvalue=())]
     result = Tableau(shape, rows, t1.n)
     if not is_valid_ssyt(result):
         raise RuntimeError(f"insertion produced an invalid tableau from {t1!r} and {t2!r}")

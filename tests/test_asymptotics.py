@@ -447,9 +447,11 @@ class TestLimitExperiment:
 
     def test_x1_degree_is_the_column_count(self):
         # the degree in x1 of every nonzero table is its shape's number of
-        # nonempty columns
+        # nonempty columns, counted from the rows as from the column runs
         for outer, inner in skew_pairs(8, 4):
-            columns = sum(top <= bottom for top, bottom in SkewShape(outer, inner).column_runs())
+            shape = SkewShape(outer, inner)
+            columns = shape.num_columns()
+            assert columns == sum(top <= bottom for top, bottom in shape.column_runs())
             for n in (2, 3, 4):
                 table = weight_counts(outer, inner, n)
                 if table.any():

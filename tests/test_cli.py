@@ -128,6 +128,8 @@ BAD_INVOCATIONS = [
     (["kostka", "--outer", "[2,1]", "--weight", "1.5"], "argument --weight: expected an integer, got '1.5'"),
     # 100000 columns at k = kmax: refused before any table is built
     (["roots", "--mu", "[1]", "--n", "2", "--xi-radius", "1", "--kmax", "100000"], "kmax=100000 is refused: term 100000 has 100000 nonempty columns"),
+    # the column count reads the rows, not the columns, so a huge kmax is refused at once too
+    (["roots", "--mu", "[1]", "--n", "2", "--xi-radius", "1", "--kmax", str(10**12)], f"kmax={10**12} is refused: term {10**12} has {10**12} nonempty columns"),
     # 32 disjoint boxes over 4 letters: 2^64 fillings, refused before any table or tableau
     (
         ["verify", "--kappa", str(list(range(32, 0, -1))), "--lambda", str(list(range(31, 0, -1))), "--mu", "[]", "--n", "4"],
