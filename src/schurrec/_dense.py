@@ -42,6 +42,11 @@ from .polynomials import MultiPoly, schur_int_eval, schur_int_evals, ssyt_count
 
 # int64 is exact below this; tables and chains bound every entry under it
 _INT64_LIMIT = 1 << 63
+# the largest window of terms built at once, in the entries that
+# SchurSequence.check_window predicts (table cells or sparse terms, a fixed
+# overhead per term, and the guard's h-table); 4 GiB as int64 cells, which
+# the d = 90 windows at n = 3 need
+_WINDOW_LIMIT = 1 << 29
 # cells of one block of box sums, and padded table cells of one batch of
 # window_counts: a bound on the memory of both, measured best near 2^14
 _CHUNK_CELLS = 1 << 14
@@ -183,7 +188,7 @@ def window_counts(shapes: Sequence[tuple[Partition, Partition]], n: int) -> list
     cells pass _CHUNK_CELLS, so large tables are built one or a few at a
     time.  Nothing sums across shapes.
     """
-    totals = schur_int_evals(shapes, (1,) * n)
+    totals = schur_int_evals(shapes, [(1,) * n])[0]
     for total in totals:
         if total >= _INT64_LIMIT:
             raise ValueError(f"{total} fillings reach the int64 limit {_INT64_LIMIT}; refused")

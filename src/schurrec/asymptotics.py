@@ -336,6 +336,7 @@ def limit_experiment(seq: SchurSequence, xi: Sequence[complex], kmax: int) -> Ex
             f"kmax={kmax} is refused: term {kmax} has {columns} nonempty columns, so P_{kmax} "
             f"has up to {columns + 1} coefficients, over the cap of {DEGREE_CAP}"
         )
+    seq.check_window(1, kmax)
     seq.term_tables(range(1, kmax + 1))  # one window, built in index order
     clouds = []
     for k in range(1, kmax + 1):

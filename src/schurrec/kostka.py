@@ -95,7 +95,7 @@ def polynomiality_check(mu: Partition, nu: Partition, n: int, kmax: int) -> Poly
         raise ValueError("mu must contain nu")
     if kmax < 0:
         raise ValueError("kmax must be nonnegative")
-    counts = schur_int_evals([(scale(k, mu), scale(k, nu)) for k in range(kmax + 1)], (1,) * n)
+    counts = schur_int_evals([(scale(k, mu), scale(k, nu)) for k in range(kmax + 1)], [(1,) * n])[0]
     diffs = counts
     newton = [counts[0]]
     order = 0

@@ -10,7 +10,7 @@ import json
 from functools import lru_cache
 from itertools import permutations
 from types import MappingProxyType
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from .partitions import IntVector, Partition, contains
 from .tableaux import SkewShape, Tableau, iter_tableaux, weight
@@ -239,13 +239,14 @@ def complete_homogeneous(m: int, n: int) -> MultiPoly:
     return _h_table(letters, m, MultiPoly.one(n))[m]
 
 
-def _jacobi_trudi(outer: Partition, inner: Partition, h: Callable[[int], object], zero) -> list[list]:
-    """The matrix (h_{outer_i - inner_j - i + j}) of Macdonald I.5, over the
-    ring of zero; h is asked only for m >= 0, at most outer_1 + len(outer) - 1.
-    It reads the parts as tuples, inner's cut or padded to len(outer) once."""
+def _jacobi_trudi(outer: Partition, inner: Partition) -> list[list[int]]:
+    """The index matrix (outer_i - i) - (inner_j - j) of det(h_{outer_i -
+    inner_j - i + j}) (Macdonald I.5), -1 for every negative index (h is 0
+    there), at most outer_1 + len(outer) - 1.  It reads the parts as tuples,
+    inner's cut or padded to len(outer) once."""
     rows = [a - i for i, a in enumerate(outer.parts)]
     columns = [b - j for j, b in enumerate(inner.padded(len(outer)))]
-    return [[h(a - b) if a >= b else zero for b in columns] for a in rows]
+    return [[a - b if a >= b else -1 for b in columns] for a in rows]
 
 
 def _det(entries: list[list[MultiPoly]], n: int) -> MultiPoly:
@@ -275,11 +276,12 @@ def _det(entries: list[list[MultiPoly]], n: int) -> MultiPoly:
     return minor(tuple(range(size)))
 
 
-def _det_int(mat: list[list[int]]) -> int:
-    """Exact integer determinant (Bareiss); 1 for the empty matrix.  Its
-    exact divisions have no MultiPoly counterpart, and _det's expansion is
-    exponential in the rows, so each ring keeps its own determinant."""
-    a = [row[:] for row in mat]
+def _det_int(index: list[list[int]], h: Sequence[int]) -> int:
+    """Exact integer determinant (Bareiss) of h[index[i][j]]; 1 for the
+    empty matrix.  Its exact divisions have no MultiPoly counterpart, and
+    _det's expansion is exponential in the rows, so each ring keeps its own
+    determinant."""
+    a = [[h[m] for m in row] for row in index]
     size = len(a)
     sign = 1
     prev = 1
@@ -301,22 +303,24 @@ def _det_int(mat: list[list[int]]) -> int:
 
 def skew_schur_jacobi_trudi(shape: SkewShape, n: int) -> MultiPoly:
     """The same polynomial as skew_schur, via det(h_{outer_i - inner_j - i + j})."""
-    entries = _jacobi_trudi(shape.outer, shape.inner, lambda m: complete_homogeneous(m, n), MultiPoly.zero(n))
-    return _det(entries, n)
+    index = _jacobi_trudi(shape.outer, shape.inner)
+    return _det([[complete_homogeneous(m, n) for m in row] for row in index], n)
 
 
-def schur_int_evals(shapes: Sequence[tuple[Partition, Partition]], point: Sequence[int]) -> list[int]:
+def schur_int_evals(shapes: Sequence[tuple[Partition, Partition]], points: Sequence[Sequence[int]]) -> list[list[int]]:
     """Exact integer values of the skew Schur polynomials of the shapes,
-    given as (outer, inner) pairs, at one integer point: one h-table up to
-    the largest index any of their Jacobi-Trudi matrices asks for, then one
-    determinant per shape."""
-    table = _h_table(point, max((outer[0] + len(outer) - 1 for outer, _ in shapes), default=0), 1)
-    return [_det_int(_jacobi_trudi(outer, inner, table.__getitem__, 0)) for outer, inner in shapes]
+    given as (outer, inner) pairs, at each integer point, one list per
+    point: each shape's index matrix is built once and read at every point
+    through that point's h-table (ending in the 0 that -1 reads)."""
+    upto = max((outer[0] + len(outer) - 1 for outer, _ in shapes), default=0)
+    indices = [_jacobi_trudi(outer, inner) for outer, inner in shapes]
+    tables = (_h_table(point, upto, 1) + [0] for point in points)
+    return [[_det_int(index, table) for index in indices] for table in tables]
 
 
 def schur_int_eval(outer: Partition, inner: Partition, point: tuple[int, ...]) -> int:
     """Exact integer value of the skew Schur polynomial at an integer point."""
-    return schur_int_evals([(outer, inner)], point)[0]
+    return schur_int_evals([(outer, inner)], [point])[0][0]
 
 
 def ssyt_count(outer: Partition, inner: Partition, n: int) -> int:

@@ -12,14 +12,15 @@ factors of chi one at a time.  For n <= 4 letters and any number of rows
 they run on dense weight tables (_dense.factor_chain), in int64 under an
 a-priori bound that rules out overflow and in Python integers above it; a
 term with a filling count at the int64 limit is refused, and n >= 5 falls
-back to sparse exact polynomials.
+back to sparse exact polynomials.  A window of terms whose predicted size
+passes a fixed limit is refused before any of it is built.
 """
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, lcm
+from math import comb, gcd, lcm, prod
 from operator import mul
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -100,6 +101,26 @@ class SchurSequence:
 
     def boxes_at(self, k: int) -> int:
         return self.kappa.weight - self.lam.weight + k * (self.mu.weight - self.nu.weight)
+
+    def check_window(self, start: int, count: int) -> None:
+        """Refuse, in O(1) and before anything is built, the window of the
+        count terms from start when its predicted size passes
+        _dense._WINDOW_LIMIT.  The last term is the largest, since each
+        index adds |mu| - |nu| >= 0 boxes, so the prediction is count times
+        that term's size, (D + 1)^(n-1) table cells for n <= 4 or
+        C(D + n - 1, n - 1) weights for n >= 5 with D its box count, plus
+        64 per term for the objects around it; plus the length of the
+        guard's h-table, the last outer's first part plus its rows."""
+        last, n = start + count - 1, self.n
+        boxes = self.boxes_at(last)
+        size = (boxes + 1) ** (n - 1) if n <= 4 else comb(boxes + n - 1, n - 1)
+        rows = max(len(self.kappa), len(self.mu) if last else 0)
+        predicted = count * (size + 64) + self.kappa[0] + last * self.mu[0] + rows
+        if predicted > _dense._WINDOW_LIMIT:
+            raise ValueError(
+                f"the {count} terms from index {start} are refused: their predicted size "
+                f"{predicted} is over the window limit {_dense._WINDOW_LIMIT}"
+            )
 
     def term_table(self, k: int) -> Optional[_dense.np.ndarray]:
         """Dense weight table of term k, or None for n >= 5 letters."""
@@ -204,11 +225,13 @@ def _residuals(seq: SchurSequence, weights: Sequence[IntVector], start: int, cou
     weight tables carry the chain (_dense.factor_chain) when the window has
     them, sparse polynomials otherwise.  A residual table that is all zero
     is never converted: it yields the zero polynomial, so a caller that
-    stops at the first nonzero residual converts at most that one table."""
+    stops at the first nonzero residual converts at most that one table.
+    A window over the window limit is refused first (check_window)."""
     n, d = seq.n, len(weights)
     step = seq.mu.weight - seq.nu.weight
     if any(len(w) != n or sum(w) != step for w in weights):
         raise ValueError(f"root weights must have length {n} and total |mu| - |nu| = {step}")
+    seq.check_window(start, count + d)
     window = range(start, start + count + d)
     tables = seq.term_tables(window)
     if all(t is not None for t in tables):
@@ -328,19 +351,11 @@ def minimal_report(seq: SchurSequence, chi: CharPoly, seed: int = 0) -> MinimalR
     distinct = _dedupe_canonical(chi.root_weights)
     rng = random.Random(seed)
     shapes = [seq.pair_at(k) for k in range(seq.r, seq.r + 2 * len(distinct) + 4)]
-
-    def specialized(point: tuple[int, ...]) -> list[Fraction]:
-        return berlekamp_massey(schur_int_evals(shapes, point))
-
-    bm_degrees: list[int] = []
-    points: list[tuple[int, ...]] = []
-    found: set[IntVector] = set()
-    for _ in range(3):
-        point = _draw_point(rng, seq.n, distinct)
-        bm = specialized(point)
-        found.update(_zeros(bm, point, distinct))
-        bm_degrees.append(len(bm) - 1)
-        points.append(point)
+    drawn, values = zip(*(_draw_point(rng, seq.n, distinct) for _ in range(3)))
+    bms = [berlekamp_massey(terms) for terms in schur_int_evals(shapes, drawn)]
+    found = {w for bm, at in zip(bms, values) for w in _zeros(bm, at, distinct)}
+    bm_degrees = [len(bm) - 1 for bm in bms]
+    points = list(drawn)
     weights = [w for w in distinct if w in found]
     if any(_residuals(seq, weights, seq.r, chi.degree)):
         if any(_residuals(seq, distinct, seq.r, chi.degree)):
@@ -353,8 +368,8 @@ def minimal_report(seq: SchurSequence, chi: CharPoly, seed: int = 0) -> MinimalR
     for i in range(3):
         while bm_degrees[i] < len(weights) and redraws:
             redraws -= 1
-            points[i] = _draw_point(rng, seq.n, distinct)
-            bm_degrees[i] = len(specialized(points[i])) - 1
+            points[i] = _draw_point(rng, seq.n, distinct)[0]
+            bm_degrees[i] = len(berlekamp_massey(schur_int_evals(shapes, [points[i]])[0])) - 1
     if any(deg != len(weights) for deg in bm_degrees):
         raise RuntimeError(
             f"specialized minimal degrees {bm_degrees} disagree with symbolic degree "
@@ -364,15 +379,15 @@ def minimal_report(seq: SchurSequence, chi: CharPoly, seed: int = 0) -> MinimalR
     return MinimalReport(CharPoly(weights, chi.nvars), weights, removed, bm_degrees, points, seed)
 
 
-def _zeros(coeffs: Sequence[Fraction], point: tuple[int, ...], weights: Sequence[IntVector]) -> list[IntVector]:
-    """The weights w at whose value p^w the polynomial sum_j coeffs[j] t^j
-    vanishes: its denominators are cleared once, and each value is an exact
-    integer Horner sum."""
+def _zeros(coeffs: Sequence[Fraction], values: Sequence[int], weights: Sequence[IntVector]) -> list[IntVector]:
+    """The weights w at whose value p^w, given in values, the polynomial
+    sum_j coeffs[j] t^j vanishes: its denominators are cleared once, and
+    each value is an exact integer Horner sum."""
     den = lcm(*(c.denominator for c in coeffs))
     ints = [c.numerator * (den // c.denominator) for c in reversed(coeffs)]
     zeros = []
-    for w in weights:
-        z, value = _eval_monomial(point, w), 0
+    for w, z in zip(weights, values):
+        value = 0
         for c in ints:
             value = value * z + c
         if value == 0:
@@ -380,22 +395,16 @@ def _zeros(coeffs: Sequence[Fraction], point: tuple[int, ...], weights: Sequence
     return zeros
 
 
-def _draw_point(rng: random.Random, n: int, monomials: Sequence[IntVector]) -> tuple[int, ...]:
-    """Small positive integer point at which all candidate root monomials take
-    pairwise distinct values; collisions trigger a redraw."""
+def _draw_point(rng: random.Random, n: int, monomials: Sequence[IntVector]) -> tuple[tuple[int, ...], list[int]]:
+    """Small positive integer point p at which all candidate root monomials
+    take pairwise distinct values p^w, with those values; collisions trigger
+    a redraw."""
     for _ in range(1000):
         point = tuple(rng.randrange(2, 60) for _ in range(n))
-        values = [_eval_monomial(point, w) for w in monomials]
+        values = [prod(map(pow, point, w)) for w in monomials]
         if len(set(values)) == len(values):
-            return point
+            return point, values
     raise RuntimeError("could not find a collision-free specialization point")
-
-
-def _eval_monomial(point: tuple[int, ...], w: IntVector) -> int:
-    v = 1
-    for x, p in zip(point, w):
-        v *= x**p
-    return v
 
 
 # ---------------------------------------------------------------------------

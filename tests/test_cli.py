@@ -5,12 +5,14 @@ Each golden run is executed twice to pin byte-identical determinism.
 import json
 import math
 import pathlib
+import resource
 import subprocess
 import sys
+import time
 
 import pytest
 
-from schurrec import cli, recurrence
+from schurrec import _dense, cli, recurrence
 from schurrec.asymptotics import RootConvergenceError
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -144,11 +146,12 @@ BAD_INVOCATIONS = [
 ]
 
 
-def run_cli(args):
+def run_cli(args, **options):
     return subprocess.run(
         [sys.executable, "-m", "schurrec.cli", *args],
         capture_output=True,
         text=True,
+        **options,
     )
 
 
@@ -280,6 +283,36 @@ def test_bad_invocation_is_one_error_line(capsys, argv, message):
     assert len(errors) == 1 and message in errors[0], captured.err
     assert "Traceback" not in captured.err
     assert captured.out == ""
+
+
+# windows whose tables, terms or guard h-table cannot be built: each is
+# refused before anything is built
+OVERSIZED = [
+    ["verify", "--mu", "[1]", "--nu", "[]", "--n", "2", "--count", "1000000000"],
+    ["verify", "--mu", "[1]", "--nu", "[]", "--n", "2", "--r-override", "1000000000"],
+    ["minimal", "--mu", "[1]", "--nu", "[]", "--n", "2", "--count", "1000000000"],
+    ["conjecture", "--mu", "[1]", "--nu", "[]", "--n", "2", "--count", "1000000000"],
+    # under DEGREE_CAP columns, but one table per k
+    ["roots", "--mu", "[1]", "--n", "4", "--xi-radius", "1", "--kmax", "4000"],
+    ["roots", "--mu", "[2,1]", "--n", "3", "--xi-radius", "1", "--kmax", "2000"],
+]
+
+
+def _cap_address_space():
+    # in the child only: a build that starts runs out of memory at once
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+@pytest.mark.parametrize("argv", OVERSIZED, ids=[" ".join(a[:1] + a[-2:]) for a in OVERSIZED])
+def test_bad_invocation_over_the_window_limit_is_refused_at_once(argv):
+    began = time.perf_counter()
+    result = run_cli(argv, preexec_fn=_cap_address_space)
+    elapsed = time.perf_counter() - began
+    errors = [line for line in result.stderr.splitlines() if "error:" in line]
+    assert result.returncode == cli.USAGE_ERROR, result.stderr
+    assert len(errors) == 1 and "Traceback" not in result.stderr, result.stderr
+    assert "predicted size" in errors[0] and f"window limit {_dense._WINDOW_LIMIT}" in errors[0]
+    assert elapsed < 1.0
 
 
 @pytest.mark.parametrize("command", sorted(FORMATS))

@@ -1,12 +1,14 @@
 import random
 from fractions import Fraction
-from itertools import combinations_with_replacement, product, starmap
+from itertools import combinations, combinations_with_replacement, permutations, product, starmap
 from math import prod
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from battery import skew_pairs
+from schurrec import polynomials
 from schurrec.partitions import Partition
 from schurrec.polynomials import (
     MultiPoly,
@@ -167,12 +169,27 @@ class TestSkewSchur:
 def per_entry_jacobi_trudi(outer, inner, h, zero):
     """The Jacobi-Trudi matrix (h_{outer_i - inner_j - i + j}) read entry by
     entry through Partition indexing, which is 0 past a partition's length:
-    the oracle for _jacobi_trudi's tuple reads."""
+    the oracle for _jacobi_trudi's tuple reads and its index matrix."""
     size = len(outer)
     return [
         [h(m) if (m := outer[i] - inner[j] - i + j) >= 0 else zero for j in range(size)]
         for i in range(size)
     ]
+
+
+def plain_det(matrix):
+    """The Leibniz sum of signed products over the permutations."""
+    size = len(matrix)
+    total = 0
+    for perm in permutations(range(size)):
+        inversions = sum(perm[i] > perm[j] for i, j in combinations(range(size), 2))
+        total += (-1) ** inversions * prod(matrix[i][perm[i]] for i in range(size))
+    return total
+
+
+def h_at(point, m):
+    """h_m at a point: the sum of x_{i_1} ... x_{i_m} over i_1 <= ... <= i_m."""
+    return sum(prod(word) for word in combinations_with_replacement(point, m))
 
 
 # partitions of 0 to 4 rows, the empty one among them
@@ -192,7 +209,10 @@ class TestJacobiTrudiOracle:
         def h(m):
             return ("h", m)
 
-        assert _jacobi_trudi(outer, inner, h, None) == per_entry_jacobi_trudi(outer, inner, h, None)
+        index = _jacobi_trudi(outer, inner)
+        assert all(m >= -1 for row in index for m in row)  # one marker for every negative index
+        read = [[h(m) if m >= 0 else None for m in row] for row in index]
+        assert read == per_entry_jacobi_trudi(outer, inner, h, None)
 
     def test_single_box(self):
         assert skew_schur_jacobi_trudi(SkewShape(P(1)), 2) == skew_schur(SkewShape(P(1)), 2)
@@ -265,13 +285,36 @@ class TestIntegerEvaluation:
     )
     def test_window_matches_one_shape_at_a_time(self, shapes, point):
         # one h-table sized for the window's largest shape serves every shape
-        assert schur_int_evals(shapes, point) == [schur_int_eval(outer, inner, point) for outer, inner in shapes]
+        assert schur_int_evals(shapes, [point]) == [[schur_int_eval(outer, inner, point) for outer, inner in shapes]]
+
+    # shapes of 0 to 4 rows, empty ones and inners not inside their outers
+    # among them, at 1 to 3 points of one length
+    @settings(deadline=None, max_examples=150)
+    @given(
+        st.lists(st.tuples(partition_st, partition_st), max_size=5),
+        st.integers(1, 5).flatmap(lambda n: st.lists(st.tuples(*[st.integers(-6, 6)] * n), min_size=1, max_size=3)),
+    )
+    @example([(P(), P()), (P(2), P(3, 1))], [(2, 3)])
+    def test_windows_match_per_entry_matrices_and_a_plain_determinant(self, shapes, points):
+        expected = [
+            [plain_det(per_entry_jacobi_trudi(outer, inner, lambda m: h_at(point, m), 0)) for outer, inner in shapes]
+            for point in points
+        ]
+        assert schur_int_evals(shapes, points) == expected
+
+    def test_one_index_matrix_per_shape_whatever_the_points(self):
+        shapes = [(P(3, 1), P(1)), (P(2, 2, 1), P()), (P(), P())]
+        for points in ([(2, 3)], [(2, 3), (1, 1), (0, -4)]):
+            with mock.patch.object(polynomials, "_jacobi_trudi", wraps=polynomials._jacobi_trudi) as spy:
+                schur_int_evals(shapes, points)
+            assert [call.args for call in spy.call_args_list] == shapes
 
     def test_window_edge_cases(self):
-        assert schur_int_evals([], (2, 3)) == []
+        assert schur_int_evals([], [(2, 3)]) == [[]]
+        assert schur_int_evals([(P(1), P())], []) == []
         point = (0, -1, 2)
-        assert schur_int_evals([(P(), P()), (P(3, 1), P(1))], point) == [1, schur_int_eval(P(3, 1), P(1), point)]
-        assert schur_int_evals([(P(2, 1), P())], (1, 1, 1)) == [8]
+        assert schur_int_evals([(P(), P()), (P(3, 1), P(1))], [point]) == [[1, schur_int_eval(P(3, 1), P(1), point)]]
+        assert schur_int_evals([(P(2, 1), P())], [(1, 1, 1), (2, 0, 0)]) == [[8], [0]]
 
 
 class TestMonomialSymmetric:

@@ -1,6 +1,8 @@
 import contextlib
 import random
 from fractions import Fraction
+from itertools import count
+from math import prod
 from unittest import mock
 
 import numpy as np
@@ -442,13 +444,14 @@ def fraction_berlekamp_massey(values):
     return coeffs
 
 
-def fraction_zeros(coeffs, point, weights):
-    """The weights w at which sum_j coeffs[j] * (p^w)^j vanishes, summed in
-    Fractions: the oracle for the integer root test."""
+def fraction_zeros(coeffs, values, weights):
+    """The weights w at whose value z = p^w, given in values, the sum
+    sum_j coeffs[j] * z^j vanishes, summed in Fractions: the oracle for the
+    integer root test."""
     def value(z):
         return sum(c * z**j for j, c in enumerate(coeffs))
 
-    return [w for w in weights if value(recurrence._eval_monomial(point, w)) == 0]
+    return [w for w, z in zip(weights, values) if value(z) == 0]
 
 
 @st.composite
@@ -600,18 +603,22 @@ ZERO_FAMILY = (P(1, 1, 1), P(), P(1), P(), 2)
 
 def dropping_bm(weight, calls):
     """berlekamp_massey with the factor (t - p^weight) divided out of its
-    answer at the given call numbers, p the point drawn just before."""
-    points = []
+    answer at the given call numbers, p the point of the same draw number:
+    BM call i runs on draw i, whether the three first draws come before
+    their calls or a redraw just before its own."""
+    points, bm_calls = [], count()
     draw, bm = recurrence._draw_point, recurrence.berlekamp_massey
 
     def drawn(*args):
-        points.append(draw(*args))
-        return points[-1]
+        point, values = draw(*args)
+        points.append(point)
+        return point, values
 
     def dropped(values):
         coeffs = bm(values)
-        if len(points) - 1 in calls:
-            z, quotient = recurrence._eval_monomial(points[-1], weight), [coeffs[-1]]
+        call = next(bm_calls)
+        if call in calls:
+            z, quotient = prod(map(pow, points[call], weight)), [coeffs[-1]]
             for c in coeffs[-2:0:-1]:  # synthetic division by (t - z)
                 quotient.append(c + z * quotient[-1])
             coeffs = quotient[::-1]
@@ -635,7 +642,7 @@ class TestMinimalInIntegers:
                 recurrence,
                 berlekamp_massey=fraction_berlekamp_massey,
                 _zeros=fraction_zeros,
-                schur_int_evals=lambda shapes, point: [polynomials.schur_int_eval(*s, point) for s in shapes],
+                schur_int_evals=lambda shapes, points: [[polynomials.schur_int_eval(*s, p) for s in shapes] for p in points],
             ):
                 assert minimal_report(seq, chi) == rep, family
 
@@ -646,9 +653,23 @@ class TestMinimalInIntegers:
         with dropping_bm((1, 0), {1}), mock.patch.object(polynomials, "_h_table", wraps=polynomials._h_table) as spy:
             rep = minimal_report(seq, chi)
         rng = random.Random(0)
-        drawn = [recurrence._draw_point(rng, 2, rep.weights) for _ in range(4)]
+        drawn = [recurrence._draw_point(rng, 2, rep.weights)[0] for _ in range(4)]
         assert rep.specializations == [drawn[0], drawn[3], drawn[2]]
         assert [call.args[0] for call in spy.call_args_list] == drawn
+
+    def test_first_three_points_in_one_call(self):
+        # the first three draws are evaluated together, and each redraw alone
+        seq, chi = build_sequence(*H_FAMILY), char_poly(P(1), P(), 2)
+        for dropped, redrawn in [(set(), []), ({1}, [[3]])]:
+            with dropping_bm((1, 0), dropped), mock.patch.object(
+                recurrence, "schur_int_evals", wraps=polynomials.schur_int_evals
+            ) as spy:
+                rep = minimal_report(seq, chi)
+            rng = random.Random(0)
+            drawn = [recurrence._draw_point(rng, 2, rep.weights)[0] for _ in range(3 + len(redrawn))]
+            assert [list(call.args[1]) for call in spy.call_args_list] == [drawn[:3]] + [
+                [drawn[i] for i in at] for at in redrawn
+            ]
 
 
 class TestMinimalAgainstGreedy:
@@ -702,7 +723,7 @@ class TestMinimalAgainstGreedy:
             rep = minimal_report(seq, chi)
         assert rep.weights == [(1, 0), (0, 1)] and rep.bm_degrees == [2, 2, 2]
         rng = random.Random(0)  # the seed's draws: three points, then the redraw
-        drawn = [recurrence._draw_point(rng, 2, rep.weights) for _ in range(4)]
+        drawn = [recurrence._draw_point(rng, 2, rep.weights)[0] for _ in range(4)]
         assert rep.specializations == [drawn[3] if i == call else drawn[i] for i in range(3)]
 
     @pytest.mark.parametrize("call", [0, 1, 2])
