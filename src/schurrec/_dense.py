@@ -42,11 +42,6 @@ from .polynomials import MultiPoly, schur_int_eval, schur_int_evals, ssyt_count
 
 # int64 is exact below this; tables and chains bound every entry under it
 _INT64_LIMIT = 1 << 63
-# the largest window of terms built at once, in the entries that
-# SchurSequence.check_window predicts (table cells or sparse terms, a fixed
-# overhead per term, and the guard's h-table); 4 GiB as int64 cells, which
-# the d = 90 windows at n = 3 need
-_WINDOW_LIMIT = 1 << 29
 # cells of one block of box sums, and padded table cells of one batch of
 # window_counts: a bound on the memory of both, measured best near 2^14
 _CHUNK_CELLS = 1 << 14

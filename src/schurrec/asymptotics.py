@@ -321,9 +321,9 @@ def limit_experiment(seq: SchurSequence, xi: Sequence[complex], kmax: int) -> Ex
     (SkewShape.num_columns, O(rows) whatever kmax) than DEGREE_CAP - 1 is
     refused: that count is the degree of P_kmax before trimming, since no
     column holds two 1s, and numbering each column's boxes 1, 2, ... from
-    its top is a tableau.  The tables of k = 1 .. kmax are then fetched as one
-    window (SchurSequence.term_tables), built in index order in batches
-    under the table engine's cell budget.
+    its top is a tableau.  The terms k = 1 .. kmax are then fetched as one
+    window (SchurSequence.window), which refuses a window over the window
+    limit or builds it in index order.
     """
     if seq.mu == seq.nu:
         raise ValueError("the limit experiment requires mu != nu")
@@ -336,8 +336,7 @@ def limit_experiment(seq: SchurSequence, xi: Sequence[complex], kmax: int) -> Ex
             f"kmax={kmax} is refused: term {kmax} has {columns} nonempty columns, so P_{kmax} "
             f"has up to {columns + 1} coefficients, over the cap of {DEGREE_CAP}"
         )
-    seq.check_window(1, kmax)
-    seq.term_tables(range(1, kmax + 1))  # one window, built in index order
+    seq.window(1, kmax)
     clouds = []
     for k in range(1, kmax + 1):
         poly = specialize(seq, k, xi)

@@ -193,9 +193,10 @@ def _minimal(args):
 
     seq = build_sequence(*_family(args))
     chi = char_poly(args.mu, args.nu, args.n)
-    rep = minimal_report(seq, chi, seed=args.seed)
     count = chi.degree + 3 if args.count is None else args.count
+    # first, so an oversized --count is refused before the report is made
     cert = verify_certificate(seq, chi, seq.r, count)
+    rep = minimal_report(seq, chi, seed=args.seed)
     payload = {
         "family": seq.family_json(),
         "r": seq.r,

@@ -8,7 +8,7 @@ from functools import reduce
 from typing import Optional, Sequence
 
 from .partitions import Partition, contains, partitions_up_to, scale
-from .polynomials import MultiPoly, monomial_symmetric, schur_int_evals
+from .polynomials import _WINDOW_LIMIT, MultiPoly, monomial_symmetric, schur_int_evals
 from .tableaux import SkewShape, Tableau, insert, iter_tableaux, weight
 
 
@@ -90,11 +90,18 @@ def polynomiality_check(mu: Partition, nu: Partition, n: int, kmax: int) -> Poly
     """Finite-difference check that k -> #SSYT of k*mu/k*nu is polynomial.
 
     Requires kmax >= degree + 2 to conclude; otherwise INCONCLUSIVE.
+
+    A kmax whose predicted size passes the window limit is refused first, in
+    O(1): kmax + 1 index matrices of len(mu)^2 entries plus 64 each for the
+    objects around them, and an h-table of kmax * mu_1 + len(mu) entries.
     """
     if not contains(mu, nu):
         raise ValueError("mu must contain nu")
     if kmax < 0:
         raise ValueError("kmax must be nonnegative")
+    size = (kmax + 1) * (len(mu) ** 2 + 64) + kmax * mu[0] + len(mu)
+    if size > _WINDOW_LIMIT:
+        raise ValueError(f"kmax={kmax} is refused: its predicted size {size} is over the window limit {_WINDOW_LIMIT}")
     counts = schur_int_evals([(scale(k, mu), scale(k, nu)) for k in range(kmax + 1)], [(1,) * n])[0]
     diffs = counts
     newton = [counts[0]]

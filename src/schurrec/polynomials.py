@@ -16,6 +16,10 @@ from .partitions import IntVector, Partition, contains
 from .tableaux import SkewShape, Tableau, iter_tableaux, weight
 
 Exponent = tuple[int, ...]
+# the largest window built at once, in the entries that SchurSequence.window and
+# kostka.polynomiality_check predict (tables, terms or index matrices, a fixed overhead
+# each, and an h-table); 4 GiB as int64 cells, which the d = 90 windows at n = 3 need
+_WINDOW_LIMIT = 1 << 29
 
 
 class MultiPoly:

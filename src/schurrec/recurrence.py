@@ -36,7 +36,9 @@ from .partitions import (
     sort_decreasing,
     subtract,
 )
-from .polynomials import CharPoly, MultiPoly, char_poly, schur_int_eval, schur_int_evals, skew_schur, ssyt_count
+from .polynomials import (
+    _WINDOW_LIMIT, CharPoly, MultiPoly, char_poly, schur_int_eval, schur_int_evals, skew_schur, ssyt_count
+)
 from .tableaux import SkewShape, first_enclosing_index, stabilization_index
 
 
@@ -55,7 +57,7 @@ class SchurSequence:
     index shift needed to make the base a valid skew shape, recording it in
     `shift` (term(k) of this object is term(k + shift) of the requested
     family).  Each index's (outer, inner) pair is built once and cached
-    (pair_at), beside its weight table.
+    (pair_at), beside its exact form (window).
     """
 
     def __init__(
@@ -77,9 +79,9 @@ class SchurSequence:
         self.r = r
         self.shift = shift
         self.requested = requested
-        # sparse terms, kept only where _dense has no table (n >= 5): costly to rebuild
-        self._terms: dict[int, MultiPoly] = {}
-        self._tables: dict[int, Optional[_dense.np.ndarray]] = {}
+        # each index's one exact form (window): a dense table, or a sparse
+        # polynomial where _dense has none (n >= 5)
+        self._terms: dict[int, _dense.np.ndarray | MultiPoly] = {}
         self._pairs: dict[int, tuple[Partition, Partition]] = {}
 
     def pair_at(self, k: int) -> tuple[Partition, Partition]:
@@ -102,65 +104,56 @@ class SchurSequence:
     def boxes_at(self, k: int) -> int:
         return self.kappa.weight - self.lam.weight + k * (self.mu.weight - self.nu.weight)
 
-    def check_window(self, start: int, count: int) -> None:
-        """Refuse, in O(1) and before anything is built, the window of the
-        count terms from start when its predicted size passes
-        _dense._WINDOW_LIMIT.  The last term is the largest, since each
-        index adds |mu| - |nu| >= 0 boxes, so the prediction is count times
-        that term's size, (D + 1)^(n-1) table cells for n <= 4 or
-        C(D + n - 1, n - 1) weights for n >= 5 with D its box count, plus
-        64 per term for the objects around it; plus the length of the
-        guard's h-table, the last outer's first part plus its rows."""
+    def window(self, start: int, count: int) -> list:
+        """The exact forms of the count terms from start, in index order:
+        dense weight tables for n <= 4 letters, sparse polynomials for n >= 5,
+        each built once and cached.  Refused first: a negative start, then, in
+        O(1), a window whose predicted size passes _WINDOW_LIMIT: count times
+        the size of the last, largest term ((D + 1)^(n-1) table cells for
+        n <= 4, C(D + n - 1, n - 1) weights for n >= 5, D its box count; each
+        index adds |mu| - |nu| >= 0 boxes) plus 64 per term, plus the guard's
+        h-table, the last outer's first part plus its rows.  The missing
+        indices are built in one _dense.window_counts call (its int64 guard
+        first, at any n), or one skew_schur each where it has no table."""
+        if start < 0:
+            raise ValueError("sequence index must be nonnegative")
         last, n = start + count - 1, self.n
         boxes = self.boxes_at(last)
         size = (boxes + 1) ** (n - 1) if n <= 4 else comb(boxes + n - 1, n - 1)
         rows = max(len(self.kappa), len(self.mu) if last else 0)
         predicted = count * (size + 64) + self.kappa[0] + last * self.mu[0] + rows
-        if predicted > _dense._WINDOW_LIMIT:
+        if predicted > _WINDOW_LIMIT:
             raise ValueError(
                 f"the {count} terms from index {start} are refused: their predicted size "
-                f"{predicted} is over the window limit {_dense._WINDOW_LIMIT}"
+                f"{predicted} is over the window limit {_WINDOW_LIMIT}"
             )
-
-    def term_table(self, k: int) -> Optional[_dense.np.ndarray]:
-        """Dense weight table of term k, or None for n >= 5 letters."""
-        return self.term_tables([k])[0]
-
-    def term_tables(self, ks: Iterable[int]) -> list[Optional[_dense.np.ndarray]]:
-        """Dense weight tables of the terms at ks, None for n >= 5 letters.
-        The indices not yet cached are built in the order given, in one call
-        of the window builder (_dense.window_counts), and cached."""
-        ks = list(ks)
-        if any(k < 0 for k in ks):
-            raise ValueError("sequence index must be nonnegative")
-        missing = list(dict.fromkeys(k for k in ks if k not in self._tables))
+        ks = range(start, start + count)
+        missing = [k for k in ks if k not in self._terms]
         if missing:
             shapes = [self.pair_at(k) for k in missing]
             try:
-                self._tables.update(zip(missing, _dense.window_counts(shapes, self.n)))
+                forms = _dense.window_counts(shapes, n)
             except _dense.UnsupportedShape:
-                self._tables.update(dict.fromkeys(missing))
-        return [self._tables[k] for k in ks]
+                forms = [skew_schur(SkewShape(*pair), n) for pair in shapes]
+            self._terms.update(zip(missing, forms))
+        return [self._terms[k] for k in ks]
 
     def term(self, k: int) -> MultiPoly:
         """The exact skew Schur polynomial at index k, read off its dense
         table when there is one."""
-        table = self.term_table(k)
-        if table is not None:
-            return _dense.counts_to_multipoly(table, self.n, self.boxes_at(k))
-        if k not in self._terms:
-            self._terms[k] = skew_schur(self.shape_at(k), self.n)
-        return self._terms[k]
+        form = self.window(k, 1)[0]
+        if isinstance(form, MultiPoly):
+            return form
+        return _dense.counts_to_multipoly(form, self.n, self.boxes_at(k))
 
     def term_cells(self, k: int) -> tuple[Sequence[Sequence[int]], list[int]]:
         """The terms of term(k) as columns, in the order term(k) lists them:
         one column of exponents per letter, and the coefficients.  Read
         straight off the dense table when there is one."""
-        table = self.term_table(k)
-        if table is not None:
-            return _dense.table_cells(table, self.boxes_at(k))
-        terms = self.term(k).terms
-        return list(zip(*terms)), list(terms.values())
+        form = self.window(k, 1)[0]
+        if isinstance(form, MultiPoly):
+            return list(zip(*form.terms)), list(form.terms.values())
+        return _dense.table_cells(form, self.boxes_at(k))
 
     def eval_at(self, k: int, point: tuple[int, ...]) -> int:
         """Exact integer evaluation of term k at an integer point."""
@@ -223,26 +216,24 @@ def _residuals(seq: SchurSequence, weights: Sequence[IntVector], start: int, cou
     must have n entries and total |mu| - |nu|, the degree step of the terms;
     a factor of another total cannot annihilate a nonzero sequence.  Dense
     weight tables carry the chain (_dense.factor_chain) when the window has
-    them, sparse polynomials otherwise.  A residual table that is all zero
-    is never converted: it yields the zero polynomial, so a caller that
-    stops at the first nonzero residual converts at most that one table.
-    A window over the window limit is refused first (check_window)."""
+    them, sparse polynomials otherwise: one window call (SchurSequence.window)
+    refuses the window or builds it, and its form picks the chain.  A
+    residual table that is all zero is never converted: it yields the zero
+    polynomial, so a caller that stops at the first nonzero residual
+    converts at most that one table."""
     n, d = seq.n, len(weights)
     step = seq.mu.weight - seq.nu.weight
     if any(len(w) != n or sum(w) != step for w in weights):
         raise ValueError(f"root weights must have length {n} and total |mu| - |nu| = {step}")
-    seq.check_window(start, count + d)
-    window = range(start, start + count + d)
-    tables = seq.term_tables(window)
-    if all(t is not None for t in tables):
-        for k, table in zip(window, _dense.factor_chain(tables, weights)):
-            yield _dense.counts_to_multipoly(table, n, seq.boxes_at(k + d)) if table.any() else MultiPoly.zero(n)
-    else:
-        terms = [seq.term(k) for k in window]
+    terms = seq.window(start, count + d)
+    if terms and isinstance(terms[0], MultiPoly):
         for w in weights:
             mono = MultiPoly.monomial(w)
             terms = [hi - mono * lo for lo, hi in zip(terms, terms[1:])]
         yield from terms
+    else:
+        for k, table in enumerate(_dense.factor_chain(terms, weights), start + d):
+            yield _dense.counts_to_multipoly(table, n, seq.boxes_at(k)) if table.any() else MultiPoly.zero(n)
 
 
 def verify_certificate(seq: SchurSequence, chi: CharPoly, r: int, count: int) -> VerifyResult:

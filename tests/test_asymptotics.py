@@ -476,13 +476,13 @@ class TestLimitExperiment:
         )
         with pytest.raises(ValueError, match=refusal):
             limit_experiment(seq, [1.0, 1.0], kmax + 1)
-        assert spy.call_count == 1 and seq._tables == {}
+        assert spy.call_count == 1 and seq._terms == {}
 
     def test_xi_of_the_wrong_length_is_refused_before_any_table(self):
         seq = h_sequence(3)
         with pytest.raises(ValueError, match="xi must have length n-1 = 2"):
             limit_experiment(seq, [1.0], 4)
-        assert seq._tables == {}
+        assert seq._terms == {}
 
     def test_mu_equal_nu_rejected(self):
         seq = build_sequence(P(2), P(), P(1), P(1), 2)

@@ -12,7 +12,7 @@ import time
 
 import pytest
 
-from schurrec import _dense, cli, recurrence
+from schurrec import cli, polynomials, recurrence
 from schurrec.asymptotics import RootConvergenceError
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -295,6 +295,10 @@ OVERSIZED = [
     # under DEGREE_CAP columns, but one table per k
     ["roots", "--mu", "[1]", "--n", "4", "--xi-radius", "1", "--kmax", "4000"],
     ["roots", "--mu", "[2,1]", "--n", "3", "--xi-radius", "1", "--kmax", "2000"],
+    # the verify window is refused before the minimal report is made
+    ["minimal", "--nu", "[1]", "--n", "3", "--count", "1000000000", "--mu", "[4,2,1]"],
+    # no sequence window: kmax + 1 index matrices and one h-table
+    ["polynomiality", "--mu", "[1]", "--n", "2", "--kmax", "1000000000"],
 ]
 
 
@@ -311,7 +315,7 @@ def test_bad_invocation_over_the_window_limit_is_refused_at_once(argv):
     errors = [line for line in result.stderr.splitlines() if "error:" in line]
     assert result.returncode == cli.USAGE_ERROR, result.stderr
     assert len(errors) == 1 and "Traceback" not in result.stderr, result.stderr
-    assert "predicted size" in errors[0] and f"window limit {_dense._WINDOW_LIMIT}" in errors[0]
+    assert "predicted size" in errors[0] and f"window limit {polynomials._WINDOW_LIMIT}" in errors[0]
     assert elapsed < 1.0
 
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from battery import skew_pairs
-from schurrec import _dense, polynomials
+from schurrec import _dense, polynomials, recurrence
 from schurrec._dense import UnsupportedShape, counts_to_multipoly, table_cells, weight_counts
 from schurrec.partitions import Partition
 from schurrec.polynomials import schur_int_eval, skew_schur, skew_schur_jacobi_trudi, ssyt_count
@@ -74,7 +74,7 @@ class TestWeightCounts:
                 weight_counts(seq.outer_at(3), seq.inner_at(3), 4)
             with pytest.raises(ValueError, match=refusal):
                 seq.term(3)
-        assert 3 not in seq._tables and 3 not in seq._terms
+        assert 3 not in seq._terms
         assert seq.term(3) == skew_schur(seq.shape_at(3), 4)
 
     def test_thirty_two_disjoint_boxes_are_refused(self):
@@ -83,7 +83,7 @@ class TestWeightCounts:
         # is 2^63, and 32 (2^64) are refused up front
         chi = char_poly(P(), P(), 4)
         seq = build_sequence(P(*range(31, 0, -1)), P(*range(30, 0, -1)), P(), P(), 4)
-        assert int(seq.term_table(seq.r).sum()) == 1 << 62
+        assert int(seq.window(seq.r, 1)[0].sum()) == 1 << 62
         assert verify_certificate(seq, chi, seq.r, 1).ok
         kappa, lam = P(*range(32, 0, -1)), P(*range(31, 0, -1))
         assert ssyt_count(kappa, lam, 4) == 1 << 64
@@ -369,9 +369,9 @@ class TestWindowCounts:
             with pytest.raises(ValueError, match=refusal):
                 weight_counts(*shapes[2], 4)
             with pytest.raises(ValueError, match=refusal):
-                seq.term_tables(range(1, 6))
-        assert spy.call_count == 0 and seq._tables == {}
-        assert [int(t.sum()) for t in seq.term_tables(range(1, 6))] == [ssyt_count(*s, 4) for s in shapes]
+                seq.window(1, 5)
+        assert spy.call_count == 0 and seq._terms == {}
+        assert [int(t.sum()) for t in seq.window(1, 5)] == [ssyt_count(*s, 4) for s in shapes]
 
     def test_guard_takes_one_h_table_per_window(self):
         seq = build_sequence(P(1), P(), P(3, 1), P(1), 3)
@@ -380,13 +380,17 @@ class TestWindowCounts:
             tables = _dense.window_counts(shapes, 3)
             assert spy.call_count == 1
             assert spy.call_args.args[0] == (1, 1, 1)
-            seq.term_tables(range(0, 12))
+            seq.window(0, 12)
             assert spy.call_count == 2
         assert [int(t.sum()) for t in tables] == [ssyt_count(*s, 3) for s in shapes]
 
     def test_five_letters_have_no_table(self):
+        # the window holds sparse polynomials instead, one built per index
         seq = build_sequence(P(), P(), P(1), P(), 5)
         with pytest.raises(UnsupportedShape):
             _dense.window_counts([(seq.outer_at(1), seq.inner_at(1))], 5)
-        assert seq.term_tables([0, 1, 2, 1]) == [None] * 4
-        assert sorted(seq._tables) == [0, 1, 2]
+        with mock.patch.object(recurrence, "skew_schur", wraps=skew_schur) as spy:
+            first, again = seq.window(0, 3), seq.window(1, 2)
+        assert first == [skew_schur(seq.shape_at(k), 5) for k in range(3)]
+        assert again[0] is first[1] and again[1] is first[2]
+        assert spy.call_count == 3 and sorted(seq._terms) == [0, 1, 2]

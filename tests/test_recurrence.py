@@ -1,4 +1,5 @@
 import contextlib
+import importlib
 import random
 from fractions import Fraction
 from itertools import count
@@ -11,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from battery import battery_families, skew_pairs
 from schurrec import _dense, polynomials, recurrence, tableaux
+from schurrec.asymptotics import limit_experiment
 from schurrec.kostka import polynomiality_check
 from schurrec.partitions import Partition, add, scale
 from schurrec.polynomials import MultiPoly, complete_homogeneous, skew_schur
@@ -28,6 +30,8 @@ from schurrec.recurrence import (
 )
 from schurrec.tableaux import SkewShape
 
+# the module, which the package's name kostka (the function) hides
+kostka = importlib.import_module("schurrec.kostka")
 
 def P(*parts):
     return Partition(parts)
@@ -142,11 +146,12 @@ class TestBuildSequence:
     def test_term_reads_its_table_and_keeps_no_copy(self):
         seq = build_sequence(P(1), P(), P(2, 1), P(1), 3)
         for k in range(4):
-            assert seq.term(k) == _dense.counts_to_multipoly(seq.term_table(k), 3, seq.boxes_at(k))
-        assert seq._terms == {} and sorted(seq._tables) == [0, 1, 2, 3]
+            assert seq.term(k) == _dense.counts_to_multipoly(seq.window(k, 1)[0], 3, seq.boxes_at(k))
+        assert sorted(seq._terms) == [0, 1, 2, 3]
+        assert all(isinstance(form, np.ndarray) for form in seq._terms.values())
         five = build_sequence(P(), P(), P(1), P(), 5)
         assert five.term(2) == complete_homogeneous(2, 5)
-        assert five.term_table(2) is None and list(five._terms) == [2]
+        assert five.window(2, 1)[0] is five.term(2) and list(five._terms) == [2]
 
     def test_boxes_at_counts_the_shape(self):
         plain = build_sequence(P(), P(), P(2, 1), P(1), 2)
@@ -173,7 +178,7 @@ class TestBuildSequence:
         with mock.patch.object(recurrence, "scale", wraps=recurrence.scale) as spy:
             assert verify_certificate(seq, chi, seq.r, 2).ok
             minimal_report(seq, chi, seed=1)
-            seq.term_tables(range(seq.r + 4))
+            seq.window(0, seq.r + 4)
             assert all(seq.shape_at(k).outer is seq.outer_at(k) for k in range(seq.r + 4))
             assert seq.eval_at(3, (2, 3, 5)) == seq.term(3).eval((2, 3, 5))
         assert spy.call_count == 2 * len(seq._pairs)
@@ -188,6 +193,80 @@ class TestBuildSequence:
             poly = seq.term(k)
             assert polynomials.ssyt_count(seq.outer_at(k), seq.inner_at(k), 3) == sum(poly.terms.values())
             assert seq.eval_at(k, (2, 3, 5)) == poly.eval((2, 3, 5))
+
+
+@contextlib.contextmanager
+def window_builds():
+    """Record every SchurSequence.window call as [start, count, window_counts
+    calls, skew_schur builds made inside it]; a build made outside a window
+    fails the test.  The records are the yielded list."""
+    calls, inside = [], []
+    window = recurrence.SchurSequence.window
+
+    def spy_window(seq, start, count):
+        calls.append([start, count, 0, 0])
+        inside.append(calls[-1])
+        try:
+            return window(seq, start, count)
+        finally:
+            inside.pop()
+
+    def counted(at, build):
+        def spy(*args):
+            assert inside, f"{build.__name__} called outside SchurSequence.window"
+            inside[-1][at] += 1
+            return build(*args)
+
+        return spy
+
+    with mock.patch.object(recurrence.SchurSequence, "window", spy_window), mock.patch.object(
+        _dense, "window_counts", counted(2, _dense.window_counts)
+    ), mock.patch.object(recurrence, "skew_schur", counted(3, skew_schur)):
+        yield calls
+
+
+class TestWindow:
+    @pytest.mark.parametrize("mu,nu,n", [(P(2, 1), P(1), 3), (P(1), P(), 5)])
+    def test_every_build_is_one_window_call(self, mu, nu, n):
+        # verify, minimal, the root clouds and term(k) build terms only in
+        # window, each window in at most one window_counts call, and every
+        # sparse term once
+        seq, chi = build_sequence(P(1), P(), mu, nu, n), char_poly(mu, nu, n)
+        d, kmax = chi.degree, 3
+        with window_builds() as calls:
+            assert verify_certificate(seq, chi, seq.r, 2).ok
+            assert calls == [[seq.r, 2 + d, 1, 0 if n <= 4 else 2 + d]]
+            minimal_report(seq, chi, seed=1)
+            del calls[:]
+            limit_experiment(seq, [1.0] * (n - 1), kmax)
+            assert [c[:2] for c in calls] == [[1, kmax]] + [[k, 1] for k in range(1, kmax + 1)]
+            assert all(c[2:] == [0, 0] for c in calls[1:])
+            seq.term(seq.r + 2 * d + 5)
+        assert all(c[2] <= 1 for c in calls)
+        assert calls[-1][1:] == [1, 1, 0 if n <= 4 else 1]
+        sparse = [form for form in seq._terms.values() if isinstance(form, MultiPoly)]
+        assert len(sparse) == (0 if n <= 4 else len(seq._terms))
+
+    @pytest.mark.parametrize("read", ["term", "term_cells"])
+    def test_an_oversized_single_term_is_refused_and_not_cached(self, read):
+        # term 5 of k*[2,1] at n = 3 has 15 boxes: a window of 16^2 cells,
+        # 64 for the objects around them, and an h-table of 5 * 2 + 2 entries
+        seq = build_sequence(P(), P(), P(2, 1), P(), 3)
+        refusal = r"^the 1 terms from index 5 are refused: their predicted size 332 is over the window limit 331$"
+        with mock.patch.object(recurrence, "_WINDOW_LIMIT", 331), mock.patch.object(_dense, "window_counts") as spy:
+            with pytest.raises(ValueError, match=refusal):
+                getattr(seq, read)(5)
+        assert spy.call_count == 0 and seq._terms == {}
+        with mock.patch.object(recurrence, "_WINDOW_LIMIT", 332):
+            getattr(seq, read)(5)
+        assert list(seq._terms) == [5]
+
+    def test_negative_index_is_refused(self):
+        seq = build_sequence(P(), P(), P(1), P(), 2)
+        for read in (seq.term, seq.term_cells, lambda k: seq.window(k, 3)):
+            with pytest.raises(ValueError, match="^sequence index must be nonnegative$"):
+                read(-1)
+        assert seq._terms == {}
 
 
 class TestVerify:
@@ -237,7 +316,7 @@ class TestVerify:
     def test_dense_and_exact_paths_agree(self):
         seq = build_sequence(P(2), P(1), P(2, 1), P(1), 3)
         chi = char_poly(P(2, 1), P(1), 3)
-        assert all(seq.term_table(k) is not None for k in range(seq.r, seq.r + 3 + chi.degree))
+        assert all(isinstance(form, np.ndarray) for form in seq.window(seq.r, 3 + chi.degree))
         dense = list(recurrence._residuals(seq, chi.root_weights, seq.r, 3))
         assert dense == [MultiPoly.zero(3)] * 3
         for k in range(seq.r, seq.r + 3):
@@ -295,8 +374,7 @@ def chain_case(draw, families):
 def built_tables(seq, start, stop):
     """Build the term tables of seq at start ... stop-1, so that a patched
     int64 limit then reaches the chain only, not the table engine."""
-    for k in range(start, stop):
-        seq.term_table(k)
+    seq.window(start, stop - start)
 
 
 @contextlib.contextmanager
@@ -860,6 +938,27 @@ class TestPolynomiality:
                 rep = polynomiality_check(mu, nu, n, 40)
             assert spy.call_count == 1
             assert rep.counts == [polynomials.ssyt_count(scale(k, mu), scale(k, nu), n) for k in range(41)]
+
+    def test_kmax_over_the_window_limit_is_refused_before_any_shape(self):
+        # kmax + 1 index matrices of len(mu)^2 entries plus 64 each, and an
+        # h-table of kmax * mu_1 + len(mu) entries: every call in these tests
+        # and the golden file predicts far under the limit, and each is
+        # refused one entry under its prediction
+        calls = [
+            (P(1), P(), 2, 8), (P(1, 1), P(), 2, 6), (P(2, 1), P(1), 2, 12), (P(2, 1), P(1), 3, 3),
+            (P(2, 1), P(1), 3, 40), (P(3, 1), P(), 4, 40), (P(2, 2), P(1), 2, 40), (P(1, 1, 1), P(), 2, 40),
+            (P(2, 1), P(1), 2, 10),
+        ]
+        for mu, nu, n, kmax in calls:
+            size = (kmax + 1) * (len(mu) ** 2 + 64) + kmax * mu[0] + len(mu)
+            assert size <= 3036 < kostka._WINDOW_LIMIT
+            refusal = rf"^kmax={kmax} is refused: its predicted size {size} is over the window limit {size - 1}$"
+            with mock.patch.object(kostka, "_WINDOW_LIMIT", size - 1), mock.patch.object(kostka, "scale") as spy:
+                with pytest.raises(ValueError, match=refusal):
+                    polynomiality_check(mu, nu, n, kmax)
+            assert spy.call_count == 0
+            with mock.patch.object(kostka, "_WINDOW_LIMIT", size):
+                assert polynomiality_check(mu, nu, n, kmax).counts[0] == 1
 
     def test_newton_coefficients_reconstruct_counts(self):
         from math import comb
