@@ -320,10 +320,10 @@ def limit_experiment(seq: SchurSequence, xi: Sequence[complex], kmax: int) -> Ex
     Before any table is built, a kmax whose term has more nonempty columns
     (SkewShape.num_columns, O(rows) whatever kmax) than DEGREE_CAP - 1 is
     refused: that count is the degree of P_kmax before trimming, since no
-    column holds two 1s, and numbering each column's boxes 1, 2, ... from
-    its top is a tableau.  The terms k = 1 .. kmax are then fetched as one
-    window (SchurSequence.window), which refuses a window over the window
-    limit or builds it in index order.
+    column holds two 1s and numbering each column's boxes 1, 2, ... from
+    its top is a tableau, and it never falls as k grows.  The terms 1 ..
+    kmax are then one window (SchurSequence.window), which refuses a window
+    over the window limit or builds it in index order.
     """
     if seq.mu == seq.nu:
         raise ValueError("the limit experiment requires mu != nu")
@@ -340,8 +340,6 @@ def limit_experiment(seq: SchurSequence, xi: Sequence[complex], kmax: int) -> Ex
     clouds = []
     for k in range(1, kmax + 1):
         poly = specialize(seq, k, xi)
-        if poly.degree + 1 > DEGREE_CAP:
-            raise ValueError(f"specialized polynomial at k={k} exceeds {DEGREE_CAP} coefficients")
         # P_k(R w) = R^D poly(w); at R = 0 every root is 0 and stays there
         roots = [complex(z.real * radius, z.imag * radius) for z in find_roots(poly)] if poly.degree >= 1 else []
         clouds.append(RootCloud.from_roots(k, roots, radius))

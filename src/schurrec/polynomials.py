@@ -390,8 +390,6 @@ class CharPoly:
         parts = []
         for j in range(self.degree, -1, -1):
             c = self.coeffs[j]
-            if c.is_zero():
-                continue
             tpow = "t" if j == 1 else (f"t^{j}" if j else "")
             if j == self.degree:
                 parts.append(tpow or "1")
@@ -399,7 +397,7 @@ class CharPoly:
                 body = str(c)
                 wrapped = body if c.num_terms() == 1 and not body.startswith("-") else f"({body})"
                 parts.append(f"+ {wrapped}" + (f"*{tpow}" if tpow else ""))
-        return " ".join(parts) if parts else "1"
+        return " ".join(parts)
 
     __repr__ = __str__
 

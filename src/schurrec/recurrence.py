@@ -92,12 +92,6 @@ class SchurSequence:
             pair = self._pairs[k] = (add(self.kappa, scale(k, self.mu)), add(self.lam, scale(k, self.nu)))
         return pair
 
-    def outer_at(self, k: int) -> Partition:
-        return self.pair_at(k)[0]
-
-    def inner_at(self, k: int) -> Partition:
-        return self.pair_at(k)[1]
-
     def shape_at(self, k: int) -> SkewShape:
         return SkewShape(*self.pair_at(k))
 

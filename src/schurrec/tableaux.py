@@ -135,9 +135,6 @@ class Tableau:
     def __repr__(self) -> str:
         return f"Tableau({self.shape!r}, {[list(r) for r in self.rows]}, n={self.n})"
 
-    def __mul__(self, other: "Tableau") -> "Tableau":
-        return insert(self, other)
-
     def to_json_obj(self) -> dict:
         return {
             "outer": list(self.shape.outer),

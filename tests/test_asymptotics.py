@@ -6,7 +6,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from battery import skew_pairs
+from battery import battery_families, skew_pairs
 from schurrec import _dense, asymptotics
 from schurrec._dense import weight_counts
 from schurrec.asymptotics import (
@@ -251,7 +251,7 @@ class TestSpecialize:
                 q = [round(c.real) for c in specialize(seq, k, [float(m)] * (n - 1)).coeffs]
                 for z0 in (1, 5, -4):
                     value = sum(c * z0**j * m ** (D - j) for j, c in enumerate(q))
-                    assert value == schur_int_eval(seq.outer_at(k), seq.inner_at(k), (z0,) + (m,) * (n - 1))
+                    assert value == schur_int_eval(*seq.pair_at(k), (z0,) + (m,) * (n - 1))
 
 
 class TestFindRoots:
@@ -468,7 +468,7 @@ class TestLimitExperiment:
         assert [len(c.roots) for c in result.clouds] == [2 * k for k in range(1, kmax + 1)]
         # one window, built in index order
         assert spy.call_count == 1
-        assert spy.call_args.args == ([(seq.outer_at(k), seq.inner_at(k)) for k in range(1, kmax + 1)], 3)
+        assert spy.call_args.args == ([seq.pair_at(k) for k in range(1, kmax + 1)], 3)
         seq = build_sequence(P(), P(), P(2, 2), P(1), 3)
         refusal = (
             rf"^kmax={kmax + 1} is refused: term {kmax + 1} has {2 * kmax + 2} nonempty columns, "
@@ -477,6 +477,13 @@ class TestLimitExperiment:
         with pytest.raises(ValueError, match=refusal):
             limit_experiment(seq, [1.0, 1.0], kmax + 1)
         assert spy.call_count == 1 and seq._terms == {}
+
+    def test_column_count_never_falls_as_k_grows(self):
+        # so the cap checked at kmax bounds the degree of every P_k, k <= kmax
+        for kappa, lam, mu, nu, n in battery_families():
+            seq = build_sequence(kappa, lam, mu, nu, n)
+            columns = [seq.shape_at(k).num_columns() for k in range(13)]
+            assert columns == sorted(columns), (kappa, lam, mu, nu, n)
 
     def test_xi_of_the_wrong_length_is_refused_before_any_table(self):
         seq = h_sequence(3)

@@ -102,6 +102,7 @@ BAD_INVOCATIONS = [
     (["m-basis", "--outer", "[2]", "--n", "0"], "argument --n"),
     (["polynomiality", "--mu", "[1]", "--n", "0", "--kmax", "3"], "argument --n"),
     (["schur", "--outer", "[1]", "--n", "-1"], "argument --n"),
+    (["schur", "--outer", "[1]", "--n", "abc"], "argument --n: expected a positive integer, got 'abc'"),
     (["verify", "--mu", "[1]", "--n", "0"], "argument --n"),
     (["conjecture", "--mu", "[1]", "--n", "2", "--count", "-2"], "argument --count"),
     (["verify", "--mu", "[1]", "--n", "2", "--count", "0"], "argument --count"),
@@ -117,6 +118,12 @@ BAD_INVOCATIONS = [
     (["verify", "--mu", "[1]", "--n", "2", "--format", "csv"], "argument --format"),
     (["roots", "--mu", "[1]", "--n", "2", "--xi-radius", "1", "--format", "pretty"], "argument --format"),
     (["schur", "--outer", "[1]", "--n", "2", "--output", "/nonexistent/dir/x.txt"], "cannot write --output"),
+    (["roots", "--mu", "[1]", "--n", "2", "--kmax", "2"], "exactly one of --xi / --xi-radius is required"),
+    (["roots", "--mu", "[1]", "--n", "2", "--xi", "1", "--xi-radius", "1", "--kmax", "2"], "exactly one of --xi / --xi-radius is required"),
+    # three rows over two letters: every term is zero
+    (["roots", "--mu", "[1,1,1]", "--n", "2", "--xi-radius", "1", "--kmax", "2"], "term 1 is the zero polynomial"),
+    # s_k(x1, 0, 0) of two rows is zero, though s_k is not
+    (["roots", "--mu", "[1,1]", "--n", "3", "--xi-radius", "0", "--kmax", "2"], "specialized term 1 vanished identically"),
     (["roots", "--mu", "[1]", "--n", "2", "--xi-radius", "nan", "--kmax", "2"], "xi must be finite"),
     (["roots", "--mu", "[1]", "--n", "2", "--xi-radius", "inf", "--kmax", "2"], "xi must be finite"),
     (["roots", "--mu", "[1]", "--n", "3", "--xi", "1,nan", "--kmax", "2"], "xi must be finite"),
@@ -163,6 +170,15 @@ def test_golden(golden, args, code):
     assert first.returncode == code, first.stderr
     assert first.stdout == expected
     assert second.stdout == first.stdout  # byte-identical reruns
+
+
+def test_golden_written_to_output(tmp_path):
+    # --output writes the golden bytes and prints nothing
+    path = tmp_path / "verify.json"
+    result = run_cli(["verify", "--mu", "[1]", "--nu", "[]", "--n", "2", "--count", "6", "--output", str(path)])
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == ""
+    assert path.read_bytes() == (GOLDEN / "verify.json").read_bytes()
 
 
 class TestExitCodes:

@@ -67,11 +67,11 @@ class TestWeightCounts:
     def test_int64_guard_refuses_and_terms_stay_exact(self):
         # a count at the limit is refused by the term too: no engine lists it
         seq = build_sequence(P(), P(), P(2, 1), P(), 4)
-        total = ssyt_count(seq.outer_at(3), seq.inner_at(3), 4)
+        total = ssyt_count(*seq.pair_at(3), 4)
         refusal = rf"^{total} fillings reach the int64 limit {total}"
         with mock.patch.object(_dense, "_INT64_LIMIT", total):
             with pytest.raises(ValueError, match=refusal):
-                weight_counts(seq.outer_at(3), seq.inner_at(3), 4)
+                weight_counts(*seq.pair_at(3), 4)
             with pytest.raises(ValueError, match=refusal):
                 seq.term(3)
         assert 3 not in seq._terms
@@ -324,7 +324,7 @@ class TestWindowCounts:
 
     def test_one_chain_pass_per_batch_and_the_cell_budget(self):
         seq = build_sequence(P(), P(), P(2, 2), P(1), 3)  # two rows sharing columns
-        shapes = [(seq.outer_at(k), seq.inner_at(k)) for k in range(1, 9)]
+        shapes = [seq.pair_at(k) for k in range(1, 9)]
         expected = [unsplit_table(outer, inner, 3) for outer, inner in shapes]
         spy = mock.Mock(wraps=_dense._chain_tables)
         with mock.patch.object(_dense, "_chain_tables", spy):
@@ -359,7 +359,7 @@ class TestWindowCounts:
 
     def test_int64_guard_refuses_the_window_before_any_build(self):
         seq = build_sequence(P(), P(), P(2, 1), P(), 4)
-        shapes = [(seq.outer_at(k), seq.inner_at(k)) for k in range(1, 6)]
+        shapes = [seq.pair_at(k) for k in range(1, 6)]
         total = ssyt_count(*shapes[2], 4)
         refusal = rf"^{total} fillings reach the int64 limit {total}; refused$"
         spy = mock.Mock(wraps=_dense._batch_tables)
@@ -375,7 +375,7 @@ class TestWindowCounts:
 
     def test_guard_takes_one_h_table_per_window(self):
         seq = build_sequence(P(1), P(), P(3, 1), P(1), 3)
-        shapes = [(seq.outer_at(k), seq.inner_at(k)) for k in range(0, 12)]
+        shapes = [seq.pair_at(k) for k in range(0, 12)]
         with mock.patch.object(polynomials, "_h_table", wraps=polynomials._h_table) as spy:
             tables = _dense.window_counts(shapes, 3)
             assert spy.call_count == 1
@@ -388,7 +388,7 @@ class TestWindowCounts:
         # the window holds sparse polynomials instead, one built per index
         seq = build_sequence(P(), P(), P(1), P(), 5)
         with pytest.raises(UnsupportedShape):
-            _dense.window_counts([(seq.outer_at(1), seq.inner_at(1))], 5)
+            _dense.window_counts([seq.pair_at(1)], 5)
         with mock.patch.object(recurrence, "skew_schur", wraps=skew_schur) as spy:
             first, again = seq.window(0, 3), seq.window(1, 2)
         assert first == [skew_schur(seq.shape_at(k), 5) for k in range(3)]

@@ -15,6 +15,23 @@ import sys
 import pytest
 
 import schurrec
+from schurrec import (
+    CharPoly,
+    InvalidFamilyError,
+    MultiPoly,
+    Partition,
+    SkewShape,
+    Tableau,
+    build_sequence,
+    char_poly,
+    iter_tableaux,
+    kostka,
+    limit_experiment,
+    polynomiality_check,
+    scale,
+    stretch_positivity_check,
+    verify_certificate,
+)
 from test_cli import CASES, GOLDEN
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -71,6 +88,111 @@ def fresh(code: str, *argv: str, tmp_path) -> tuple[int, str, bool]:
     out, _, flag = result.stdout.rstrip("\n").rpartition("\n")
     assert flag in ("True", "False"), result.stderr
     return result.returncode, out + "\n" if out else "", flag == "True"
+
+
+def P(*parts):
+    return Partition(parts)
+
+
+def _h_family():
+    """k -> h_k in two letters, from index 0."""
+    return build_sequence(P(), P(), P(1), P(), 2)
+
+
+# (the refused call, the exception it raises, the whole message)
+REFUSALS = [
+    pytest.param(
+        lambda: verify_certificate(_h_family(), char_poly(P(1), P(), 2), 0, 0), ValueError,
+        "count must be positive", id="verify_certificate count=0",
+    ),
+    pytest.param(
+        lambda: kostka(SkewShape([1]), [2, -1]), ValueError, "weight must be nonnegative, got (2, -1)",
+        id="kostka negative weight",
+    ),
+    pytest.param(
+        lambda: stretch_positivity_check(SkewShape([1]), [1], 0), ValueError, "stretch factor k must be positive",
+        id="stretch_positivity_check k=0",
+    ),
+    pytest.param(
+        lambda: polynomiality_check(P(1), P(2), 2, 3), ValueError, "mu must contain nu",
+        id="polynomiality_check mu not containing nu",
+    ),
+    pytest.param(lambda: char_poly(P(1), P(2), 2), ValueError, "mu must contain nu", id="char_poly mu not containing nu"),
+    pytest.param(
+        lambda: build_sequence(P(), P(), P(1), P(2), 2), InvalidFamilyError, "mu=[1] does not contain nu=[2]",
+        id="build_sequence mu not containing nu",
+    ),
+    pytest.param(lambda: scale(-1, P(1)), ValueError, "scale factor must be nonnegative", id="scale by -1"),
+    pytest.param(lambda: MultiPoly(0), ValueError, "nvars must be positive", id="MultiPoly nvars=0"),
+    pytest.param(
+        lambda: MultiPoly(2, {(1,): 1}), ValueError, "bad exponent vector (1,) for nvars=2",
+        id="MultiPoly exponent length",
+    ),
+    pytest.param(
+        lambda: MultiPoly.one(2).eval((1,)), ValueError, "point length must equal nvars", id="MultiPoly.eval point length",
+    ),
+    pytest.param(
+        lambda: Tableau(SkewShape([1]), [[1]], 0), ValueError, "alphabet bound n must be positive", id="Tableau n=0",
+    ),
+    pytest.param(
+        lambda: Tableau(SkewShape([1]), [[1], [1]], 2), ValueError, "expected 1 rows, got 2", id="Tableau row count",
+    ),
+    pytest.param(
+        lambda: Tableau(SkewShape([2]), [[1]], 2), ValueError, "row 0: expected 2 entries, got 1",
+        id="Tableau row length",
+    ),
+    pytest.param(
+        lambda: Tableau(SkewShape([2], [1]), [[1]], 2).entry(0, 0), IndexError, "(0,0) is not an ordinary box",
+        id="Tableau.entry off the shape",
+    ),
+    pytest.param(
+        lambda: iter_tableaux(SkewShape([1]), 2, weight_cap=[1]), ValueError, "weight_cap must have length n",
+        id="iter_tableaux weight_cap length",
+    ),
+    pytest.param(lambda: P(1)[-1], IndexError, "negative part index", id="Partition[-1]"),
+    pytest.param(
+        lambda: limit_experiment(_h_family(), [1.0], 0), ValueError, "kmax must be at least 1",
+        id="limit_experiment kmax=0",
+    ),
+]
+
+
+@pytest.mark.parametrize("call,error,message", REFUSALS)
+def test_library_refusal(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert info.type is error and str(info.value) == message
+
+
+class TestProtocols:
+    SAMPLES = [
+        P(2, 1),
+        SkewShape([2, 1], [1]),
+        Tableau(SkewShape([2, 1], [1]), [[1], [2]], 2),
+        MultiPoly.monomial((1, 0)),
+        CharPoly([(1, 0)], 2),
+    ]
+
+    @pytest.mark.parametrize("value", SAMPLES, ids=lambda v: type(v).__name__)
+    def test_foreign_type_is_unequal(self, value):
+        assert value != "foreign" and not value == (1, 0)
+
+    def test_equal_multipolys_hash_equal(self):
+        a, b = MultiPoly.monomial((1, 0)), MultiPoly(2, {(1, 0): 1, (0, 1): 0})
+        assert a == b and a is not b and hash(a) == hash(b)
+
+    def test_reprs(self):
+        shape = SkewShape([2, 1], [1])
+        assert repr(shape) == "SkewShape([2,1], [1])"
+        assert repr(Tableau(shape, [[1], [2]], 2)) == "Tableau(SkewShape([2,1], [1]), [[1], [2]], n=2)"
+
+    def test_shape_diagram(self):
+        assert SkewShape([2, 1], [1]).to_ascii() == "■ .\n."
+
+    def test_tableau_json_round_trip(self):
+        t = Tableau(SkewShape([3, 1], [1]), [[1, 2], [2]], 2)
+        assert t.to_json() == '{"outer":[3,1],"inner":[1],"n":2,"rows":[[1,2],[2]]}'
+        assert Tableau.from_json(t.to_json()) == t
 
 
 class TestNumpyBoundary:

@@ -115,6 +115,7 @@ class TestArithmetic:
         assert str(MultiPoly(2, {(1, 0): 1, (0, 1): 1})) == "x1+x2"
         assert str(MultiPoly.zero(2)) == "0"
         assert str(MultiPoly(2, {(2, 0): -1, (0, 0): 3})) == "-x1^2+3"
+        assert str(MultiPoly(3, {(1, 1, 1): 2, (1, 0, 0): -3})) == "2*x1*x2*x3-3*x1"
 
 
 class TestWeightMonomial:

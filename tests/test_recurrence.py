@@ -123,6 +123,18 @@ class TestCharPoly:
         assert CharPoly.from_root_weights(chi.root_weights[1:], 3) != chi
 
 
+    @given(data=st.data())
+    def test_no_coefficient_is_zero(self, data):
+        # the t^j coefficient is +-e_{d-j} of the root monomials, a sum of
+        # monomials of one sign, so it never cancels
+        n = data.draw(st.integers(1, 3))
+        weights = data.draw(st.lists(st.tuples(*[st.integers(0, 3)] * n), max_size=6))
+        assert all(CharPoly(weights, n).coeffs)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_no_root_prints_one(self, n):
+        assert str(CharPoly([], n)) == "1"
+
 class TestBuildSequence:
     def test_plain_h_family(self):
         seq = build_sequence(P(), P(), P(1), P(), 2)
@@ -140,7 +152,7 @@ class TestBuildSequence:
     def test_term_matches_skew_schur(self):
         seq = build_sequence(P(1), P(), P(2, 1), P(1), 3)
         for k in range(4):
-            shape = SkewShape(seq.outer_at(k), seq.inner_at(k))
+            shape = SkewShape(*seq.pair_at(k))
             assert seq.term(k) == skew_schur(shape, 3)
 
     def test_term_reads_its_table_and_keeps_no_copy(self):
@@ -169,7 +181,8 @@ class TestBuildSequence:
             pairs = [seq.pair_at(k) for k in range(41)]
             assert pairs == [(add(seq.kappa, scale(k, seq.mu)), add(seq.lam, scale(k, seq.nu))) for k in range(41)]
             assert all(seq.pair_at(k) is pair for k, pair in enumerate(pairs))
-        assert seq.outer_at(40) is pairs[40][0] and seq.inner_at(40) is pairs[40][1]
+        outer, inner = seq.pair_at(40)
+        assert outer is pairs[40][0] and inner is pairs[40][1]
 
     def test_readers_take_the_cached_shapes(self):
         # one outer and one inner per index, however many readers ask
@@ -179,7 +192,7 @@ class TestBuildSequence:
             assert verify_certificate(seq, chi, seq.r, 2).ok
             minimal_report(seq, chi, seed=1)
             seq.window(0, seq.r + 4)
-            assert all(seq.shape_at(k).outer is seq.outer_at(k) for k in range(seq.r + 4))
+            assert all(seq.shape_at(k).outer is seq.pair_at(k)[0] for k in range(seq.r + 4))
             assert seq.eval_at(3, (2, 3, 5)) == seq.term(3).eval((2, 3, 5))
         assert spy.call_count == 2 * len(seq._pairs)
 
@@ -191,7 +204,7 @@ class TestBuildSequence:
         seq = build_sequence(P(), P(), P(2, 1), P(), 3)
         for k in range(3):
             poly = seq.term(k)
-            assert polynomials.ssyt_count(seq.outer_at(k), seq.inner_at(k), 3) == sum(poly.terms.values())
+            assert polynomials.ssyt_count(*seq.pair_at(k), 3) == sum(poly.terms.values())
             assert seq.eval_at(k, (2, 3, 5)) == poly.eval((2, 3, 5))
 
 
@@ -467,7 +480,7 @@ class TestFactorChain:
         d = chi.degree
 
         def shapes(ks):
-            return [(seq.outer_at(k), seq.inner_at(k)) for k in ks]
+            return [seq.pair_at(k) for k in ks]
 
         with mock.patch.object(_dense, "window_counts", wraps=_dense.window_counts) as spy:
             assert verify_certificate(seq, chi, seq.r, 2).ok
