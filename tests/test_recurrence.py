@@ -122,7 +122,6 @@ class TestCharPoly:
         assert shuffled == chi and shuffled.coeffs == chi.coeffs
         assert CharPoly.from_root_weights(chi.root_weights[1:], 3) != chi
 
-
     @given(data=st.data())
     def test_no_coefficient_is_zero(self, data):
         # the t^j coefficient is +-e_{d-j} of the root monomials, a sum of
@@ -134,6 +133,7 @@ class TestCharPoly:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_no_root_prints_one(self, n):
         assert str(CharPoly([], n)) == "1"
+
 
 class TestBuildSequence:
     def test_plain_h_family(self):
@@ -181,8 +181,6 @@ class TestBuildSequence:
             pairs = [seq.pair_at(k) for k in range(41)]
             assert pairs == [(add(seq.kappa, scale(k, seq.mu)), add(seq.lam, scale(k, seq.nu))) for k in range(41)]
             assert all(seq.pair_at(k) is pair for k, pair in enumerate(pairs))
-        outer, inner = seq.pair_at(40)
-        assert outer is pairs[40][0] and inner is pairs[40][1]
 
     def test_readers_take_the_cached_shapes(self):
         # one outer and one inner per index, however many readers ask
