@@ -2,12 +2,15 @@
 stretched skew Schur polynomial sequences.
 
 The tableau side (partitions, tableaux, polynomials, kostka) needs no
-arrays and is imported here.  The engine names, those of `recurrence` and
+arrays and is imported here; its records are slotted classes and named
+tuples, so it does not import `dataclasses` (nor the `inspect` that comes
+with it) either.  The engine names, those of `recurrence` and
 `asymptotics` and the two modules themselves, load their module on first
 access, so `import schurrec` and the table-free commands of `schurrec.cli`
-do not import numpy.  `recurrence` itself imports `_dense`, and with it
-numpy, at its top: whoever imports the engine pays numpy there, before
-its first computation, not inside one.
+import neither numpy nor `dataclasses`.  `recurrence` itself imports
+`_dense`, and with it numpy, at its top: whoever imports the engine pays
+numpy (and the engine's dataclasses) there, before its first computation,
+not inside one.
 """
 
 from .partitions import (

@@ -13,7 +13,7 @@ rule); split at the middle shape, the two halves range over coordinatewise
 boxes, so the counts reduce to lattice-point counts of boxes sliced by
 coordinate sum.  The arithmetic is int64 only, guarded by the exact total
 count computed up front for the whole window at once (one Jacobi-Trudi
-h-table, polynomials.schur_int_evals at (1, ..., 1)); a count at the limit
+h-table, polynomials.ssyt_counts); a count at the limit
 is refused, not enumerated.  The factor chain on d root weights stays in
 int64 while 2^(d-1) times the window's largest table entry is below the
 limit, and runs in Python integers past it (factor_chain).
@@ -35,10 +35,10 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .partitions import IntVector, Partition
-# schur_int_evals guards the int64 limit.  ssyt_count and schur_int_eval are
+# ssyt_counts guards the int64 limit.  ssyt_count and schur_int_eval are
 # not used here: they are re-exported only because bench/spans.py traces
 # both under this module.
-from .polynomials import MultiPoly, schur_int_eval, schur_int_evals, ssyt_count
+from .polynomials import MultiPoly, schur_int_eval, ssyt_count, ssyt_counts
 
 # int64 is exact below this; tables and chains bound every entry under it
 _INT64_LIMIT = 1 << 63
@@ -183,7 +183,7 @@ def window_counts(shapes: Sequence[tuple[Partition, Partition]], n: int) -> list
     cells pass _CHUNK_CELLS, so large tables are built one or a few at a
     time.  Nothing sums across shapes.
     """
-    totals = schur_int_evals(shapes, [(1,) * n])[0]
+    totals = ssyt_counts(shapes, n)
     for total in totals:
         if total >= _INT64_LIMIT:
             raise ValueError(f"{total} fillings reach the int64 limit {_INT64_LIMIT}; refused")

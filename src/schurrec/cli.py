@@ -6,8 +6,11 @@ Every run echoes its resolved configuration at the top of the output
 certificate on stdout), 3 internal error (one line on stderr).
 
 The handlers that build weight tables import the engine (`recurrence`,
-`asymptotics` and with them numpy) when they run, so the tableau and
-counting commands start without it.
+`asymptotics` and with them numpy and `dataclasses`) when they run, so the
+tableau and counting commands start without either.  A command whose walk
+over every filling passes the window limit is refused before the walk
+starts; filling counts are read off binomials, so a large --n builds
+nothing of its length.
 """
 from __future__ import annotations
 
@@ -18,7 +21,7 @@ from typing import Optional, Sequence
 
 from .kostka import kostka, polynomiality_check, schur_in_m_basis
 from .partitions import Partition, format_partition, parse_entries, parse_partition
-from .polynomials import char_poly, skew_schur
+from .polynomials import _WINDOW_LIMIT, char_poly, skew_schur
 from .tableaux import SkewShape, Tableau, enumerate_tableaux, insert
 
 USAGE_ERROR = 1
@@ -251,6 +254,10 @@ def _roots(args):
         raise ValueError("exactly one of --xi / --xi-radius is required")
     if args.xi is not None:
         xi = _entries("--xi", args.xi, complex, "a complex number")
+    elif args.n - 1 > _WINDOW_LIMIT:
+        raise ValueError(
+            f"--xi-radius is refused: its point's predicted size {args.n - 1} is over the window limit {_WINDOW_LIMIT}"
+        )
     else:
         xi = [complex(args.xi_radius, 0.0)] * (args.n - 1)
     result = limit_experiment(build_sequence(*_family(args)), xi, args.kmax)

@@ -3,12 +3,11 @@ Schur polynomials, explicit witnesses for stretch positivity, and the
 polynomiality of the stretched filling counts."""
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
 from functools import reduce
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .partitions import Partition, contains, partitions_up_to, scale
-from .polynomials import _WINDOW_LIMIT, MultiPoly, monomial_symmetric, schur_int_evals
+from .polynomials import _WINDOW_LIMIT, MultiPoly, _refuse_walk, monomial_symmetric, ssyt_counts
 from .tableaux import SkewShape, Tableau, insert, iter_tableaux, weight
 
 
@@ -30,7 +29,11 @@ def kostka(shape: SkewShape, w: Sequence[int]) -> int:
 
 
 def schur_in_m_basis(shape: SkewShape, n: int) -> dict[Partition, int]:
-    """Positive coefficients K with skew_schur = sum K_w * m_w, keyed by partition."""
+    """Positive coefficients K with skew_schur = sum K_w * m_w, keyed by
+    partition.  Its Kostka walks in 1..n cover the fillings of partition
+    weight, so a walk over the window limit is refused first
+    (polynomials._refuse_walk)."""
+    _refuse_walk(shape, n)
     boxes = shape.num_boxes
     out: dict[Partition, int] = {}
     for lam in partitions_up_to(boxes, n, exact=True):
@@ -74,8 +77,7 @@ def stretch_positivity_check(shape: SkewShape, w: Sequence[int], k: int) -> Tabl
     return witness
 
 
-@dataclass
-class PolynomialityReport:
+class PolynomialityReport(NamedTuple):
     counts: list[int]
     degree: Optional[int]
     vanish_order: Optional[int]
@@ -83,7 +85,7 @@ class PolynomialityReport:
     newton_coefficients: Optional[list[int]]
 
     def to_json_obj(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
 def polynomiality_check(mu: Partition, nu: Partition, n: int, kmax: int) -> PolynomialityReport:
@@ -102,7 +104,7 @@ def polynomiality_check(mu: Partition, nu: Partition, n: int, kmax: int) -> Poly
     size = (kmax + 1) * (len(mu) ** 2 + 64) + kmax * mu[0] + len(mu)
     if size > _WINDOW_LIMIT:
         raise ValueError(f"kmax={kmax} is refused: its predicted size {size} is over the window limit {_WINDOW_LIMIT}")
-    counts = schur_int_evals([(scale(k, mu), scale(k, nu)) for k in range(kmax + 1)], [(1,) * n])[0]
+    counts = ssyt_counts([(scale(k, mu), scale(k, nu)) for k in range(kmax + 1)], n)
     diffs = counts
     newton = [counts[0]]
     order = 0

@@ -9,8 +9,9 @@ from __future__ import annotations
 import json
 from functools import lru_cache
 from itertools import permutations
+from math import comb
 from types import MappingProxyType
-from typing import Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .partitions import IntVector, Partition, contains
 from .tableaux import SkewShape, Tableau, iter_tableaux, weight
@@ -18,7 +19,8 @@ from .tableaux import SkewShape, Tableau, iter_tableaux, weight
 Exponent = tuple[int, ...]
 # the largest window built at once, in the entries that SchurSequence.window and
 # kostka.polynomiality_check predict (tables, terms or index matrices, a fixed overhead
-# each, and an h-table); 4 GiB as int64 cells, which the d = 90 windows at n = 3 need
+# each, and an h-table), and that _refuse_walk predicts for a walk over every filling;
+# 4 GiB as int64 cells, which the d = 90 windows at n = 3 need
 _WINDOW_LIMIT = 1 << 29
 
 
@@ -214,8 +216,23 @@ def weight_monomial(t: Tableau) -> MultiPoly:
     return MultiPoly.monomial(weight(t))
 
 
+def _refuse_walk(shape: SkewShape, n: int) -> None:
+    """Refuse, before any filling is made, a walk over all SSYTs of the shape
+    with entries in 1..n whose predicted size passes _WINDOW_LIMIT: its
+    exact filling count (ssyt_count) times boxes + n, the entries and the
+    weight vector of each filling."""
+    size = ssyt_count(shape.outer, shape.inner, n) * (shape.num_boxes + n)
+    if size > _WINDOW_LIMIT:
+        raise ValueError(
+            f"the fillings of {shape} with entries in 1..{n} are refused: their predicted size "
+            f"{size} is over the window limit {_WINDOW_LIMIT}"
+        )
+
+
 def skew_schur(shape: SkewShape, n: int) -> MultiPoly:
-    """Generating polynomial of all SSYTs of the shape with entries in 1..n."""
+    """Generating polynomial of all SSYTs of the shape with entries in 1..n;
+    a walk over the window limit is refused first (_refuse_walk)."""
+    _refuse_walk(shape, n)
     terms: dict[Exponent, int] = {}
     for t in iter_tableaux(shape, n):
         w = weight(t)
@@ -232,6 +249,12 @@ def _h_table(point: Sequence, upto: int, one) -> list:
         for m in range(1, upto + 1):
             table[m] = table[m] + x * table[m - 1]
     return table
+
+
+def _h_ones(upto: int, n: int) -> list[int]:
+    """h_0 .. h_upto at the point of n ones, h_m(1^n) = C(n + m - 1, m),
+    without building that length-n point."""
+    return [1] + [comb(n + m - 1, m) for m in range(1, upto + 1)]
 
 
 @lru_cache(maxsize=None)
@@ -311,15 +334,25 @@ def skew_schur_jacobi_trudi(shape: SkewShape, n: int) -> MultiPoly:
     return _det([[complete_homogeneous(m, n) for m in row] for row in index], n)
 
 
+def _h_upto(shapes: Sequence[tuple[Partition, Partition]]) -> int:
+    """The largest h index that the shapes' Jacobi-Trudi matrices read."""
+    return max((outer[0] + len(outer) - 1 for outer, _ in shapes), default=0)
+
+
+def _read_tables(shapes: Sequence[tuple[Partition, Partition]], tables: Iterable[list[int]]) -> list[list[int]]:
+    """Each shape's Jacobi-Trudi determinant read through each h-table
+    (h_0 .. h_upto, then the 0 that -1 reads), one list per table; each
+    index matrix is built once."""
+    indices = [_jacobi_trudi(outer, inner) for outer, inner in shapes]
+    return [[_det_int(index, table) for index in indices] for table in tables]
+
+
 def schur_int_evals(shapes: Sequence[tuple[Partition, Partition]], points: Sequence[Sequence[int]]) -> list[list[int]]:
     """Exact integer values of the skew Schur polynomials of the shapes,
     given as (outer, inner) pairs, at each integer point, one list per
-    point: each shape's index matrix is built once and read at every point
-    through that point's h-table (ending in the 0 that -1 reads)."""
-    upto = max((outer[0] + len(outer) - 1 for outer, _ in shapes), default=0)
-    indices = [_jacobi_trudi(outer, inner) for outer, inner in shapes]
-    tables = (_h_table(point, upto, 1) + [0] for point in points)
-    return [[_det_int(index, table) for index in indices] for table in tables]
+    point, each read through that point's h-table."""
+    upto = _h_upto(shapes)
+    return _read_tables(shapes, (_h_table(point, upto, 1) + [0] for point in points))
 
 
 def schur_int_eval(outer: Partition, inner: Partition, point: tuple[int, ...]) -> int:
@@ -327,9 +360,15 @@ def schur_int_eval(outer: Partition, inner: Partition, point: tuple[int, ...]) -
     return schur_int_evals([(outer, inner)], [point])[0][0]
 
 
+def ssyt_counts(shapes: Sequence[tuple[Partition, Partition]], n: int) -> list[int]:
+    """Exact number of SSYTs with entries in 1..n of each shape: its value at
+    the point of n ones, read through _h_ones."""
+    return _read_tables(shapes, [_h_ones(_h_upto(shapes), n) + [0]])[0]
+
+
 def ssyt_count(outer: Partition, inner: Partition, n: int) -> int:
     """Exact number of SSYTs of the shape with entries in 1..n."""
-    return schur_int_eval(outer, inner, (1,) * n)
+    return ssyt_counts([(outer, inner)], n)[0]
 
 
 def monomial_symmetric(lam: Partition, n: int) -> MultiPoly:
@@ -411,7 +450,10 @@ class CharPoly:
 
 
 def char_poly(mu: Partition, nu: Partition, n: int) -> CharPoly:
-    """chi(t): the product of (t - x^w(T)) over all tableaux of mu/nu."""
+    """chi(t): the product of (t - x^w(T)) over all tableaux of mu/nu; a walk
+    over the window limit is refused first (_refuse_walk)."""
     if not contains(mu, nu):
         raise ValueError("mu must contain nu")
-    return CharPoly([weight(t) for t in iter_tableaux(SkewShape(mu, nu), n)], n)
+    shape = SkewShape(mu, nu)
+    _refuse_walk(shape, n)
+    return CharPoly([weight(t) for t in iter_tableaux(shape, n)], n)

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass
 from itertools import zip_longest
 from typing import Iterator, Optional, Sequence
 
@@ -84,18 +83,38 @@ class SkewShape:
         return _diagram(self.inner, [["."] * (self.outer[i] - self.inner[i]) for i in range(len(self.outer))])
 
 
-@dataclass(frozen=True)
 class ColumnView:
-    """One column of a tableau: its index, row interval (1-based), and entries."""
+    """One column of a tableau: its index, row interval (1-based), and
+    entries.  Immutable; compared and hashed by those four fields."""
 
-    col_index: int
-    first_row: int
-    last_row: int
-    entries: tuple[int, ...]
+    __slots__ = ("col_index", "first_row", "last_row", "entries")
 
-    def __post_init__(self):
-        if self.last_row - self.first_row + 1 != len(self.entries):
+    def __init__(self, col_index: int, first_row: int, last_row: int, entries: tuple[int, ...]):
+        if last_row - first_row + 1 != len(entries):
             raise ValueError("entry count does not match the row interval")
+        for name, value in zip(self.__slots__, (col_index, first_row, last_row, entries)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _key(self) -> tuple:
+        return self.col_index, self.first_row, self.last_row, self.entries
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, ColumnView):
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        col_index, first_row, last_row, entries = self._key()
+        return f"ColumnView({col_index=}, {first_row=}, {last_row=}, {entries=})"
 
 
 class Tableau:
@@ -245,7 +264,11 @@ def iter_tableaux(
 
 
 def enumerate_tableaux(shape: SkewShape, n: int) -> list[Tableau]:
-    """All SSYTs of the shape with entries in 1..n, canonical order."""
+    """All SSYTs of the shape with entries in 1..n, canonical order; a walk
+    over the window limit is refused first (polynomials._refuse_walk)."""
+    from .polynomials import _refuse_walk  # polynomials imports this module
+
+    _refuse_walk(shape, n)
     return list(iter_tableaux(shape, n))
 
 

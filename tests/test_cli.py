@@ -315,6 +315,17 @@ OVERSIZED = [
     ["minimal", "--nu", "[1]", "--n", "3", "--count", "1000000000", "--mu", "[4,2,1]"],
     # no sequence window: kmax + 1 index matrices and one h-table
     ["polynomiality", "--mu", "[1]", "--n", "2", "--kmax", "1000000000"],
+    # a walk over C(199, 99) fillings
+    ["schur", "--outer", "[100]", "--n", "100"],
+    # a billion letters: every walk is refused, and no point of n ones or n - 1 xi is built
+    ["tableaux", "--outer", "[1]", "--n", "1000000000"],
+    ["schur", "--outer", "[1]", "--n", "1000000000"],
+    ["char-poly", "--mu", "[1]", "--n", "1000000000"],
+    ["verify", "--mu", "[1]", "--n", "1000000000"],
+    ["minimal", "--mu", "[1]", "--n", "1000000000"],
+    ["m-basis", "--outer", "[1]", "--n", "1000000000"],
+    ["conjecture", "--mu", "[1]", "--n", "1000000000"],
+    ["roots", "--mu", "[1]", "--xi-radius", "1", "--n", "1000000000"],
 ]
 
 
@@ -332,6 +343,20 @@ def test_bad_invocation_over_the_window_limit_is_refused_at_once(argv):
     assert result.returncode == cli.USAGE_ERROR, result.stderr
     assert len(errors) == 1 and "Traceback" not in result.stderr, result.stderr
     assert "predicted size" in errors[0] and f"window limit {polynomials._WINDOW_LIMIT}" in errors[0]
+    assert elapsed < 1.0
+
+
+def test_polynomiality_in_a_billion_letters_answers_at_once():
+    # its counts read h_m(1^n) = C(n + m - 1, m): nothing of length n is built,
+    # and C(n + k - 1, k), of degree n - 1 in k, is inconclusive at kmax = 3
+    argv = ["polynomiality", "--mu", "[1]", "--n", "1000000000", "--kmax", "3"]
+    began = time.perf_counter()
+    result = run_cli(argv, preexec_fn=_cap_address_space)
+    elapsed = time.perf_counter() - began
+    assert result.returncode == cli.REFUTED, result.stderr
+    report = json.loads(result.stdout)
+    assert report["verdict"] == "INCONCLUSIVE"
+    assert report["counts"] == [math.comb(10**9 + k - 1, k) for k in range(4)]
     assert elapsed < 1.0
 
 

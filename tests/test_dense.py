@@ -376,10 +376,10 @@ class TestWindowCounts:
     def test_guard_takes_one_h_table_per_window(self):
         seq = build_sequence(P(1), P(), P(3, 1), P(1), 3)
         shapes = [seq.pair_at(k) for k in range(0, 12)]
-        with mock.patch.object(polynomials, "_h_table", wraps=polynomials._h_table) as spy:
+        with mock.patch.object(polynomials, "_h_ones", wraps=polynomials._h_ones) as spy:
             tables = _dense.window_counts(shapes, 3)
             assert spy.call_count == 1
-            assert spy.call_args.args[0] == (1, 1, 1)
+            assert spy.call_args.args[1] == 3
             seq.window(0, 12)
             assert spy.call_count == 2
         assert [int(t.sum()) for t in tables] == [ssyt_count(*s, 3) for s in shapes]

@@ -1,11 +1,13 @@
-"""The public API of `import schurrec`, and which imports load numpy.
+"""The public API of `import schurrec`, and what its imports load.
 
-The tableau side and the table-free CLI commands start without numpy; the
-engine (`recurrence`, `asymptotics`) loads it.  Each probe runs in a fresh
+The tableau side and the table-free CLI commands start without numpy and
+without `dataclasses` (nor the `inspect` it imports); the engine
+(`recurrence`, `asymptotics`) loads numpy.  Each probe runs in a fresh
 interpreter, so that nothing this test process imported leaks into it.
 """
 import importlib
 import json
+import math
 import os
 import pathlib
 import re
@@ -17,18 +19,24 @@ import pytest
 import schurrec
 from schurrec import (
     CharPoly,
+    ColumnView,
     InvalidFamilyError,
     MultiPoly,
     Partition,
+    PolynomialityReport,
     SkewShape,
     Tableau,
     build_sequence,
     char_poly,
+    enumerate_tableaux,
     iter_tableaux,
     kostka,
     limit_experiment,
     polynomiality_check,
+    polynomials,
     scale,
+    schur_in_m_basis,
+    skew_schur,
     stretch_positivity_check,
     verify_certificate,
 )
@@ -74,20 +82,22 @@ TABLE_FREE_CASES = [(golden, args) for golden, args, _ in CASES if args[0] in TA
 
 # cli.main on the argv that follows the code, exiting with its code
 RUN_CLI = "import sys\nfrom schurrec import cli\nsys.exit(cli.main(sys.argv[1:]))"
+# the modules the tableau side does not load: numpy, and dataclasses with inspect
+HEAVY = ("dataclasses", "inspect", "numpy")
 
 
-def fresh(code: str, *argv: str, tmp_path) -> tuple[int, str, bool]:
+def fresh(code: str, *argv: str, tmp_path) -> tuple[int, str, list[str]]:
     """Run code in a fresh interpreter: its exit code, its standard output
-    and whether numpy was loaded when it finished."""
+    and which of HEAVY were loaded when it finished."""
     path = [str(ROOT / "src"), os.environ.get("PYTHONPATH")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
-    report = "import atexit, sys\natexit.register(lambda: print('numpy' in sys.modules))\n"
+    report = f"import atexit, json, sys\natexit.register(lambda: print(json.dumps([m for m in {HEAVY} if m in sys.modules])))\n"
     result = subprocess.run(
         [sys.executable, "-c", report + code, *argv], cwd=tmp_path, env=env, capture_output=True, text=True
     )
-    out, _, flag = result.stdout.rstrip("\n").rpartition("\n")
-    assert flag in ("True", "False"), result.stderr
-    return result.returncode, out + "\n" if out else "", flag == "True"
+    out, _, loaded = result.stdout.rstrip("\n").rpartition("\n")
+    assert loaded.startswith("["), result.stderr
+    return result.returncode, out + "\n" if out else "", json.loads(loaded)
 
 
 def P(*parts):
@@ -97,6 +107,16 @@ def P(*parts):
 def _h_family():
     """k -> h_k in two letters, from index 0."""
     return build_sequence(P(), P(), P(1), P(), 2)
+
+
+def _walk_refusal(boxes: int) -> str:
+    """The refusal of a walk over the one-row shape [boxes] in 1..boxes:
+    C(2 boxes - 1, boxes) fillings, boxes + boxes entries each."""
+    size = math.comb(2 * boxes - 1, boxes) * 2 * boxes
+    return (
+        f"the fillings of [{boxes}]/[] with entries in 1..{boxes} are refused: "
+        f"their predicted size {size} is over the window limit {polynomials._WINDOW_LIMIT}"
+    )
 
 
 # (the refused call, the exception it raises, the whole message)
@@ -151,6 +171,23 @@ REFUSALS = [
     ),
     pytest.param(lambda: P(1)[-1], IndexError, "negative part index", id="Partition[-1]"),
     pytest.param(
+        lambda: ColumnView(1, 1, 3, (1, 2)), ValueError, "entry count does not match the row interval",
+        id="ColumnView row interval",
+    ),
+    # C(199, 99) fillings: each walk is refused before its first one
+    pytest.param(lambda: skew_schur(SkewShape([100]), 100), ValueError, _walk_refusal(100), id="skew_schur walk"),
+    pytest.param(lambda: char_poly(P(100), P(), 100), ValueError, _walk_refusal(100), id="char_poly walk"),
+    pytest.param(
+        lambda: enumerate_tableaux(SkewShape([100]), 100), ValueError, _walk_refusal(100), id="enumerate_tableaux walk",
+    ),
+    pytest.param(
+        lambda: schur_in_m_basis(SkewShape([100]), 100), ValueError, _walk_refusal(100), id="schur_in_m_basis walk",
+    ),
+    # C(27, 14) fillings times 28 is the first one-row walk over the limit
+    pytest.param(
+        lambda: polynomials._refuse_walk(SkewShape([14]), 14), ValueError, _walk_refusal(14), id="walk of [14] in 1..14",
+    ),
+    pytest.param(
         lambda: limit_experiment(_h_family(), [1.0], 0), ValueError, "kmax must be at least 1",
         id="limit_experiment kmax=0",
     ),
@@ -164,6 +201,12 @@ def test_library_refusal(call, error, message):
     assert info.type is error and str(info.value) == message
 
 
+@pytest.mark.parametrize("boxes", [12, 13])
+def test_walk_under_the_window_limit_is_admitted(boxes):
+    # schur --outer [12] --n 12 still runs; the guard alone is checked here
+    polynomials._refuse_walk(SkewShape([boxes]), boxes)
+
+
 class TestProtocols:
     SAMPLES = [
         P(2, 1),
@@ -171,6 +214,7 @@ class TestProtocols:
         Tableau(SkewShape([2, 1], [1]), [[1], [2]], 2),
         MultiPoly.monomial((1, 0)),
         CharPoly([(1, 0)], 2),
+        ColumnView(1, 1, 2, (1, 2)),
     ]
 
     @pytest.mark.parametrize("value", SAMPLES, ids=lambda v: type(v).__name__)
@@ -186,6 +230,46 @@ class TestProtocols:
         assert repr(shape) == "SkewShape([2,1], [1])"
         assert repr(Tableau(shape, [[1], [2]], 2)) == "Tableau(SkewShape([2,1], [1]), [[1], [2]], n=2)"
 
+    def test_column_view_is_a_frozen_value(self):
+        view = ColumnView(col_index=1, first_row=1, last_row=2, entries=(1, 2))
+        assert view == ColumnView(1, 1, 2, (1, 2)) and view != ColumnView(2, 1, 2, (1, 2))
+        assert view != (1, 1, 2, (1, 2))
+        assert hash(view) == hash((1, 1, 2, (1, 2)))
+        assert repr(view) == "ColumnView(col_index=1, first_row=1, last_row=2, entries=(1, 2))"
+        with pytest.raises(AttributeError, match="^cannot assign to field 'entries'$"):
+            view.entries = (1, 3)
+        with pytest.raises(AttributeError, match="^cannot delete field 'col_index'$"):
+            del view.col_index
+        assert (view.col_index, view.first_row, view.last_row, view.entries) == (1, 1, 2, (1, 2))
+
+    @pytest.mark.parametrize(
+        "args,fields",
+        [
+            (
+                (P(1), P(), 2, 4),
+                {
+                    "counts": [1, 2, 3, 4, 5], "degree": 1, "vanish_order": 2, "verdict": "POLYNOMIAL(degree=1)",
+                    "newton_coefficients": [1, 1],
+                },
+            ),
+            (
+                (P(2, 1), P(1), 3, 2),
+                {
+                    "counts": [1, 9, 36], "degree": None, "vanish_order": None, "verdict": "INCONCLUSIVE",
+                    "newton_coefficients": None,
+                },
+            ),
+        ],
+        ids=["POLYNOMIAL", "INCONCLUSIVE"],
+    )
+    def test_polynomiality_report(self, args, fields):
+        report = polynomiality_check(*args)
+        assert report == PolynomialityReport(**fields) == PolynomialityReport(*fields.values())
+        assert report != polynomiality_check(P(1), P(), 2, 3)
+        assert repr(report) == "PolynomialityReport(" + ", ".join(f"{k}={v!r}" for k, v in fields.items()) + ")"
+        # the JSON keys keep the field order
+        assert list(report.to_json_obj().items()) == list(fields.items())
+
     def test_shape_diagram(self):
         assert SkewShape([2, 1], [1]).to_ascii() == "■ .\n."
 
@@ -196,17 +280,20 @@ class TestProtocols:
 
 
 class TestNumpyBoundary:
+    """The import budget: the tableau side loads none of HEAVY, the engine numpy."""
+
     @pytest.mark.parametrize("module", ["schurrec", "schurrec.cli"])
     def test_tableau_side_imports_without_numpy(self, module, tmp_path):
-        code, _, numpy = fresh(f"import {module}", tmp_path=tmp_path)
-        assert code == 0 and not numpy
+        code, _, loaded = fresh(f"import {module}", tmp_path=tmp_path)
+        assert code == 0 and loaded == []
 
     @pytest.mark.parametrize("golden,args", TABLE_FREE_CASES, ids=[c[0] for c in TABLE_FREE_CASES])
     def test_table_free_command_runs_without_numpy(self, golden, args, tmp_path):
-        code, out, numpy = fresh(RUN_CLI, *args, tmp_path=tmp_path)
+        # tableaux.json is cli.main(["tableaux", "--outer", "[2,1]", "--n", "2"])
+        code, out, loaded = fresh(RUN_CLI, *args, tmp_path=tmp_path)
         assert code == 0
         assert out == (GOLDEN / golden).read_text()
-        assert not numpy
+        assert loaded == []
 
     def test_only_the_table_engine_imports_numpy(self):
         # _dense owns the table layout and the int64 policy
@@ -214,17 +301,23 @@ class TestNumpyBoundary:
         importers = [p.name for p in sources if re.search(r"^(import|from) numpy", p.read_text(), re.M)]
         assert importers == ["_dense.py"]
 
+    def test_only_the_engine_imports_dataclasses(self):
+        # bench/selftest.py calls dataclasses.replace on their reports
+        sources = sorted((ROOT / "src" / "schurrec").glob("*.py"))
+        importers = [p.name for p in sources if re.search(r"^(import|from) dataclasses", p.read_text(), re.M)]
+        assert importers == ["asymptotics.py", "recurrence.py"]
+
     def test_recurrence_loads_numpy_at_import(self, tmp_path):
         # the engine pays numpy before its first computation, not inside it
-        code, _, numpy = fresh("import schurrec.recurrence", tmp_path=tmp_path)
-        assert code == 0 and numpy
+        code, _, loaded = fresh("import schurrec.recurrence", tmp_path=tmp_path)
+        assert code == 0 and "numpy" in loaded
 
     def test_table_command_loads_numpy(self, tmp_path):
         args = ["verify", "--mu", "[1]", "--nu", "[]", "--n", "2", "--count", "6"]
-        code, out, numpy = fresh(RUN_CLI, *args, tmp_path=tmp_path)
+        code, out, loaded = fresh(RUN_CLI, *args, tmp_path=tmp_path)
         assert code == 0
         assert out == (GOLDEN / "verify.json").read_text()
-        assert numpy
+        assert "numpy" in loaded
 
 
 class TestPublicApi:
@@ -255,8 +348,8 @@ class TestPublicApi:
             assert getattr(schurrec, name) is importlib.import_module(f"schurrec.{name}")
 
     def test_dir_lists_every_name_before_any_engine_import(self, tmp_path):
-        code, out, numpy = fresh("import json, schurrec\nprint(json.dumps(dir(schurrec)))", tmp_path=tmp_path)
-        assert code == 0 and not numpy
+        code, out, loaded = fresh("import json, schurrec\nprint(json.dumps(dir(schurrec)))", tmp_path=tmp_path)
+        assert code == 0 and loaded == []
         assert set(PUBLIC) <= set(json.loads(out))
 
     def test_star_import_binds_every_name(self, tmp_path):

@@ -1,7 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, permutations, product, starmap
-from math import prod
+from math import comb, prod
 from unittest import mock
 
 import pytest
@@ -12,6 +12,7 @@ from schurrec import polynomials
 from schurrec.partitions import Partition
 from schurrec.polynomials import (
     MultiPoly,
+    _h_ones,
     _h_table,
     _jacobi_trudi,
     complete_homogeneous,
@@ -22,6 +23,7 @@ from schurrec.polynomials import (
     skew_schur,
     skew_schur_jacobi_trudi,
     ssyt_count,
+    ssyt_counts,
     weight_monomial,
 )
 from schurrec.tableaux import (
@@ -258,6 +260,18 @@ class TestIntegerEvaluation:
         assert ssyt_count(P(1), P(), 2) == 2
         assert ssyt_count(P(1, 1, 1), P(), 2) == 0
         assert ssyt_count(P(), P(), 2) == 1
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_counts_read_the_binomial_h_table(self, n):
+        # h_m(1^n) = C(n + m - 1, m) stands in for the h-table of the point of n ones
+        assert _h_ones(8, n) == _h_table((1,) * n, 8, 1)
+        shapes = skew_pairs(6, 4)
+        assert ssyt_counts(shapes, n) == schur_int_evals(shapes, [(1,) * n])[0]
+
+    def test_counts_in_a_billion_letters_build_no_point(self):
+        n = 10**9
+        with mock.patch.object(polynomials, "_h_table", side_effect=AssertionError("a point was read")):
+            assert ssyt_counts([(P(3), P()), (P(1, 1), P()), (P(), P())], n) == [comb(n + 2, 3), comb(n, 2), 1]
 
     def test_counts_match_enumeration(self):
         for outer, inner in skew_pairs(5, 3):

@@ -945,7 +945,7 @@ class TestPolynomiality:
 
     def test_counts_come_from_one_h_table(self):
         for mu, nu, n in [(P(2, 1), P(1), 3), (P(3, 1), P(), 4), (P(2, 2), P(1), 2), (P(1, 1, 1), P(), 2)]:
-            with mock.patch.object(polynomials, "_h_table", wraps=polynomials._h_table) as spy:
+            with mock.patch.object(polynomials, "_h_ones", wraps=polynomials._h_ones) as spy:
                 rep = polynomiality_check(mu, nu, n, 40)
             assert spy.call_count == 1
             assert rep.counts == [polynomials.ssyt_count(scale(k, mu), scale(k, nu), n) for k in range(41)]
