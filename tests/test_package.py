@@ -91,7 +91,8 @@ def fresh(code: str, *argv: str, tmp_path) -> tuple[int, str, list[str]]:
     and which of HEAVY were loaded when it finished."""
     path = [str(ROOT / "src"), os.environ.get("PYTHONPATH")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
-    report = f"import atexit, json, sys\natexit.register(lambda: print(json.dumps([m for m in {HEAVY} if m in sys.modules])))\n"
+    heavy = f"json.dumps([m for m in {HEAVY} if m in sys.modules])"
+    report = f"import atexit, json, sys\natexit.register(lambda: print({heavy}))\n"
     result = subprocess.run(
         [sys.executable, "-c", report + code, *argv], cwd=tmp_path, env=env, capture_output=True, text=True
     )
@@ -185,7 +186,7 @@ REFUSALS = [
     ),
     # C(27, 14) fillings times 28 is the first one-row walk over the limit
     pytest.param(
-        lambda: polynomials._refuse_walk(SkewShape([14]), 14), ValueError, _walk_refusal(14), id="walk of [14] in 1..14",
+        lambda: polynomials._refuse_walk(SkewShape([14]), 14), ValueError, _walk_refusal(14), id="walk of [14]",
     ),
     pytest.param(
         lambda: limit_experiment(_h_family(), [1.0], 0), ValueError, "kmax must be at least 1",
