@@ -254,6 +254,8 @@ def _roots(args):
         raise ValueError("exactly one of --xi / --xi-radius is required")
     if args.xi is not None:
         xi = _entries("--xi", args.xi, complex, "a complex number")
+    # the point is refused by its own size: asking seq.window first would, at n = 2
+    # or 3, build an admitted window before limit_experiment's column cap refuses it
     elif args.n - 1 > _WINDOW_LIMIT:
         raise ValueError(
             f"--xi-radius is refused: its point's predicted size {args.n - 1} is over the window limit {_WINDOW_LIMIT}"

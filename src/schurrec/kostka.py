@@ -7,7 +7,7 @@ from functools import reduce
 from typing import NamedTuple, Optional, Sequence
 
 from .partitions import Partition, contains, partitions_up_to, scale
-from .polynomials import _WINDOW_LIMIT, MultiPoly, _refuse_walk, monomial_symmetric, ssyt_counts
+from .polynomials import _WINDOW_LIMIT, MultiPoly, monomial_symmetric, ssyt_counts
 from .tableaux import SkewShape, Tableau, insert, iter_tableaux, weight
 
 
@@ -30,10 +30,13 @@ def kostka(shape: SkewShape, w: Sequence[int]) -> int:
 
 def schur_in_m_basis(shape: SkewShape, n: int) -> dict[Partition, int]:
     """Positive coefficients K with skew_schur = sum K_w * m_w, keyed by
-    partition.  Its Kostka walks in 1..n cover the fillings of partition
-    weight, so a walk over the window limit is refused first
-    (polynomials._refuse_walk)."""
-    _refuse_walk(shape, n)
+    partition.  One weight-pruned Kostka walk per partition weight, each
+    given that weight padded to length n, so an n over the window limit is
+    refused first."""
+    if n > _WINDOW_LIMIT:
+        raise ValueError(
+            f"n={n} is refused: each Kostka walk's weight has predicted size {n}, over the window limit {_WINDOW_LIMIT}"
+        )
     boxes = shape.num_boxes
     out: dict[Partition, int] = {}
     for lam in partitions_up_to(boxes, n, exact=True):

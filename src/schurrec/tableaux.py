@@ -112,6 +112,10 @@ class ColumnView:
     def __hash__(self) -> int:
         return hash(self._key())
 
+    def __reduce__(self):
+        # copy and pickle rebuild through the constructor, not by assignment
+        return ColumnView, self._key()
+
     def __repr__(self) -> str:
         col_index, first_row, last_row, entries = self._key()
         return f"ColumnView({col_index=}, {first_row=}, {last_row=}, {entries=})"

@@ -1,3 +1,4 @@
+import importlib
 import json
 from itertools import product, starmap
 
@@ -15,6 +16,9 @@ from schurrec.kostka import (
 from schurrec.partitions import Partition, partitions_up_to, scale, sort_decreasing
 from schurrec.polynomials import skew_schur
 from schurrec.tableaux import SkewShape, enumerate_tableaux, is_valid_ssyt, weight
+
+# the module, which the package's name kostka (the function) hides
+kostka_module = importlib.import_module("schurrec.kostka")
 
 
 def P(*parts):
@@ -68,6 +72,16 @@ class TestMBasis:
             for n in (2, 3):
                 coeffs = schur_in_m_basis(shape, n)
                 assert m_basis_reconstruction(coeffs, n) == skew_schur(shape, n)
+
+    def test_many_letters_answer(self, monkeypatch):
+        # a few pruned walks each, though every filling in 1..n would pass the window limit
+        assert schur_in_m_basis(SkewShape(P(2, 1)), 200) == {P(2, 1): 1, P(1, 1, 1): 2}
+        assert schur_in_m_basis(SkewShape(P(14)), 14) == dict.fromkeys(partitions_up_to(14, 14, exact=True), 1)
+        # only the length of the padded weight is bounded
+        monkeypatch.setattr(kostka_module, "_WINDOW_LIMIT", 200)
+        assert schur_in_m_basis(SkewShape(P(2, 1)), 200) == {P(2, 1): 1, P(1, 1, 1): 2}
+        with pytest.raises(ValueError, match="^n=201 is refused: each Kostka walk's weight has predicted size 201, "):
+            schur_in_m_basis(SkewShape(P(2, 1)), 201)
 
 
 class TestStretchPositivity:

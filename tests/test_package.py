@@ -5,11 +5,13 @@ without `dataclasses` (nor the `inspect` it imports); the engine
 (`recurrence`, `asymptotics`) loads numpy.  Each probe runs in a fresh
 interpreter, so that nothing this test process imported leaks into it.
 """
+import copy
 import importlib
 import json
 import math
 import os
 import pathlib
+import pickle
 import re
 import subprocess
 import sys
@@ -181,8 +183,12 @@ REFUSALS = [
     pytest.param(
         lambda: enumerate_tableaux(SkewShape([100]), 100), ValueError, _walk_refusal(100), id="enumerate_tableaux walk",
     ),
+    # its Kostka walks are pruned by weight: only the weight's length n is bounded
     pytest.param(
-        lambda: schur_in_m_basis(SkewShape([100]), 100), ValueError, _walk_refusal(100), id="schur_in_m_basis walk",
+        lambda: schur_in_m_basis(SkewShape([1]), polynomials._WINDOW_LIMIT + 1), ValueError,
+        f"n={polynomials._WINDOW_LIMIT + 1} is refused: each Kostka walk's weight has predicted size "
+        f"{polynomials._WINDOW_LIMIT + 1}, over the window limit {polynomials._WINDOW_LIMIT}",
+        id="schur_in_m_basis n",
     ),
     # C(27, 14) fillings times 28 is the first one-row walk over the limit
     pytest.param(
@@ -242,6 +248,13 @@ class TestProtocols:
         with pytest.raises(AttributeError, match="^cannot delete field 'col_index'$"):
             del view.col_index
         assert (view.col_index, view.first_row, view.last_row, view.entries) == (1, 1, 2, (1, 2))
+
+    @pytest.mark.parametrize(
+        "value", [ColumnView(1, 1, 2, (1, 2)), polynomiality_check(P(1), P(), 2, 3)], ids=lambda v: type(v).__name__
+    )
+    def test_records_copy_and_pickle(self, value):
+        for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+            assert twin == value and type(twin) is type(value) and repr(twin) == repr(value)
 
     @pytest.mark.parametrize(
         "args,fields",
