@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 
 from .kostka import kostka, polynomiality_check, schur_in_m_basis
 from .partitions import Partition, format_partition, parse_entries, parse_partition
-from .polynomials import _WINDOW_LIMIT, char_poly, skew_schur
+from .polynomials import char_poly, skew_schur
 from .tableaux import SkewShape, Tableau, enumerate_tableaux, insert
 
 USAGE_ERROR = 1
@@ -247,22 +247,18 @@ def _polynomiality(args):
 
 def _roots(args):
     """root clouds of circle specializations"""
-    from .asymptotics import clouds_to_csv, limit_experiment
+    from .asymptotics import check_experiment, clouds_to_csv, limit_experiment
     from .recurrence import build_sequence
 
     if (args.xi is None) == (args.xi_radius is None):
         raise ValueError("exactly one of --xi / --xi-radius is required")
-    if args.xi is not None:
-        xi = _entries("--xi", args.xi, complex, "a complex number")
-    # the point is refused by its own size: asking seq.window first would, at n = 2
-    # or 3, build an admitted window before limit_experiment's column cap refuses it
-    elif args.n - 1 > _WINDOW_LIMIT:
-        raise ValueError(
-            f"--xi-radius is refused: its point's predicted size {args.n - 1} is over the window limit {_WINDOW_LIMIT}"
-        )
-    else:
+    seq = build_sequence(*_family(args))
+    check_experiment(seq, args.kmax)  # before the n - 1 xi are built
+    if args.xi is None:
         xi = [complex(args.xi_radius, 0.0)] * (args.n - 1)
-    result = limit_experiment(build_sequence(*_family(args)), xi, args.kmax)
+    else:
+        xi = _entries("--xi", args.xi, complex, "a complex number")
+    result = limit_experiment(seq, xi, args.kmax)
     payload = {
         "radius": result.radius,
         "trend_ok": result.trend_ok,

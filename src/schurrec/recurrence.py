@@ -98,37 +98,40 @@ class SchurSequence:
     def boxes_at(self, k: int) -> int:
         return self.kappa.weight - self.lam.weight + k * (self.mu.weight - self.nu.weight)
 
-    def window(self, start: int, count: int) -> list:
-        """The exact forms of the count terms from start, in index order:
-        dense weight tables for n <= 4 letters, sparse polynomials for n >= 5,
-        each built once and cached.  Refused first: a negative start, then, in
-        O(1), a window whose predicted size passes _WINDOW_LIMIT: count times
-        the size of the last, largest term ((D + 1)^(n-1) table cells for
-        n <= 4, C(D + n - 1, n - 1) weights for n >= 5, D its box count; each
-        index adds |mu| - |nu| >= 0 boxes) plus 64 per term, plus the guard's
-        h-table, the last outer's first part plus its rows.  The missing
-        indices are built in one _dense.window_counts call (its int64 guard
-        first, at any n), or one skew_schur each where it has no table."""
+    def predict(self, start: int, count: int) -> int:
+        """The size of window(start, count), predicted in O(1): count times
+        (64 plus the last, largest term: (D + 1)^(n-1) cells for n <= 4,
+        C(D + n - 1, n - 1) weights of n exponents for n >= 5, D its boxes),
+        plus the guard's h-table.  A negative start or a size over
+        _WINDOW_LIMIT is refused."""
         if start < 0:
             raise ValueError("sequence index must be nonnegative")
         last, n = start + count - 1, self.n
         boxes = self.boxes_at(last)
-        size = (boxes + 1) ** (n - 1) if n <= 4 else comb(boxes + n - 1, n - 1)
+        size = (boxes + 1) ** (n - 1) if n <= 4 else comb(boxes + n - 1, n - 1) * n
         rows = max(len(self.kappa), len(self.mu) if last else 0)
         predicted = count * (size + 64) + self.kappa[0] + last * self.mu[0] + rows
-        if predicted > _WINDOW_LIMIT:
+        if predicted > _WINDOW_LIMIT:  # a size past 2^10000 is named by its bits: str() stops at 4300 digits
+            shown = predicted if predicted.bit_length() <= 10_000 else f"about 2^{predicted.bit_length()}"
             raise ValueError(
                 f"the {count} terms from index {start} are refused: their predicted size "
-                f"{predicted} is over the window limit {_WINDOW_LIMIT}"
+                f"{shown} is over the window limit {_WINDOW_LIMIT}"
             )
+        return predicted
+
+    def window(self, start: int, count: int) -> list:
+        """The exact forms (tables for n <= 4, sparse for n >= 5) of the count
+        terms from start, once predict admits them; missing ones are built and
+        cached by one _dense.window_counts call, or one skew_schur each."""
+        self.predict(start, count)
         ks = range(start, start + count)
         missing = [k for k in ks if k not in self._terms]
         if missing:
             shapes = [self.pair_at(k) for k in missing]
             try:
-                forms = _dense.window_counts(shapes, n)
+                forms = _dense.window_counts(shapes, self.n)
             except _dense.UnsupportedShape:
-                forms = [skew_schur(SkewShape(*pair), n) for pair in shapes]
+                forms = [skew_schur(SkewShape(*pair), self.n) for pair in shapes]
             self._terms.update(zip(missing, forms))
         return [self._terms[k] for k in ks]
 

@@ -5,6 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from battery import battery_families, skew_pairs
 from schurrec import _dense, asymptotics
@@ -42,6 +43,29 @@ def cpoly(values):
     return ComplexPoly(tuple(complex(v) for v in values))
 
 
+def evaluate(p, z):
+    """p(z) by Horner's rule in Python complex arithmetic."""
+    acc = 0j
+    for c in reversed(p.coeffs):
+        acc = acc * z + c
+    return acc
+
+
+def coefficient_scale(p, radius):
+    """sum_j |c_j| radius^j by Horner's rule."""
+    acc = 0.0
+    for c in reversed(p.coeffs):
+        acc = acc * radius + abs(c)
+    return acc
+
+
+def residual(p, z):
+    """find_roots' relative residual: |p(z)| / sum_j |c_j| |z|^j, or |p(z)|
+    where that sum is 0."""
+    scale = coefficient_scale(p, abs(z))
+    return abs(evaluate(p, z)) / scale if scale > 0 else abs(evaluate(p, z))
+
+
 def multipoly_coefficients(seq, k, xs):
     """Reference collection over the MultiPoly seq.term(k), term by term in
     its own order, with the same complex arithmetic as specialize."""
@@ -56,9 +80,11 @@ def multipoly_coefficients(seq, k, xs):
 
 
 def reference_aberth(coeffs):
-    """The Aberth sweep with one Horner loop per polynomial, a repulsion loop
-    that skips j = i, and zero-divisor tests before each division: the
-    oracle that asymptotics._aberth must match bit for bit."""
+    """The Gauss-Seidel Aberth sweep in Python complex arithmetic: each root
+    updated in place from the others' latest iterates, one Horner loop per
+    polynomial, a repulsion loop that skips j = i, and zero-divisor tests
+    before each division.  The same start and stopping rules as
+    asymptotics._aberth, whose batched Jacobi sweep is checked against it."""
     d = len(coeffs) - 1
     lead = coeffs[-1]
     monic = ComplexPoly(tuple(c / lead for c in coeffs))
@@ -84,10 +110,11 @@ def reference_aberth(coeffs):
         unfrozen = []
         for i in active:
             zi = z[i]
-            p, dp = monic(zi), deriv(zi)
+            p, dp = evaluate(monic, zi), evaluate(deriv, zi)
             if not cmath.isfinite(p * dp):  # zi^d overflowed: p = zi^d q(1/zi), q reversed
                 w = 1 / zi
-                p, dp = zi * rev(w), d * rev(w) - w * rev_deriv(w)
+                q = evaluate(rev, w)
+                p, dp = zi * q, d * q - w * evaluate(rev_deriv, w)
             if p == 0:
                 continue
             if dp == 0:
@@ -121,11 +148,10 @@ def reference_aberth(coeffs):
     return z, sweeps, "steps converged"
 
 
-def sweep_bits(coeffs, aberth):
-    """(roots as float.hex pairs, sweeps, stop) of one Aberth run; hex tells
-    -0.0 from 0.0 and keeps nan comparable."""
-    roots, sweeps, stop = aberth(list(coeffs))
-    return [(z.real.hex(), z.imag.hex()) for z in roots], sweeps, stop
+def bits(roots):
+    """Roots as float.hex pairs: hex tells -0.0 from 0.0 and keeps nan
+    comparable."""
+    return [(z.real.hex(), z.imag.hex()) for z in roots]
 
 
 def aberth_input(p):
@@ -269,7 +295,7 @@ class TestFindRoots:
     def test_residuals_small(self):
         p = cpoly([3, -2, 0, 5, 1])
         for z in find_roots(p):
-            assert abs(p(z)) / p.coefficient_scale(abs(z)) < 1e-8
+            assert residual(p, z) < 1e-8
 
     def test_conjugate_closure_for_real_inputs(self):
         p = cpoly([2, 0, 1, 1])
@@ -299,8 +325,8 @@ class TestFindRoots:
         assert f"after {err.sweeps} sweeps ({err.stop})" in str(err)
 
     def test_nan_root_fails_the_residual_check(self, monkeypatch):
-        def diverged(coeffs):
-            return [complex("nan")] * (len(coeffs) - 1), 1, "stalled"
+        def diverged(batch):
+            return [([complex("nan")] * (len(coeffs) - 1), 1, "stalled") for coeffs in batch]
 
         monkeypatch.setattr(asymptotics, "_aberth", diverged)
         with pytest.raises(RootConvergenceError, match="residual=nan"):
@@ -348,9 +374,31 @@ class TestOracle:
             assert oracle_distance(specialize(seq, k, [1.0] * (n - 1))) < 1e-6
 
 
+def assert_matches_reference(p, tol):
+    """Every root of find_roots(p) within tol * (1 + |z|) of its greedily
+    matched root of reference_aberth (or of 0, for p's roots at 0), and with
+    a residual below RESIDUAL_TOL."""
+    coeffs = aberth_input(p)
+    others = reference_aberth(coeffs)[0] + [0j] * (p.degree + 1 - len(coeffs))
+    for z in find_roots(p):
+        j = min(range(len(others)), key=lambda i: abs(others[i] - z))
+        assert abs(others.pop(j) - z) <= tol * (1.0 + abs(z)), (p, z)
+        assert residual(p, z) < asymptotics.RESIDUAL_TOL, (p, z)
+
+
+def clustered(p, gap=1e-4):
+    """Whether two roots of reference_aberth lie within gap of each other,
+    as about a double root."""
+    roots = reference_aberth(aberth_input(p))[0]
+    return any(abs(a - b) < gap for i, a in enumerate(roots) for b in roots[:i])
+
+
 class TestAberthMatchesReference:
-    """asymptotics._aberth against reference_aberth: identical roots, sweep
-    counts and stop reasons, bit for bit."""
+    """The batched Jacobi sweep against reference_aberth, the Gauss-Seidel
+    sweep: matched roots within oracle_distance's tolerances (1e-12 for
+    simple roots, 1e-6 about a double root), each with a residual below
+    RESIDUAL_TOL.  A Jacobi sweep takes other steps than a Gauss-Seidel one,
+    so the two agree to rounding at simple roots, not bit for bit."""
 
     def test_random_phase_families(self):
         # the library's root clouds: n = 2, 3, |mu| <= 4, degrees up to 28
@@ -366,42 +414,150 @@ class TestAberthMatchesReference:
                     p = specialize(seq, k, xs)
                     if p.degree > 28:
                         break
-                    coeffs = aberth_input(p)
-                    if len(coeffs) >= 2:
+                    if len(aberth_input(p)) >= 2:
                         runs += 1
-                        assert sweep_bits(coeffs, asymptotics._aberth) == sweep_bits(coeffs, reference_aberth)
+                        assert_matches_reference(p, 1e-6 if clustered(p) else 1e-12)
         assert runs > 300
 
     @pytest.mark.parametrize("mu,nu,n", [((2, 1), (), 3), ((2, 1), (1,), 2), ((2, 1), (1,), 3)])
     def test_double_root_families(self, mu, nu, n):
         seq = build_sequence(P(), P(), P(*mu), P(*nu), n)
         for k in range(1, 7):
-            coeffs = aberth_input(specialize(seq, k, [1.0] * (n - 1)))
-            assert sweep_bits(coeffs, asymptotics._aberth) == sweep_bits(coeffs, reference_aberth)
+            assert_matches_reference(specialize(seq, k, [1.0] * (n - 1)), 1e-6)
 
     @pytest.mark.parametrize("k", [106, 120])
     def test_h_family_reversed_steps(self, k, monkeypatch):
-        # at degree 2k >= 212 some iterates stray far enough for z^d to
-        # overflow, and both sweeps step from the reversed polynomial there
-        finite, overflowed = cmath.isfinite, []
+        # degree 2k = 212 and 240, where the Gauss-Seidel sweep strays far
+        # enough for z^d to overflow; the Jacobi sweep does not, so every
+        # evaluation is sent to the reversed polynomial here
+        evaluations = []
 
-        def isfinite(value):
-            if not finite(value):
-                overflowed.append(value)
-                return False
-            return True
+        class Overflowing:
+            def __getattr__(self, name):
+                return getattr(np, name)
 
-        coeffs = aberth_input(specialize(build_sequence(P(), P(), P(2), P(), 2), k, [1.0]))
-        monkeypatch.setattr(cmath, "isfinite", isfinite)
-        expected = sweep_bits(coeffs, reference_aberth)
-        assert any(overflowed)
-        assert sweep_bits(coeffs, asymptotics._aberth) == expected
+            @staticmethod
+            def isfinite(values):
+                evaluations.append(np.size(values))
+                return np.zeros(np.shape(values), bool)
+
+        p = specialize(build_sequence(P(), P(), P(2), P(), 2), k, [1.0])
+        monkeypatch.setattr(asymptotics, "np", Overflowing())
+        assert_matches_reference(p, 1e-12)
+        assert sum(evaluations) >= 2 * k
 
     def test_zero_derivative(self):
         # p'(z) = 2z - 2 z_0 vanishes exactly at the first start point z_0
         z0 = cmath.exp(1j * cmath.pi / 4)
-        coeffs = [1 + 0j, -2 * z0, 1 + 0j]
-        assert sweep_bits(coeffs, asymptotics._aberth) == sweep_bits(coeffs, reference_aberth)
+        assert_matches_reference(cpoly([1, -2 * z0, 1]), 1e-12)
+
+    @pytest.mark.parametrize("values", [[[1e-200, 0.0, 3e200, 1.0], [1e-200, 0.0, 4e200, -2.0]]])
+    def test_reciprocal_out_of_the_normal_range(self, values):
+        # re^2 + im^2 underflows, is 0 (standing for 1e-300) or overflows
+        pairs = np.array(values)
+        expected = [1 / complex(1e-200, 1e-200), complex(1e300, -0.0), 1 / complex(3e200, 4e200), 1 / complex(1, -2)]
+        with np.errstate(all="ignore"):
+            got = asymptotics._recip(pairs)
+        assert [complex(*w) for w in got.T] == pytest.approx(expected, rel=1e-15)
+
+
+def batch_cases():
+    """(seq, xi, kmax) of a library-like root run drawn by hypothesis."""
+    families = [(mu, nu, n) for n in (2, 3) for mu, nu in skew_pairs(3, n) if mu != nu]
+    return st.tuples(
+        st.sampled_from(families), st.integers(1, 8), st.floats(0.5, 2.0), st.randoms(use_true_random=False)
+    )
+
+
+class TestBatches:
+    """A polynomial's roots have the same bits alone (find_roots) as in any
+    batch, and each polynomial of a batch reports its own sweeps."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(batch_cases())
+    def test_limit_experiment_batch_equals_each_alone(self, case):
+        (mu, nu, n), kmax, radius, rng = case
+        seq = build_sequence(P(), P(), mu, nu, n)
+        xi = random_phases(radius, n - 1, rng)
+        result = limit_experiment(seq, xi, kmax)
+        for cloud in result.clouds:
+            p = specialize(seq, cloud.k, xi)
+            alone = [complex(z.real * result.radius, z.imag * result.radius) for z in find_roots(p)] if p.degree >= 1 else []
+            assert bits(cloud.roots) == bits(alone)
+
+    @settings(max_examples=25, deadline=None)
+    @given(batch_cases(), st.data())
+    def test_any_make_up_equals_each_alone(self, case, data):
+        (mu, nu, n), kmax, radius, rng = case
+        seq = build_sequence(P(), P(), mu, nu, n)
+        xi = random_phases(radius, n - 1, rng)
+        polys = [p for p in (specialize(seq, k, xi) for k in range(1, kmax + 1)) if p.degree >= 1]
+        polys += [cpoly([2, 0, 1, 1]), cpoly([3, -2, 0, 5, 1])]
+        batch = data.draw(st.lists(st.sampled_from(polys), min_size=1, max_size=8))
+        found = asymptotics._find_all(batch)
+        assert [bits(roots) for roots in found] == [bits(find_roots(p)) for p in batch]
+
+    def test_each_polynomial_reports_its_own_sweeps(self):
+        quartic = [complex(math.comb(4, j) * (-1) ** (4 - j)) for j in range(5)]  # (z - 1)^4
+        square = [1 + 0j, 0j, 1 + 0j]  # z^2 + 1
+        (_, stalled, why), (_, converged, done) = asymptotics._aberth([quartic, square])
+        assert why == "stalled" and done == "steps converged" and converged < stalled
+        assert asymptotics._aberth([square])[0][1:] == (converged, done)
+
+    def test_a_failing_polynomial_raises_with_its_own_stop(self, monkeypatch):
+        # the roots of (z - 1)(z - 0.004) start on the circle of radius
+        # 0.063 and take many sweeps to get out; z^2 + 1 takes few
+        slow, quick = cpoly([0.004, -1.004, 1]), cpoly([1, 0, 1])
+        quick_sweeps = asymptotics._aberth([list(quick.coeffs)])[0][1]
+        monkeypatch.setattr(asymptotics, "MAX_ITERATIONS", quick_sweeps + 1)
+        with pytest.raises(RootConvergenceError) as info:
+            asymptotics._find_all([quick, slow, quick])
+        cap = quick_sweeps + 1
+        assert info.value.sweeps == cap and info.value.stop == f"cap of {cap} sweeps"
+        assert asymptotics._find_all([quick]) == [find_roots(quick)]
+        # a stalled polynomial raises with its own count and reason
+        monkeypatch.setattr(asymptotics, "MAX_ITERATIONS", 10_000)
+        monkeypatch.setattr(asymptotics, "RESIDUAL_TOL", 0.0)
+        quartic = cpoly([math.comb(4, j) * (-1) ** (4 - j) for j in range(5)])
+        stalled = asymptotics._aberth([list(quartic.coeffs)])[0][1]
+        with pytest.raises(RootConvergenceError) as info:
+            asymptotics._find_all([quartic, quick])
+        assert (info.value.sweeps, info.value.stop) == (stalled, "stalled")
+        with pytest.raises(RootConvergenceError) as info:
+            asymptotics._find_all([quick, quartic])
+        assert (info.value.sweeps, info.value.stop) == (quick_sweeps, "steps converged")
+
+
+def real_polynomials():
+    """Real polynomials from roots r/2 and conjugate pairs a +- bi, each of
+    multiplicity 1 to 3, as (real roots, pairs) of (root, multiplicity)."""
+    real = st.tuples(st.integers(-6, 6), st.integers(1, 3))
+    pair = st.tuples(st.tuples(st.integers(-3, 3), st.integers(1, 3)), st.integers(1, 3))
+    return st.tuples(st.lists(real, max_size=3), st.lists(pair, max_size=2)).filter(lambda t: t[0] or t[1])
+
+
+class TestConjugateClosure:
+    @settings(max_examples=60, deadline=None)
+    @given(real_polynomials())
+    def test_roots_of_real_polynomials_are_closed_exactly(self, roots):
+        reals, pairs = roots
+        coeffs = [1]
+        factors = [[-r / 2, 1] for r, m in reals for _ in range(m)]
+        factors += [[a * a + b * b, -2 * a, 1] for (a, b), m in pairs for _ in range(m)]
+        for f in factors:
+            coeffs = [sum(f[i] * coeffs[j - i] for i in range(len(f)) if 0 <= j - i < len(coeffs)) for j in range(len(coeffs) + len(f) - 1)]
+        found = find_roots(cpoly(coeffs))
+        assert len(found) == len(coeffs) - 1
+        assert sorted((z.real, z.imag) for z in found) == sorted((z.real, -z.imag) for z in found)
+
+    def test_a_cluster_left_unpaired_is_closed(self):
+        # a triple real root split into a rotated triangle of radius 1e-5:
+        # two upper roots, one lower, none within 1e-6 of another's conjugate
+        d = 1e-5
+        cluster = [2 + d * cmath.exp(1j * cmath.pi * (1 / 6 + 2 * j / 3)) for j in range(3)]
+        closed = asymptotics._conjugate_closure(cluster + [1 + 1j, 1 - 1j, 0.5 + 0j])
+        assert sorted((z.real, z.imag) for z in closed) == sorted((z.real, -z.imag) for z in closed)
+        assert len(closed) == 6 and max(abs(z - 2) for z in closed if abs(z - 2) < 1) < 2 * d
 
 
 class TestAnyRadius:
@@ -423,9 +579,7 @@ class TestAnyRadius:
 
     @pytest.mark.parametrize("radius,k", [(0.1, 170), (10.0, 160), (1.0, 165)])
     def test_h_family_high_degree(self, radius, k):
-        # R^(2k) underflows or overflows a float, the powers of xi/R do not;
-        # and at these degrees some Aberth iterates stray far enough from the
-        # unit circle for z^(2k) to overflow before they come back
+        # R^(2k) underflows or overflows a float, the powers of xi/R do not
         seq = build_sequence(P(), P(), P(2), P(), 2)
         roots = [radius * z for z in find_roots(specialize(seq, k, [radius]))]
         cloud = RootCloud.from_roots(k, roots, radius)

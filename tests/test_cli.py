@@ -4,6 +4,7 @@ Each golden run is executed twice to pin byte-identical determinism.
 """
 import json
 import math
+import os
 import pathlib
 import resource
 import subprocess
@@ -172,6 +173,28 @@ def test_golden(golden, args, code):
     assert second.stdout == first.stdout  # byte-identical reruns
 
 
+def _dispatched_cpu_features():
+    """The CPU features beyond its baseline that numpy dispatches to here."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy 1.x
+        from numpy.core import _multiarray_umath as umath
+    return [name for name in getattr(umath, "__cpu_dispatch__", []) if umath.__cpu_features__.get(name)]
+
+
+def test_roots_golden_on_the_baseline_instruction_set():
+    # the root finder uses only float64 + - * / and hypot, whose bits no
+    # SIMD dispatch changes; with CI's older numpy this pins the roots
+    # across dispatch and numpy version
+    features = _dispatched_cpu_features()
+    if not features:
+        pytest.skip("numpy dispatches to no feature beyond its baseline here")
+    golden, args, _ = next(case for case in CASES if case[0] == "roots.csv")
+    result = run_cli(args, env={**os.environ, "NPY_DISABLE_CPU_FEATURES": " ".join(features)})
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == (GOLDEN / golden).read_text()
+
+
 def test_golden_written_to_output(tmp_path):
     # --output writes the golden bytes and prints nothing
     path = tmp_path / "verify.json"
@@ -326,6 +349,11 @@ OVERSIZED = [
     ["m-basis", "--outer", "[1]", "--n", "1000000000"],
     ["conjecture", "--mu", "[1]", "--n", "1000000000"],
     ["roots", "--mu", "[1]", "--xi-radius", "1", "--n", "1000000000"],
+    # one term of 2e8 weights of 2e8 exponents each: refused before the
+    # 2e8 - 1 xi are built, which alone pass a 1 GiB cap
+    ["roots", "--mu", "[1]", "--xi-radius", "1", "--n", "200000000", "--kmax", "1"],
+    # a predicted size of 59,403 bits, named by its bits: str() of it would stop at 4300 digits
+    ["roots", "--mu", "[1]", "--xi-radius", "1", "--n", "1000000000", "--kmax", "3000"],
 ]
 
 
