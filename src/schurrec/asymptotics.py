@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from ._dense import np
+from .polynomials import _refuse
 from .recurrence import SchurSequence
 
 RESIDUAL_TOL = 1e-8
@@ -319,8 +320,8 @@ class ExperimentResult:
 
 
 def check_experiment(seq: SchurSequence, kmax: int) -> None:
-    """Refuse before anything is built: mu = nu, kmax < 1, a term kmax with
-    more nonempty columns than DEGREE_CAP - 1 (the degree of P_kmax before
+    """Refuse before anything is built: mu = nu, kmax < 1, P_kmax's columns + 1
+    coefficients over DEGREE_CAP (the nonempty columns are its degree before
     trimming, never falling in k: a column holds one 1, and numbering its
     boxes 1, 2, ... is a tableau), then a window predict refuses."""
     if seq.mu == seq.nu:
@@ -328,11 +329,7 @@ def check_experiment(seq: SchurSequence, kmax: int) -> None:
     if kmax < 1:
         raise ValueError("kmax must be at least 1")
     columns = seq.shape_at(kmax).num_columns()
-    if columns + 1 > DEGREE_CAP:
-        raise ValueError(
-            f"kmax={kmax} is refused: term {kmax} has {columns} nonempty columns, so P_{kmax} "
-            f"has up to {columns + 1} coefficients, over the cap of {DEGREE_CAP}"
-        )
+    _refuse(f"kmax={kmax} ({columns} nonempty columns in term {kmax})", columns + 1, DEGREE_CAP, "coefficient cap")
     seq.predict(1, kmax)
 
 

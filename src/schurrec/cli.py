@@ -10,18 +10,20 @@ The handlers that build weight tables import the engine (`recurrence`,
 tableau and counting commands start without either.  A command whose walk
 over every filling passes the window limit is refused before the walk
 starts; filling counts are read off binomials, so a large --n builds
-nothing of its length.
+nothing of its length.  `polynomiality` refuses, from its last count alone,
+counts with more digits than json may print.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import Optional, Sequence
 
-from .kostka import kostka, polynomiality_check, schur_in_m_basis
-from .partitions import Partition, format_partition, parse_entries, parse_partition
-from .polynomials import char_poly, skew_schur
+from .kostka import _refuse_stretch, kostka, polynomiality_check, schur_in_m_basis
+from .partitions import Partition, format_partition, parse_entries, parse_partition, scale
+from .polynomials import _refuse, char_poly, skew_schur, ssyt_count
 from .tableaux import SkewShape, Tableau, enumerate_tableaux, insert
 
 USAGE_ERROR = 1
@@ -239,6 +241,14 @@ def _conjecture(args):
 
 def _polynomiality(args):
     """finite-difference polynomiality of filling counts"""
+    _refuse_stretch(args.mu, args.nu, args.kmax)
+    # json prints ints of at most limit digits (0: any, as before Python 3.10.7); N(kmax) bounds every count:
+    # N(0) = 1, and inserting a fixed tableau of mu/nu is cancellative, so N(k) never falls once N(1) > 0
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        last = ssyt_count(scale(args.kmax, args.mu), scale(args.kmax, args.nu), args.n)
+        e = int(math.log10(max(last, 1)))  # floor(log10), or one off near a power of ten
+        _refuse(f"the count N({args.kmax})", e + (10**e <= last) + (10 ** (e + 1) <= last), limit, "digit limit")
     report = polynomiality_check(args.mu, args.nu, args.n, args.kmax)
     payload = report.to_json_obj()
     payload["family"] = {"mu": format_partition(args.mu), "nu": format_partition(args.nu), "n": args.n}

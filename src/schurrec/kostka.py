@@ -7,7 +7,7 @@ from functools import reduce
 from typing import NamedTuple, Optional, Sequence
 
 from .partitions import Partition, contains, partitions_up_to, scale
-from .polynomials import _WINDOW_LIMIT, MultiPoly, monomial_symmetric, ssyt_counts
+from .polynomials import _WINDOW_LIMIT, MultiPoly, _refuse, monomial_symmetric, ssyt_counts
 from .tableaux import SkewShape, Tableau, insert, iter_tableaux, weight
 
 
@@ -33,10 +33,7 @@ def schur_in_m_basis(shape: SkewShape, n: int) -> dict[Partition, int]:
     partition.  One weight-pruned Kostka walk per partition weight, each
     given that weight padded to length n, so an n over the window limit is
     refused first."""
-    if n > _WINDOW_LIMIT:
-        raise ValueError(
-            f"n={n} is refused: each Kostka walk's weight has predicted size {n}, over the window limit {_WINDOW_LIMIT}"
-        )
+    _refuse(f"each Kostka walk's weight of length n={n}", n, _WINDOW_LIMIT)
     boxes = shape.num_boxes
     out: dict[Partition, int] = {}
     for lam in partitions_up_to(boxes, n, exact=True):
@@ -91,22 +88,26 @@ class PolynomialityReport(NamedTuple):
         return self._asdict()
 
 
-def polynomiality_check(mu: Partition, nu: Partition, n: int, kmax: int) -> PolynomialityReport:
-    """Finite-difference check that k -> #SSYT of k*mu/k*nu is polynomial.
-
-    Requires kmax >= degree + 2 to conclude; otherwise INCONCLUSIVE.
-
-    A kmax whose predicted size passes the window limit is refused first, in
-    O(1): kmax + 1 index matrices of len(mu)^2 entries plus 64 each for the
-    objects around them, and an h-table of kmax * mu_1 + len(mu) entries.
-    """
+def _refuse_stretch(mu: Partition, nu: Partition, kmax: int) -> None:
+    """Refuse, in O(1) and before any shape is built, mu not containing nu,
+    a negative kmax, or a kmax whose predicted size passes the window limit:
+    kmax + 1 index matrices of len(mu)^2 entries plus 64 each for the
+    objects around them, and an h-table of at most kmax * mu_1 + len(mu)
+    entries."""
     if not contains(mu, nu):
         raise ValueError("mu must contain nu")
     if kmax < 0:
         raise ValueError("kmax must be nonnegative")
-    size = (kmax + 1) * (len(mu) ** 2 + 64) + kmax * mu[0] + len(mu)
-    if size > _WINDOW_LIMIT:
-        raise ValueError(f"kmax={kmax} is refused: its predicted size {size} is over the window limit {_WINDOW_LIMIT}")
+    _refuse(f"kmax={kmax}", (kmax + 1) * (len(mu) ** 2 + 64) + kmax * mu[0] + len(mu), _WINDOW_LIMIT)
+
+
+def polynomiality_check(mu: Partition, nu: Partition, n: int, kmax: int) -> PolynomialityReport:
+    """Finite-difference check that k -> #SSYT of k*mu/k*nu is polynomial,
+    once _refuse_stretch admits the input.
+
+    Requires kmax >= degree + 2 to conclude; otherwise INCONCLUSIVE.
+    """
+    _refuse_stretch(mu, nu, kmax)
     counts = ssyt_counts([(scale(k, mu), scale(k, nu)) for k in range(kmax + 1)], n)
     diffs = counts
     newton = [counts[0]]

@@ -11,17 +11,26 @@ from functools import lru_cache
 from itertools import permutations
 from math import comb
 from types import MappingProxyType
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from .partitions import IntVector, Partition, contains
 from .tableaux import SkewShape, Tableau, iter_tableaux, weight
 
 Exponent = tuple[int, ...]
-# the largest window built at once, in the entries that SchurSequence.window and
-# kostka.polynomiality_check predict (tables, terms or index matrices, a fixed overhead
-# each, and an h-table), and that _refuse_walk predicts for a walk over every filling;
-# 4 GiB as int64 cells, which the d = 90 windows at n = 3 need
+# the largest size built at once, refused through _refuse: the entries that SchurSequence.predict,
+# kostka.polynomiality_check and _refuse_walk predict (tables, terms, index matrices or fillings, an
+# overhead each), and kostka.schur_in_m_basis's weight length; 4 GiB as int64 cells, which the d = 90
+# windows at n = 3 need
 _WINDOW_LIMIT = 1 << 29
+
+
+def _refuse(what: str, size: int, limit: int, name: str = "window limit") -> None:
+    """Raise the one refusal, a ValueError, when a predicted size passes its
+    limit.  A size past 2^10000 is named by its bits, since str() of an int
+    may stop at 4300 digits."""
+    if size > limit:
+        shown = size if size.bit_length() <= 10_000 else f"about 2^{size.bit_length()}"
+        raise ValueError(f"{what} is refused: its predicted size {shown} is over the {name} {limit}")
 
 
 class MultiPoly:
@@ -222,11 +231,7 @@ def _refuse_walk(shape: SkewShape, n: int) -> None:
     exact filling count (ssyt_count) times boxes + n, the entries and the
     weight vector of each filling."""
     size = ssyt_count(shape.outer, shape.inner, n) * (shape.num_boxes + n)
-    if size > _WINDOW_LIMIT:
-        raise ValueError(
-            f"the fillings of {shape} with entries in 1..{n} are refused: their predicted size "
-            f"{size} is over the window limit {_WINDOW_LIMIT}"
-        )
+    _refuse(f"the walk over the fillings of {shape} with entries in 1..{n}", size, _WINDOW_LIMIT)
 
 
 def skew_schur(shape: SkewShape, n: int) -> MultiPoly:
@@ -249,12 +254,6 @@ def _h_table(point: Sequence, upto: int, one) -> list:
         for m in range(1, upto + 1):
             table[m] = table[m] + x * table[m - 1]
     return table
-
-
-def _h_ones(upto: int, n: int) -> list[int]:
-    """h_0 .. h_upto at the point of n ones, h_m(1^n) = C(n + m - 1, m),
-    without building that length-n point."""
-    return [1] + [comb(n + m - 1, m) for m in range(1, upto + 1)]
 
 
 @lru_cache(maxsize=None)
@@ -303,7 +302,7 @@ def _det(entries: list[list[MultiPoly]], n: int) -> MultiPoly:
     return minor(tuple(range(size)))
 
 
-def _det_int(index: list[list[int]], h: Sequence[int]) -> int:
+def _det_int(index: list[list[int]], h: Mapping[int, int] | Sequence[int]) -> int:
     """Exact integer determinant (Bareiss) of h[index[i][j]]; 1 for the
     empty matrix.  Its exact divisions have no MultiPoly counterpart, and
     _det's expansion is exponential in the rows, so each ring keeps its own
@@ -334,25 +333,15 @@ def skew_schur_jacobi_trudi(shape: SkewShape, n: int) -> MultiPoly:
     return _det([[complete_homogeneous(m, n) for m in row] for row in index], n)
 
 
-def _h_upto(shapes: Sequence[tuple[Partition, Partition]]) -> int:
-    """The largest h index that the shapes' Jacobi-Trudi matrices read."""
-    return max((outer[0] + len(outer) - 1 for outer, _ in shapes), default=0)
-
-
-def _read_tables(shapes: Sequence[tuple[Partition, Partition]], tables: Iterable[list[int]]) -> list[list[int]]:
-    """Each shape's Jacobi-Trudi determinant read through each h-table
-    (h_0 .. h_upto, then the 0 that -1 reads), one list per table; each
-    index matrix is built once."""
-    indices = [_jacobi_trudi(outer, inner) for outer, inner in shapes]
-    return [[_det_int(index, table) for index in indices] for table in tables]
-
-
 def schur_int_evals(shapes: Sequence[tuple[Partition, Partition]], points: Sequence[Sequence[int]]) -> list[list[int]]:
     """Exact integer values of the skew Schur polynomials of the shapes,
     given as (outer, inner) pairs, at each integer point, one list per
-    point, each read through that point's h-table."""
-    upto = _h_upto(shapes)
-    return _read_tables(shapes, (_h_table(point, upto, 1) + [0] for point in points))
+    point, each read through that point's h-table (h_0 .. h_upto, then the
+    0 that -1 reads); each index matrix is built once."""
+    indices = [_jacobi_trudi(outer, inner) for outer, inner in shapes]
+    upto = max((outer[0] + len(outer) - 1 for outer, _ in shapes), default=0)
+    tables = [_h_table(point, upto, 1) + [0] for point in points]
+    return [[_det_int(index, table) for index in indices] for table in tables]
 
 
 def schur_int_eval(outer: Partition, inner: Partition, point: tuple[int, ...]) -> int:
@@ -362,8 +351,13 @@ def schur_int_eval(outer: Partition, inner: Partition, point: tuple[int, ...]) -
 
 def ssyt_counts(shapes: Sequence[tuple[Partition, Partition]], n: int) -> list[int]:
     """Exact number of SSYTs with entries in 1..n of each shape: its value at
-    the point of n ones, read through _h_ones."""
-    return _read_tables(shapes, [_h_ones(_h_upto(shapes), n) + [0]])[0]
+    the point of n ones, which builds no point.  Only the h_m(1^n) =
+    C(n + m - 1, m) that the index matrices read are made, each once, so a
+    shape costs at most len(outer)^2 binomials."""
+    indices = [_jacobi_trudi(outer, inner) for outer, inner in shapes]
+    read = {m for index in indices for row in index for m in row if m > 0}
+    h = {-1: 0, 0: 1, **{m: comb(n + m - 1, m) for m in read}}
+    return [_det_int(index, h) for index in indices]
 
 
 def ssyt_count(outer: Partition, inner: Partition, n: int) -> int:

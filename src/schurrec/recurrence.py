@@ -37,7 +37,7 @@ from .partitions import (
     subtract,
 )
 from .polynomials import (
-    _WINDOW_LIMIT, CharPoly, MultiPoly, char_poly, schur_int_eval, schur_int_evals, skew_schur, ssyt_count
+    _WINDOW_LIMIT, CharPoly, MultiPoly, _refuse, char_poly, schur_int_eval, schur_int_evals, skew_schur, ssyt_count
 )
 from .tableaux import SkewShape, first_enclosing_index, stabilization_index
 
@@ -111,12 +111,7 @@ class SchurSequence:
         size = (boxes + 1) ** (n - 1) if n <= 4 else comb(boxes + n - 1, n - 1) * n
         rows = max(len(self.kappa), len(self.mu) if last else 0)
         predicted = count * (size + 64) + self.kappa[0] + last * self.mu[0] + rows
-        if predicted > _WINDOW_LIMIT:  # a size past 2^10000 is named by its bits: str() stops at 4300 digits
-            shown = predicted if predicted.bit_length() <= 10_000 else f"about 2^{predicted.bit_length()}"
-            raise ValueError(
-                f"the {count} terms from index {start} are refused: their predicted size "
-                f"{shown} is over the window limit {_WINDOW_LIMIT}"
-            )
+        _refuse(f"the window of {count} terms from index {start}", predicted, _WINDOW_LIMIT)
         return predicted
 
     def window(self, start: int, count: int) -> list:

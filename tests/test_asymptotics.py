@@ -625,8 +625,8 @@ class TestLimitExperiment:
         assert spy.call_args.args == ([seq.pair_at(k) for k in range(1, kmax + 1)], 3)
         seq = build_sequence(P(), P(), P(2, 2), P(1), 3)
         refusal = (
-            rf"^kmax={kmax + 1} is refused: term {kmax + 1} has {2 * kmax + 2} nonempty columns, "
-            rf"so P_{kmax + 1} has up to {2 * kmax + 3} coefficients, over the cap of {2 * kmax + 1}$"
+            rf"^kmax={kmax + 1} \({2 * kmax + 2} nonempty columns in term {kmax + 1}\) is refused: "
+            rf"its predicted size {2 * kmax + 3} is over the coefficient cap {2 * kmax + 1}$"
         )
         with pytest.raises(ValueError, match=refusal):
             limit_experiment(seq, [1.0, 1.0], kmax + 1)

@@ -2,6 +2,7 @@
 
 Each golden run is executed twice to pin byte-identical determinism.
 """
+import hashlib
 import json
 import math
 import os
@@ -137,9 +138,9 @@ BAD_INVOCATIONS = [
     (["char-poly", "--mu", "[1,,2]", "--n", "2"], "argument --mu: expected an integer, got ''"),
     (["kostka", "--outer", "[2,1]", "--weight", "1.5"], "argument --weight: expected an integer, got '1.5'"),
     # 100000 columns at k = kmax: refused before any table is built
-    (["roots", "--mu", "[1]", "--n", "2", "--xi-radius", "1", "--kmax", "100000"], "kmax=100000 is refused: term 100000 has 100000 nonempty columns"),
+    (["roots", "--mu", "[1]", "--n", "2", "--xi-radius", "1", "--kmax", "100000"], "kmax=100000 (100000 nonempty columns in term 100000) is refused: its predicted size 100001 is over the coefficient cap 5000"),
     # the column count reads the rows, not the columns, so a huge kmax is refused at once too
-    (["roots", "--mu", "[1]", "--n", "2", "--xi-radius", "1", "--kmax", str(10**12)], f"kmax={10**12} is refused: term {10**12} has {10**12} nonempty columns"),
+    (["roots", "--mu", "[1]", "--n", "2", "--xi-radius", "1", "--kmax", str(10**12)], f"kmax={10**12} ({10**12} nonempty columns in term {10**12}) is refused"),
     # 32 disjoint boxes over 4 letters: 2^64 fillings, refused before any table or tableau
     (
         ["verify", "--kappa", str(list(range(32, 0, -1))), "--lambda", str(list(range(31, 0, -1))), "--mu", "[]", "--n", "4"],
@@ -354,6 +355,11 @@ OVERSIZED = [
     ["roots", "--mu", "[1]", "--xi-radius", "1", "--n", "200000000", "--kmax", "1"],
     # a predicted size of 59,403 bits, named by its bits: str() of it would stop at 4300 digits
     ["roots", "--mu", "[1]", "--xi-radius", "1", "--n", "1000000000", "--kmax", "3000"],
+    # walks over C(10^9 + 699, 700) fillings, about 4,600 digits: named by their bits too
+    ["tableaux", "--n", "1000000000", "--outer", "[700]"],
+    ["schur", "--n", "1000000000", "--outer", "[700]"],
+    ["char-poly", "--n", "1000000000", "--mu", "[700]"],
+    ["verify", "--n", "1000000000", "--mu", "[700]"],
 ]
 
 
@@ -371,6 +377,29 @@ def test_bad_invocation_over_the_window_limit_is_refused_at_once(argv):
     assert result.returncode == cli.USAGE_ERROR, result.stderr
     assert len(errors) == 1 and "Traceback" not in result.stderr, result.stderr
     assert "predicted size" in errors[0] and f"window limit {polynomials._WINDOW_LIMIT}" in errors[0]
+    assert "Exceeds the limit" not in result.stderr
+    assert elapsed < 1.0
+
+
+# an interpreter before Python 3.10.7 prints ints of any length and has no limit to set
+needs_digit_limit = pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int print limit")
+
+
+@needs_digit_limit
+@pytest.mark.parametrize("kmax", [650, 2000, 20000])
+def test_bad_invocation_of_counts_past_the_digit_limit_is_refused_at_once(kmax):
+    # N(kmax) = C(10^9 + kmax - 1, kmax) bounds every count and has over 4300 digits: it
+    # alone is made, and refused, where building all the counts took seconds
+    argv = ["polynomiality", "--mu", "[1]", "--n", "1000000000", "--kmax", str(kmax)]
+    began = time.perf_counter()
+    result = run_cli(argv, preexec_fn=_cap_address_space, env={**os.environ, "PYTHONINTMAXSTRDIGITS": "4300"})
+    elapsed = time.perf_counter() - began
+    errors = [line for line in result.stderr.splitlines() if "error:" in line]
+    assert result.returncode == cli.USAGE_ERROR, result.stderr
+    assert len(errors) == 1 and "Traceback" not in result.stderr, result.stderr
+    assert f"the count N({kmax}) is refused: its predicted size " in errors[0]
+    assert errors[0].endswith(" is over the digit limit 4300")
+    assert "Exceeds the limit" not in result.stderr
     assert elapsed < 1.0
 
 
@@ -386,6 +415,35 @@ def test_polynomiality_in_a_billion_letters_answers_at_once():
     assert report["verdict"] == "INCONCLUSIVE"
     assert report["counts"] == [math.comb(10**9 + k - 1, k) for k in range(4)]
     assert elapsed < 1.0
+
+
+def test_polynomiality_at_the_digit_limit_answers():
+    # N(649) has 4296 digits: every count is printed, the same 1,446,016 bytes as
+    # before the digit refusal existed
+    argv = ["polynomiality", "--mu", "[1]", "--n", "1000000000", "--kmax", "649"]
+    result = run_cli(argv, env={**os.environ, "PYTHONINTMAXSTRDIGITS": "4300"})
+    assert result.returncode == cli.REFUTED, result.stderr
+    assert len(result.stdout) == 1_446_016
+    assert hashlib.sha256(result.stdout.encode()).hexdigest() == (
+        "ed141372cbeb5aff443407f101e331531eaa3a5f2fc66ec679fa0954662441c1"
+    )
+
+
+@needs_digit_limit
+@pytest.mark.parametrize("absent", [False, True], ids=["limit 0", "no limit to read"])
+def test_polynomiality_without_a_digit_limit_answers(monkeypatch, capsys, absent):
+    # 0 means no limit; before Python 3.10.7 there is none, and nothing to read it by
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    if absent:
+        monkeypatch.delattr(sys, "get_int_max_str_digits")
+    try:
+        code = cli.main(["polynomiality", "--mu", "[1]", "--n", "1000000000", "--kmax", "650"])
+        counts = json.loads(capsys.readouterr().out)["counts"]
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert code == cli.REFUTED
+    assert counts == [math.comb(10**9 + k - 1, k) for k in range(651)]
 
 
 @pytest.mark.parametrize("command", sorted(FORMATS))

@@ -376,12 +376,13 @@ class TestWindowCounts:
     def test_guard_takes_one_h_table_per_window(self):
         seq = build_sequence(P(1), P(), P(3, 1), P(1), 3)
         shapes = [seq.pair_at(k) for k in range(0, 12)]
-        with mock.patch.object(polynomials, "_h_ones", wraps=polynomials._h_ones) as spy:
+        # each h_m(1^3) = C(m + 2, m) that the window's index matrices read, made once per window
+        read = sorted({m for pair in shapes for row in polynomials._jacobi_trudi(*pair) for m in row if m > 0})
+        with mock.patch.object(polynomials, "comb", wraps=polynomials.comb) as spy:
             tables = _dense.window_counts(shapes, 3)
-            assert spy.call_count == 1
-            assert spy.call_args.args[1] == 3
+            assert sorted(call.args for call in spy.call_args_list) == [(m + 2, m) for m in read]
             seq.window(0, 12)
-            assert spy.call_count == 2
+            assert spy.call_count == 2 * len(read)
         assert [int(t.sum()) for t in tables] == [ssyt_count(*s, 3) for s in shapes]
 
     def test_five_letters_have_no_table(self):

@@ -80,7 +80,7 @@ class TestMBasis:
         # only the length of the padded weight is bounded
         monkeypatch.setattr(kostka_module, "_WINDOW_LIMIT", 200)
         assert schur_in_m_basis(SkewShape(P(2, 1)), 200) == {P(2, 1): 1, P(1, 1, 1): 2}
-        with pytest.raises(ValueError, match="^n=201 is refused: each Kostka walk's weight has predicted size 201, "):
+        with pytest.raises(ValueError, match="^each Kostka walk's weight of length n=201 is refused: its predicted size 201 is over the window limit 200$"):
             schur_in_m_basis(SkewShape(P(2, 1)), 201)
 
 

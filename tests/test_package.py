@@ -117,8 +117,8 @@ def _walk_refusal(boxes: int) -> str:
     C(2 boxes - 1, boxes) fillings, boxes + boxes entries each."""
     size = math.comb(2 * boxes - 1, boxes) * 2 * boxes
     return (
-        f"the fillings of [{boxes}]/[] with entries in 1..{boxes} are refused: "
-        f"their predicted size {size} is over the window limit {polynomials._WINDOW_LIMIT}"
+        f"the walk over the fillings of [{boxes}]/[] with entries in 1..{boxes} is refused: "
+        f"its predicted size {size} is over the window limit {polynomials._WINDOW_LIMIT}"
     )
 
 
@@ -186,8 +186,8 @@ REFUSALS = [
     # its Kostka walks are pruned by weight: only the weight's length n is bounded
     pytest.param(
         lambda: schur_in_m_basis(SkewShape([1]), polynomials._WINDOW_LIMIT + 1), ValueError,
-        f"n={polynomials._WINDOW_LIMIT + 1} is refused: each Kostka walk's weight has predicted size "
-        f"{polynomials._WINDOW_LIMIT + 1}, over the window limit {polynomials._WINDOW_LIMIT}",
+        f"each Kostka walk's weight of length n={polynomials._WINDOW_LIMIT + 1} is refused: its predicted size "
+        f"{polynomials._WINDOW_LIMIT + 1} is over the window limit {polynomials._WINDOW_LIMIT}",
         id="schur_in_m_basis n",
     ),
     # C(27, 14) fillings times 28 is the first one-row walk over the limit

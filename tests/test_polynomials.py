@@ -12,7 +12,6 @@ from schurrec import polynomials
 from schurrec.partitions import Partition
 from schurrec.polynomials import (
     MultiPoly,
-    _h_ones,
     _h_table,
     _jacobi_trudi,
     complete_homogeneous,
@@ -264,7 +263,7 @@ class TestIntegerEvaluation:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_counts_read_the_binomial_h_table(self, n):
         # h_m(1^n) = C(n + m - 1, m) stands in for the h-table of the point of n ones
-        assert _h_ones(8, n) == _h_table((1,) * n, 8, 1)
+        assert [comb(n + m - 1, m) for m in range(9)] == _h_table((1,) * n, 8, 1)
         shapes = skew_pairs(6, 4)
         assert ssyt_counts(shapes, n) == schur_int_evals(shapes, [(1,) * n])[0]
 
@@ -272,6 +271,18 @@ class TestIntegerEvaluation:
         n = 10**9
         with mock.patch.object(polynomials, "_h_table", side_effect=AssertionError("a point was read")):
             assert ssyt_counts([(P(3), P()), (P(1, 1), P()), (P(), P())], n) == [comb(n + 2, 3), comb(n, 2), 1]
+
+    def test_counts_make_only_the_binomials_their_matrices_read(self):
+        # one row of 20000 boxes reads h_20000 alone: one binomial, not 20,001
+        n = 10**9
+        expected = comb(n + 19999, 20000)
+        with mock.patch.object(polynomials, "comb", wraps=comb) as spy:
+            assert ssyt_count(P(20000), P(), n) == expected
+        assert spy.call_args_list == [mock.call(n + 19999, 20000)]
+        # each index once however many shapes read it; h_0 and the -1 entries take none
+        with mock.patch.object(polynomials, "comb", wraps=comb) as spy:
+            assert ssyt_counts([(P(2, 1), P()), (P(2, 1), P(1)), (P(2), P())], 3) == [8, 9, 6]
+        assert sorted(call.args for call in spy.call_args_list) == [(3, 1), (4, 2), (5, 3)]
 
     def test_counts_match_enumeration(self):
         for outer, inner in skew_pairs(5, 3):

@@ -3,7 +3,7 @@ import importlib
 import random
 from fractions import Fraction
 from itertools import count
-from math import prod
+from math import comb, prod
 from unittest import mock
 
 import numpy as np
@@ -263,7 +263,7 @@ class TestWindow:
         # term 5 of k*[2,1] at n = 3 has 15 boxes: a window of 16^2 cells,
         # 64 for the objects around them, and an h-table of 5 * 2 + 2 entries
         seq = build_sequence(P(), P(), P(2, 1), P(), 3)
-        refusal = r"^the 1 terms from index 5 are refused: their predicted size 332 is over the window limit 331$"
+        refusal = r"^the window of 1 terms from index 5 is refused: its predicted size 332 is over the window limit 331$"
         with mock.patch.object(recurrence, "_WINDOW_LIMIT", 331), mock.patch.object(_dense, "window_counts") as spy:
             with pytest.raises(ValueError, match=refusal):
                 getattr(seq, read)(5)
@@ -945,10 +945,17 @@ class TestPolynomiality:
 
     def test_counts_come_from_one_h_table(self):
         for mu, nu, n in [(P(2, 1), P(1), 3), (P(3, 1), P(), 4), (P(2, 2), P(1), 2), (P(1, 1, 1), P(), 2)]:
-            with mock.patch.object(polynomials, "_h_ones", wraps=polynomials._h_ones) as spy:
+            with mock.patch.object(polynomials, "comb", wraps=polynomials.comb) as spy:
                 rep = polynomiality_check(mu, nu, n, 40)
-            assert spy.call_count == 1
+            made = [call.args for call in spy.call_args_list]
+            assert len(made) == len(set(made)) > 0  # each h_m once, for all 41 shapes
             assert rep.counts == [polynomials.ssyt_count(scale(k, mu), scale(k, nu), n) for k in range(41)]
+
+    def test_counts_past_the_print_limit_are_returned(self):
+        # the digit limit is the CLI's: the library returns counts that str() cannot print
+        rep = polynomiality_check(P(1), P(), 10**9, 700)
+        assert rep.verdict == "INCONCLUSIVE" and len(rep.counts) == 701
+        assert rep.counts[-1] == comb(10**9 + 699, 700) > 10**4300
 
     def test_kmax_over_the_window_limit_is_refused_before_any_shape(self):
         # kmax + 1 index matrices of len(mu)^2 entries plus 64 each, and an
@@ -972,8 +979,6 @@ class TestPolynomiality:
                 assert polynomiality_check(mu, nu, n, kmax).counts[0] == 1
 
     def test_newton_coefficients_reconstruct_counts(self):
-        from math import comb
-
         rep = polynomiality_check(P(2, 1), P(1), 3, 12)
         assert rep.degree == 4
         for k, c in enumerate(rep.counts):
