@@ -12,8 +12,8 @@ other rows are counted through chains of horizontal strips (the branching
 rule); split at the middle shape, the two halves range over coordinatewise
 boxes, so the counts reduce to lattice-point counts of boxes sliced by
 coordinate sum.  The arithmetic is int64 only, guarded by the exact total
-count computed up front for the whole window at once (one Jacobi-Trudi
-h-table, polynomials.ssyt_counts); a count at the limit
+count computed up front for the whole window at once (polynomials.ssyt_counts,
+one Jacobi-Trudi determinant per shape); a count at the limit
 is refused, not enumerated.  The factor chain on d root weights stays in
 int64 while 2^(d-1) times the window's largest table entry is below the
 limit, and runs in Python integers past it (factor_chain).

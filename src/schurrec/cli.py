@@ -242,13 +242,14 @@ def _conjecture(args):
 def _polynomiality(args):
     """finite-difference polynomiality of filling counts"""
     _refuse_stretch(args.mu, args.nu, args.kmax)
-    # json prints ints of at most limit digits (0: any, as before Python 3.10.7); N(kmax) bounds every count:
-    # N(0) = 1, and inserting a fixed tableau of mu/nu is cancellative, so N(k) never falls once N(1) > 0
+    # json prints ints of at most limit digits (0: any, as before Python 3.10.7).  N(0) = 1 and N(k) never falls once
+    # N(1) > 0 (inserting a fixed tableau of mu/nu is cancellative): check N(1), N(2), N(4), ..., N(kmax) in turn
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     if limit:
-        last = ssyt_count(scale(args.kmax, args.mu), scale(args.kmax, args.nu), args.n)
-        e = int(math.log10(max(last, 1)))  # floor(log10), or one off near a power of ten
-        _refuse(f"the count N({args.kmax})", e + (10**e <= last) + (10 ** (e + 1) <= last), limit, "digit limit")
+        for k in dict.fromkeys(min(1 << i, args.kmax) for i in range(args.kmax.bit_length() + 1)):
+            last = ssyt_count(scale(k, args.mu), scale(k, args.nu), args.n)
+            e = int(math.log10(max(last, 1)))  # floor(log10), or one off near a power of ten
+            _refuse(f"the count N({k})", e + (10**e <= last) + (10 ** (e + 1) <= last), limit, "digit limit")
     report = polynomiality_check(args.mu, args.nu, args.n, args.kmax)
     payload = report.to_json_obj()
     payload["family"] = {"mu": format_partition(args.mu), "nu": format_partition(args.nu), "n": args.n}

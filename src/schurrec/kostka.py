@@ -92,13 +92,12 @@ def _refuse_stretch(mu: Partition, nu: Partition, kmax: int) -> None:
     """Refuse, in O(1) and before any shape is built, mu not containing nu,
     a negative kmax, or a kmax whose predicted size passes the window limit:
     kmax + 1 index matrices of len(mu)^2 entries plus 64 each for the
-    objects around them, and an h-table of at most kmax * mu_1 + len(mu)
-    entries."""
+    objects around them."""
     if not contains(mu, nu):
         raise ValueError("mu must contain nu")
     if kmax < 0:
         raise ValueError("kmax must be nonnegative")
-    _refuse(f"kmax={kmax}", (kmax + 1) * (len(mu) ** 2 + 64) + kmax * mu[0] + len(mu), _WINDOW_LIMIT)
+    _refuse(f"kmax={kmax}", (kmax + 1) * (len(mu) ** 2 + 64), _WINDOW_LIMIT)
 
 
 def polynomiality_check(mu: Partition, nu: Partition, n: int, kmax: int) -> PolynomialityReport:

@@ -19,8 +19,8 @@ from .tableaux import SkewShape, Tableau, iter_tableaux, weight
 Exponent = tuple[int, ...]
 # the largest size built at once, refused through _refuse: the entries that SchurSequence.predict,
 # kostka.polynomiality_check and _refuse_walk predict (tables, terms, index matrices or fillings, an
-# overhead each), and kostka.schur_in_m_basis's weight length; 4 GiB as int64 cells, which the d = 90
-# windows at n = 3 need
+# overhead each), schur_int_evals's h-table words and kostka.schur_in_m_basis's weight length; 4 GiB
+# as int64 cells, which the d = 90 windows at n = 3 need
 _WINDOW_LIMIT = 1 << 29
 
 
@@ -337,9 +337,12 @@ def schur_int_evals(shapes: Sequence[tuple[Partition, Partition]], points: Seque
     """Exact integer values of the skew Schur polynomials of the shapes,
     given as (outer, inner) pairs, at each integer point, one list per
     point, each read through that point's h-table (h_0 .. h_upto, then the
-    0 that -1 reads); each index matrix is built once."""
-    indices = [_jacobi_trudi(outer, inner) for outer, inner in shapes]
+    0 that -1 reads; h_m has at most m * bit_length(sum |point_i|) bits), refused
+    past _WINDOW_LIMIT 64-bit words; each index matrix is built once."""
     upto = max((outer[0] + len(outer) - 1 for outer, _ in shapes), default=0)
+    words = sum((upto + 2) * (1 + upto * sum(map(abs, point)).bit_length() // 64) for point in points)
+    _refuse(f"an h-table up to h_{upto} at each of {len(points)} points", words, _WINDOW_LIMIT)
+    indices = [_jacobi_trudi(outer, inner) for outer, inner in shapes]
     tables = [_h_table(point, upto, 1) + [0] for point in points]
     return [[_det_int(index, table) for index in indices] for table in tables]
 

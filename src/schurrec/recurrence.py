@@ -101,16 +101,14 @@ class SchurSequence:
     def predict(self, start: int, count: int) -> int:
         """The size of window(start, count), predicted in O(1): count times
         (64 plus the last, largest term: (D + 1)^(n-1) cells for n <= 4,
-        C(D + n - 1, n - 1) weights of n exponents for n >= 5, D its boxes),
-        plus the guard's h-table.  A negative start or a size over
-        _WINDOW_LIMIT is refused."""
+        C(D + n - 1, n - 1) weights of n exponents for n >= 5, D its boxes).
+        A negative start or a size over _WINDOW_LIMIT is refused."""
         if start < 0:
             raise ValueError("sequence index must be nonnegative")
         last, n = start + count - 1, self.n
         boxes = self.boxes_at(last)
         size = (boxes + 1) ** (n - 1) if n <= 4 else comb(boxes + n - 1, n - 1) * n
-        rows = max(len(self.kappa), len(self.mu) if last else 0)
-        predicted = count * (size + 64) + self.kappa[0] + last * self.mu[0] + rows
+        predicted = count * (size + 64)
         _refuse(f"the window of {count} terms from index {start}", predicted, _WINDOW_LIMIT)
         return predicted
 

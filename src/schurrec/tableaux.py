@@ -9,6 +9,7 @@ column runs, so `decompose` splits a tableau by grouping its columns.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 from collections import Counter
 from itertools import zip_longest
 from typing import Iterator, Optional, Sequence
@@ -52,24 +53,25 @@ class SkewShape:
         return self.inner.weight
 
     def num_columns(self) -> int:
-        """The number of nonempty column runs, read from the rows in O(rows): row i
-        adds the columns (inner_i, min(outer_i, inner_{i-1})], the rows above cover the rest."""
-        inner = self.inner.padded(len(self.outer))
-        return sum(max(0, min(o, above) - i) for o, i, above in zip(self.outer, inner, (self.outer[0],) + inner))
+        """The number of nonempty column runs, read off the column blocks."""
+        return sum(width for (first, last), width in self._column_blocks() if first <= last)
 
     def row_span(self, i: int) -> tuple[int, int]:
         """Column bounds of the ordinary boxes of row i (0-based): (inner_i, outer_i]."""
         return self.inner[i], self.outer[i]
 
+    def _column_blocks(self) -> list[tuple[tuple[int, int], int]]:
+        """Each column run, left to right, with the width of the block of adjacent columns sharing it.
+        A block ends only where a part of outer or inner does, so this is O(rows^2), not O(outer_1);
+        each cut lowers a count and neither count rises, so no run repeats."""
+        outer, inner, cuts = self.outer.parts, self.inner.parts, sorted({*self.outer, *self.inner})
+        return [((sum(x > a for x in inner) + 1, sum(x > a for x in outer)), b - a) for a, b in zip([0, *cuts], cuts)]
+
     def column_runs(self) -> list[tuple[int, int]]:
         """(inner'_j + 1, outer'_j) for each column j = 1..outer_1: the rows
         (1-based, inclusive) of its ordinary boxes.  A column holding h skew
         boxes only is the empty run (h+1, h)."""
-        outer, inner = self.outer.parts, self.inner.parts
-        return [
-            (sum(x > j for x in inner) + 1, sum(x > j for x in outer))
-            for j in range(self.outer[0])
-        ]
+        return [run for run, width in self._column_blocks() for _ in range(width)]
 
     def cells(self) -> list[tuple[int, int]]:
         """Ordinary boxes as 0-based (row, col) pairs, row-major."""
@@ -334,23 +336,23 @@ def sits_inside(small: SkewShape, big: SkewShape) -> bool:
     A skew shape is the sum of its one-column shapes, so then big - small is
     a skew shape too, and every tableau of big is the product of column
     factors with small's runs and the rest (see decompose)."""
-    return not Counter(small.column_runs()) - Counter(big.column_runs())
+    return not Counter(dict(small._column_blocks())) - Counter(dict(big._column_blocks()))
 
 
 def first_enclosing_index(kappa: Partition, lam: Partition, mu: Partition, nu: Partition) -> int:
-    """Least r0 >= 0 at which mu/nu sits inside (kappa + r0*mu)/(lam + r0*nu).
-
-    Requires kappa/lam and mu/nu to be valid skew shapes; direct search,
-    bounded by kappa_1 + 1.
-    """
+    """Least r0 >= 0 at which mu/nu sits inside S_r0 = (kappa + r0*mu)/(lam + r0*nu), kappa/lam and mu/nu valid
+    skew shapes.  Bisected up to kappa_1 + 1: sits-inside never turns false as r grows, since S_{r+1} = S_r + mu/nu
+    row by row takes the sorted union of column heights, and once mu/nu's (inner', outer') pairs are among S_r's,
+    which form a chain, that sorted union is the union of the pairs."""
     if not contains(kappa, lam):
         raise ValueError("kappa/lam is not a valid skew shape")
-    small = SkewShape(mu, nu)
-    for r0 in range(kappa[0] + 2):
-        outer, inner = add(kappa, scale(r0, mu)), add(lam, scale(r0, nu))
-        if contains(outer, inner) and sits_inside(small, SkewShape(outer, inner)):
-            return r0
-    raise RuntimeError("no enclosing index within the bound kappa_1 + 1")
+    small, bound = SkewShape(mu, nu), kappa[0] + 2
+    r0 = bisect_left(
+        range(bound), True, key=lambda r: sits_inside(small, SkewShape(add(kappa, scale(r, mu)), add(lam, scale(r, nu))))
+    )
+    if r0 == bound:
+        raise RuntimeError("no enclosing index within the bound kappa_1 + 1")
+    return r0
 
 
 def stabilization_index(kappa: Partition, lam: Partition, mu: Partition, nu: Partition) -> int:
@@ -370,7 +372,7 @@ def decompose(t: Tableau, small: SkewShape) -> tuple[Tableau, Tableau]:
     other columns; insert validates each product."""
     if not sits_inside(small, t.shape):
         raise ValueError(f"{small} does not sit inside {t.shape}")
-    wanted = Counter(small.column_runs())
+    wanted = Counter(dict(small._column_blocks()))
     t1 = t2 = empty_tableau(t.n)
     for run, factor in zip(t.shape.column_runs(), column_factors(t)):
         if wanted[run]:

@@ -196,6 +196,32 @@ def test_roots_golden_on_the_baseline_instruction_set():
     assert result.stdout == (GOLDEN / golden).read_text()
 
 
+def _answered_at_once(argv):
+    """The stdout of argv run under the 1 GiB cap, which exits 0 within a second."""
+    began = time.perf_counter()
+    result = run_cli(argv, preexec_fn=_cap_address_space)
+    elapsed = time.perf_counter() - began
+    assert result.returncode == 0, result.stderr
+    assert elapsed < 1.0
+    return result.stdout
+
+
+def test_golden_verify_from_a_wide_base_answers_at_once():
+    # start index 2999, bisected over column blocks; the pinned bytes are those of a scan
+    # over every index
+    argv = ["verify", "--kappa", "[3000]", "--lambda", "[2999]", "--mu", "[1,1]", "--n", "2"]
+    assert hashlib.sha256(_answered_at_once(argv).encode()).hexdigest() == (
+        "01157fe1ad5d2c31b9ecd9b2b2933be3fae3f9df93b3fd06127d599d1687e8f4"
+    )
+
+
+def test_golden_verify_in_one_letter_from_a_billion_answers_at_once():
+    # one cell per term at n = 1: the window is priced by its tables alone, however far it starts
+    argv = ["verify", "--mu", "[1]", "--n", "1", "--r-override", "1000000000"]
+    report = json.loads(_answered_at_once(argv))
+    assert report["ok"] is True and report["verified_upto"] == 1000000003
+
+
 def test_golden_written_to_output(tmp_path):
     # --output writes the golden bytes and prints nothing
     path = tmp_path / "verify.json"
@@ -325,8 +351,8 @@ def test_bad_invocation_is_one_error_line(capsys, argv, message):
     assert captured.out == ""
 
 
-# windows whose tables, terms or guard h-table cannot be built: each is
-# refused before anything is built
+# windows, walks or h-tables that cannot be built: each is refused before
+# anything is built
 OVERSIZED = [
     ["verify", "--mu", "[1]", "--nu", "[]", "--n", "2", "--count", "1000000000"],
     ["verify", "--mu", "[1]", "--nu", "[]", "--n", "2", "--r-override", "1000000000"],
@@ -337,7 +363,7 @@ OVERSIZED = [
     ["roots", "--mu", "[2,1]", "--n", "3", "--xi-radius", "1", "--kmax", "2000"],
     # the verify window is refused before the minimal report is made
     ["minimal", "--nu", "[1]", "--n", "3", "--count", "1000000000", "--mu", "[4,2,1]"],
-    # no sequence window: kmax + 1 index matrices and one h-table
+    # no sequence window: kmax + 1 index matrices
     ["polynomiality", "--mu", "[1]", "--n", "2", "--kmax", "1000000000"],
     # a walk over C(199, 99) fillings
     ["schur", "--outer", "[100]", "--n", "100"],
@@ -360,6 +386,14 @@ OVERSIZED = [
     ["schur", "--n", "1000000000", "--outer", "[700]"],
     ["char-poly", "--n", "1000000000", "--mu", "[700]"],
     ["verify", "--n", "1000000000", "--mu", "[700]"],
+    # bases 3e7 and 2e7 columns wide: the start index is bisected over a few column blocks,
+    # never one run per column, and the window is refused
+    ["verify", "--mu", "[1]", "--n", "3", "--kappa", "[30000000]"],
+    ["minimal", "--mu", "[1]", "--n", "3", "--kappa", "[20000000,1]"],
+    # start index 29999, found in about 15 checks of a few column blocks each
+    ["verify", "--kappa", "[30000]", "--mu", "[1,1]", "--n", "3", "--lambda", "[29999]"],
+    # a window of five tables of 10^6 cells, but each point's h-table runs to h_1000007
+    ["minimal", "--mu", "[1]", "--n", "2", "--kappa", "[1000000]"],
 ]
 
 
@@ -368,17 +402,32 @@ def _cap_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
 
-@pytest.mark.parametrize("argv", OVERSIZED, ids=[" ".join(a[:1] + a[-2:]) for a in OVERSIZED])
-def test_bad_invocation_over_the_window_limit_is_refused_at_once(argv):
+def _refused_at_once(argv, **options):
+    """The one error line of argv run under the 1 GiB cap, which exits 1 within a second."""
     began = time.perf_counter()
-    result = run_cli(argv, preexec_fn=_cap_address_space)
+    result = run_cli(argv, preexec_fn=_cap_address_space, **options)
     elapsed = time.perf_counter() - began
     errors = [line for line in result.stderr.splitlines() if "error:" in line]
     assert result.returncode == cli.USAGE_ERROR, result.stderr
     assert len(errors) == 1 and "Traceback" not in result.stderr, result.stderr
-    assert "predicted size" in errors[0] and f"window limit {polynomials._WINDOW_LIMIT}" in errors[0]
     assert "Exceeds the limit" not in result.stderr
     assert elapsed < 1.0
+    return errors[0]
+
+
+@pytest.mark.parametrize("argv", OVERSIZED, ids=[" ".join(a[:1] + a[-2:]) for a in OVERSIZED])
+def test_bad_invocation_over_the_window_limit_is_refused_at_once(argv):
+    error = _refused_at_once(argv)
+    assert "predicted size" in error and f"window limit {polynomials._WINDOW_LIMIT}" in error
+
+
+def test_bad_invocation_of_a_wide_base_over_the_coefficient_cap_is_refused_at_once():
+    # the column-cap rows of BAD_INVOCATIONS with a base 3e7 columns wide, under the 1 GiB cap:
+    # neither the start index nor the column count lists one run per column
+    argv = ["roots", "--kappa", "[30000000]", "--mu", "[1]", "--n", "2", "--xi-radius", "1", "--kmax", "1"]
+    assert _refused_at_once(argv).endswith(
+        "kmax=1 (30000001 nonempty columns in term 1) is refused: its predicted size 30000002 is over the coefficient cap 5000"
+    )
 
 
 # an interpreter before Python 3.10.7 prints ints of any length and has no limit to set
@@ -386,21 +435,15 @@ needs_digit_limit = pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"
 
 
 @needs_digit_limit
-@pytest.mark.parametrize("kmax", [650, 2000, 20000])
+@pytest.mark.parametrize("kmax", [650, 2000, 20000, 1000000])
 def test_bad_invocation_of_counts_past_the_digit_limit_is_refused_at_once(kmax):
-    # N(kmax) = C(10^9 + kmax - 1, kmax) bounds every count and has over 4300 digits: it
-    # alone is made, and refused, where building all the counts took seconds
+    # N(k) = C(10^9 + k - 1, k) never falls, so N(1), N(2), N(4), ..., N(kmax) are made in turn
+    # and the first past 4300 digits is refused: N(512) has 3442 digits, N(649) 4296 and N(1024)
+    # 6577, so that is N(kmax) below 1024 and N(1024) above, and no larger count is made
     argv = ["polynomiality", "--mu", "[1]", "--n", "1000000000", "--kmax", str(kmax)]
-    began = time.perf_counter()
-    result = run_cli(argv, preexec_fn=_cap_address_space, env={**os.environ, "PYTHONINTMAXSTRDIGITS": "4300"})
-    elapsed = time.perf_counter() - began
-    errors = [line for line in result.stderr.splitlines() if "error:" in line]
-    assert result.returncode == cli.USAGE_ERROR, result.stderr
-    assert len(errors) == 1 and "Traceback" not in result.stderr, result.stderr
-    assert f"the count N({kmax}) is refused: its predicted size " in errors[0]
-    assert errors[0].endswith(" is over the digit limit 4300")
-    assert "Exceeds the limit" not in result.stderr
-    assert elapsed < 1.0
+    error = _refused_at_once(argv, env={**os.environ, "PYTHONINTMAXSTRDIGITS": "4300"})
+    assert f"the count N({min(kmax, 1024)}) is refused: its predicted size " in error
+    assert error.endswith(" is over the digit limit 4300")
 
 
 def test_polynomiality_in_a_billion_letters_answers_at_once():

@@ -328,6 +328,20 @@ class TestIntegerEvaluation:
         ]
         assert schur_int_evals(shapes, points) == expected
 
+    def test_h_tables_past_the_window_limit_are_refused_before_any_is_built(self):
+        # |h_m| at (59, -59, 59) is at most 177^m, of at most 8m bits: h_0 .. h_40 and the 0
+        # that -1 reads are 42 entries of at most 1 + 40 * 8 // 64 = 6 words each
+        shapes, points = [(P(40), P()), (P(3, 1), P(1))], [(59, -59, 59)]
+        assert all(abs(h).bit_length() <= 8 * m for m, h in enumerate(_h_table(points[0], 40, 1)[1:], 1))
+        expected = [[schur_int_eval(outer, inner, points[0]) for outer, inner in shapes]]
+        refusal = r"^an h-table up to h_40 at each of 1 points is refused: its predicted size 252 is over the window limit 251$"
+        with mock.patch.object(polynomials, "_WINDOW_LIMIT", 251), mock.patch.object(polynomials, "_h_table") as spy:
+            with pytest.raises(ValueError, match=refusal):
+                schur_int_evals(shapes, points)
+        assert spy.call_count == 0
+        with mock.patch.object(polynomials, "_WINDOW_LIMIT", 252):
+            assert schur_int_evals(shapes, points) == expected
+
     def test_one_index_matrix_per_shape_whatever_the_points(self):
         shapes = [(P(3, 1), P(1)), (P(2, 2, 1), P()), (P(), P())]
         for points in ([(2, 3)], [(2, 3), (1, 1), (0, -4)]):

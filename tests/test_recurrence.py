@@ -260,15 +260,15 @@ class TestWindow:
 
     @pytest.mark.parametrize("read", ["term", "term_cells"])
     def test_an_oversized_single_term_is_refused_and_not_cached(self, read):
-        # term 5 of k*[2,1] at n = 3 has 15 boxes: a window of 16^2 cells,
-        # 64 for the objects around them, and an h-table of 5 * 2 + 2 entries
+        # term 5 of k*[2,1] at n = 3 has 15 boxes: a window of 16^2 cells and
+        # 64 for the objects around them
         seq = build_sequence(P(), P(), P(2, 1), P(), 3)
-        refusal = r"^the window of 1 terms from index 5 is refused: its predicted size 332 is over the window limit 331$"
-        with mock.patch.object(recurrence, "_WINDOW_LIMIT", 331), mock.patch.object(_dense, "window_counts") as spy:
+        refusal = r"^the window of 1 terms from index 5 is refused: its predicted size 320 is over the window limit 319$"
+        with mock.patch.object(recurrence, "_WINDOW_LIMIT", 319), mock.patch.object(_dense, "window_counts") as spy:
             with pytest.raises(ValueError, match=refusal):
                 getattr(seq, read)(5)
         assert spy.call_count == 0 and seq._terms == {}
-        with mock.patch.object(recurrence, "_WINDOW_LIMIT", 332):
+        with mock.patch.object(recurrence, "_WINDOW_LIMIT", 320):
             getattr(seq, read)(5)
         assert list(seq._terms) == [5]
 
@@ -958,18 +958,17 @@ class TestPolynomiality:
         assert rep.counts[-1] == comb(10**9 + 699, 700) > 10**4300
 
     def test_kmax_over_the_window_limit_is_refused_before_any_shape(self):
-        # kmax + 1 index matrices of len(mu)^2 entries plus 64 each, and an
-        # h-table of kmax * mu_1 + len(mu) entries: every call in these tests
-        # and the golden file predicts far under the limit, and each is
-        # refused one entry under its prediction
+        # kmax + 1 index matrices of len(mu)^2 entries plus 64 each: every
+        # call in these tests and the golden file predicts far under the
+        # limit, and each is refused one entry under its prediction
         calls = [
             (P(1), P(), 2, 8), (P(1, 1), P(), 2, 6), (P(2, 1), P(1), 2, 12), (P(2, 1), P(1), 3, 3),
             (P(2, 1), P(1), 3, 40), (P(3, 1), P(), 4, 40), (P(2, 2), P(1), 2, 40), (P(1, 1, 1), P(), 2, 40),
             (P(2, 1), P(1), 2, 10),
         ]
         for mu, nu, n, kmax in calls:
-            size = (kmax + 1) * (len(mu) ** 2 + 64) + kmax * mu[0] + len(mu)
-            assert size <= 3036 < kostka._WINDOW_LIMIT
+            size = (kmax + 1) * (len(mu) ** 2 + 64)
+            assert size <= 2993 < kostka._WINDOW_LIMIT
             refusal = rf"^kmax={kmax} is refused: its predicted size {size} is over the window limit {size - 1}$"
             with mock.patch.object(kostka, "_WINDOW_LIMIT", size - 1), mock.patch.object(kostka, "scale") as spy:
                 with pytest.raises(ValueError, match=refusal):

@@ -5,8 +5,9 @@ from itertools import starmap
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from battery import skew_pairs
-from schurrec.partitions import Partition
+from battery import battery_families, skew_pairs
+from schurrec.partitions import Partition, add, scale
+from schurrec.recurrence import build_sequence
 from schurrec.tableaux import (
     column_factors,
     ColumnView,
@@ -17,6 +18,7 @@ from schurrec.tableaux import (
     decompose,
     empty_tableau,
     enumerate_tableaux,
+    first_enclosing_index,
     insert,
     is_valid_ssyt,
     iter_tableaux,
@@ -28,6 +30,25 @@ from schurrec.tableaux import (
 
 def P(*parts):
     return Partition(parts)
+
+
+def runs_per_column(shape):
+    """(inner'_j + 1, outer'_j) read one column j at a time: the definition of the column runs."""
+    outer, inner = shape.outer.parts, shape.inner.parts
+    return [(sum(x > j for x in inner) + 1, sum(x > j for x in outer)) for j in range(shape.outer[0])]
+
+
+def stretched(kappa, lam, mu, nu, r):
+    return SkewShape(add(kappa, scale(r, mu)), add(lam, scale(r, nu)))
+
+
+def scanned_first_enclosing_index(kappa, lam, mu, nu):
+    """The least r0 found by scanning r0 = 0, 1, ... with per-column runs: the bisection's oracle."""
+    wanted = Counter(runs_per_column(SkewShape(mu, nu)))
+    for r0 in range(kappa[0] + 2):
+        if not wanted - Counter(runs_per_column(stretched(kappa, lam, mu, nu, r0))):
+            return r0
+    raise AssertionError("no enclosing index within the bound kappa_1 + 1")
 
 
 FIG2_SHAPE = SkewShape(P(5, 4, 3, 1), P(3, 2, 2))
@@ -50,6 +71,19 @@ class TestShapes:
             for first, last in shape.column_runs():
                 outer, inner = outer + P(*[1] * last), inner + P(*[1] * (first - 1))
             assert SkewShape(outer, inner) == shape
+
+    def test_column_blocks_expand_to_the_run_of_each_column(self):
+        for shape in starmap(SkewShape, skew_pairs(9, 5)):
+            blocks = shape._column_blocks()
+            runs = [run for run, _ in blocks]
+            assert len(set(runs)) == len(runs) and all(width > 0 for _, width in blocks)
+            assert [run for run, width in blocks for _ in range(width)] == runs_per_column(shape) == shape.column_runs()
+            assert shape.num_columns() == sum(first <= last for first, last in runs_per_column(shape))
+
+    def test_column_blocks_of_a_wide_shape_are_cut_at_its_parts(self):
+        shape = SkewShape(P(30_000_000, 5), P(29_999_999))
+        assert shape._column_blocks() == [((2, 2), 5), ((2, 1), 29_999_994), ((1, 1), 1)]
+        assert shape.num_columns() == 6
 
     def test_column_intervals_are_contiguous_runs(self):
         for shape in starmap(SkewShape, skew_pairs(5, 4)):
@@ -324,6 +358,30 @@ class TestStabilization:
     def test_invalid_base_rejected(self):
         with pytest.raises(ValueError):
             stabilization_index(P(1), P(2), P(1), P())
+
+    @given(st.sampled_from(skew_pairs(8, 3)), st.sampled_from(skew_pairs(4, 3)))
+    @settings(deadline=None, max_examples=300)
+    def test_sits_inside_never_turns_false_as_r_grows(self, base, step):
+        # which is what makes the bisection for the first enclosing index exact
+        (kappa, lam), (mu, nu) = base, step
+        small = SkewShape(mu, nu)
+        inside = [sits_inside(small, stretched(kappa, lam, mu, nu, r)) for r in range(kappa[0] + 4)]
+        assert inside == sorted(inside)
+
+    def test_bisection_matches_the_scan_on_the_battery(self):
+        families = list(battery_families())
+        assert len(families) == 4007
+        for kappa, lam, mu, nu, n in families:
+            seq = build_sequence(kappa, lam, mu, nu, n)
+            r0 = first_enclosing_index(seq.kappa, seq.lam, mu, nu)
+            assert r0 == scanned_first_enclosing_index(seq.kappa, seq.lam, mu, nu), (kappa, lam, mu, nu, n)
+            assert seq.r in (r0, max(0, r0 - 1))
+
+    def test_bisection_matches_the_scan_on_wide_bases(self):
+        # [m + r, r]/[m - 1] first has a column of two ordinary boxes at r = m
+        for m in range(1, 51):
+            kappa, lam, mu = P(m), P(m - 1), P(1, 1)
+            assert first_enclosing_index(kappa, lam, mu, P()) == scanned_first_enclosing_index(kappa, lam, mu, P()) == m
 
 
 class TestDecompose:
