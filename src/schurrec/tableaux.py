@@ -73,14 +73,6 @@ class SkewShape:
         boxes only is the empty run (h+1, h)."""
         return [run for run, width in self._column_blocks() for _ in range(width)]
 
-    def cells(self) -> list[tuple[int, int]]:
-        """Ordinary boxes as 0-based (row, col) pairs, row-major."""
-        return [
-            (i, j)
-            for i in range(len(self.outer))
-            for j in range(self.inner[i], self.outer[i])
-        ]
-
     def to_ascii(self) -> str:
         return _diagram(self.inner, [["."] * (self.outer[i] - self.inner[i]) for i in range(len(self.outer))])
 
@@ -237,36 +229,44 @@ def iter_tableaux(
 ) -> Iterator[Tableau]:
     """Yield all SSYTs of the shape with entries in 1..n, in row-major
     lexicographic order.  weight_cap, when given, prunes fillings whose
-    letter multiplicities would exceed it.  The partial filling is kept as
-    its rows: box (i, j) of row i sits at value_rows[i][j - inner_i]."""
-    cells = shape.cells()
-    ncells = len(cells)
-    inner, outer = shape.inner, shape.outer
+    letter multiplicities would exceed it.  One loop, with no call per box, keeps the filling as
+    its rows, box (i, j) at value_rows[i][j - inner_i]; each step opens the next box (box_rows gives
+    its row) at the least value its left and upper neighbours allow, or moves the last filled box up."""
     cap = list(weight_cap) if weight_cap is not None else None
     if cap is not None and len(cap) != n:
         raise ValueError("weight_cap must have length n")
-    counts = [0] * (n + 1)
-    value_rows: list[list[int]] = [[] for _ in outer]
+    outer, inner = shape.outer.parts, shape.inner.padded(len(shape.outer))
+    box_rows = [i for i, (lo, hi) in enumerate(zip(inner, outer)) for _ in range(lo, hi)]
+    counts, value_rows = [0] * (n + 1), [[] for _ in outer]
 
-    def rec(idx: int) -> Iterator[Tableau]:
-        if idx == ncells:
-            yield Tableau(shape, [list(r) for r in value_rows], n)
-            return
-        i, j = cells[idx]
-        row = value_rows[i]
-        lo = row[-1] if row else 1
-        if i and inner[i - 1] <= j < outer[i - 1]:
-            lo = max(lo, value_rows[i - 1][j - inner[i - 1]] + 1)
-        for v in range(lo, n + 1):
-            if cap is not None and counts[v] + 1 > cap[v - 1]:
+    def walk() -> Iterator[Tableau]:
+        filled, lo = 0, 0  # lo = 0 opens box `filled`; else that box takes the least value from lo up
+        while True:
+            if not lo and filled == len(box_rows):
+                yield Tableau(shape, value_rows, n)
+                lo = n + 1  # no box is left to open: move the last filled box
+            elif not lo:
+                row = value_rows[i := box_rows[filled]]
+                lo = row[-1] if row else 1
+                j = inner[i] + len(row)
+                if i and j >= inner[i - 1]:  # and j < outer_i <= outer_(i-1): the box above is ordinary
+                    lo = max(lo, value_rows[i - 1][j - inner[i - 1]] + 1)
+            for v in range(lo, n + 1):
+                if cap is None or counts[v] < cap[v - 1]:
+                    break
+            else:  # close the box and move the one before it
+                if not filled:
+                    return
+                filled -= 1
+                row = value_rows[box_rows[filled]]
+                lo = row.pop() + 1
+                counts[lo - 1] -= 1
                 continue
-            counts[v] += 1
             row.append(v)
-            yield from rec(idx + 1)
-            row.pop()
-            counts[v] -= 1
+            counts[v] += 1
+            filled, lo = filled + 1, 0
 
-    return rec(0)
+    return walk()
 
 
 def enumerate_tableaux(shape: SkewShape, n: int) -> list[Tableau]:

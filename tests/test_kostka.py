@@ -56,6 +56,9 @@ class TestKostka:
         assert kostka(SkewShape(P()), ()) == 1
         assert kostka(SkewShape(P(1, 1), P(1, 1)), ()) == 1
 
+    def test_a_row_past_the_recursion_limit_counts_once(self):
+        assert kostka(SkewShape(P(1500)), (1500,)) == 1
+
     def test_empty_filling_from_the_cli(self, capsys):
         assert cli.main(["kostka", "--outer", "[]", "--weight", "[]", "--format", "json"]) == 0
         assert json.loads(capsys.readouterr().out)["kostka"] == 1

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from battery import battery_families, skew_pairs
 from schurrec.partitions import Partition, add, scale
+from schurrec.polynomials import ssyt_count
 from schurrec.recurrence import build_sequence
 from schurrec.tableaux import (
     column_factors,
@@ -143,11 +144,23 @@ class TestEnumerate:
     def test_too_tall_column_gives_nothing(self):
         assert enumerate_tableaux(SkewShape(P(1, 1, 1)), 2) == []
 
+    # past the interpreter's recursion limit of 1000: the walk is one loop, with no frame per box
+    def test_a_row_of_1200_boxes_in_two_letters(self):
+        ts = list(iter_tableaux(SkewShape(P(1200)), 2))
+        assert len(ts) == ssyt_count(P(1200), P(), 2) == 1201
+        assert ts[-1].rows == ((2,) * 1200,)
+
+    def test_1200_one_box_rows_in_one_letter(self):
+        # [1200, 1199, ..., 1] / [1199, ..., 1]: the rows share no column, so one letter fills them
+        shape = SkewShape(P(*range(1200, 0, -1)), P(*range(1199, 0, -1)))
+        assert shape.num_boxes == shape.num_columns() == 1200
+        assert [t.rows for t in iter_tableaux(shape, 1)] == [((1,),) * 1200]
+
 
 def grid_walk(shape, n, weight_cap=None):
     """The tableau walk with its partial filling in a (row, col) dict beside
     its rows: the oracle for iter_tableaux, which keeps the rows alone."""
-    cells = shape.cells()
+    cells = [(i, j) for i in range(len(shape.outer)) for j in range(*shape.row_span(i))]
     grid, counts, value_rows = {}, [0] * (n + 1), [[] for _ in shape.outer]
 
     def rec(idx):
